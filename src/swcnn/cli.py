@@ -10,14 +10,11 @@ failure.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-import tempfile
-from pathlib import Path
 
 from swcnn import config as cfgmod
 from swcnn.config import RunConfig, apply_setting, parse_config, validate_config
-from swcnn.data import load_csv, load_vocab, n_classes_of, save_vocab, to_samples
+from swcnn.data import atomic_write, load_csv, load_vocab, n_classes_of, save_vocab, to_samples
 from swcnn.errors import DataError, NumericError, UsageError
 from swcnn.evalbench import (
     dense_control_ratio,
@@ -26,11 +23,11 @@ from swcnn.evalbench import (
     time_inference,
     vocab_independence_bench,
 )
-from swcnn.model import count_parameters, encode_document, predict
+from swcnn.model import count_parameters, encode_document, parameter_count, predict
 from swcnn.serialize import load_embedding, load_model, save_embedding, save_model
 from swcnn.textpipe import (
+    BOW_NGRAM,
     BOW_WORD,
-    CONCAT,
     NGRAM123,
     WORD,
     RegionSpec,
@@ -195,17 +192,7 @@ def _training_inputs(args, cfg: RunConfig):
 
 
 def _write_lines(path, lines) -> None:
-    target = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=target.parent or ".", prefix=target.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as out:
-            for line in lines:
-                out.write(line + "\n")
-        os.replace(tmp, target)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write(path, lambda out: out.writelines(line + "\n" for line in lines))
 
 
 def _metric_lines(metrics):
@@ -289,7 +276,8 @@ def cmd_predict(args, cfg: RunConfig) -> int:
     views = model.views
     for line in sys.stdin:
         doc = encode_document(views, tokenize(line.rstrip("\n")), 0)
-        print(predict(model, doc))
+        # flushed per answer, so a client on a pipe need not close stdin first
+        print(predict(model, doc), flush=True)
     return 0
 
 
@@ -331,18 +319,11 @@ def cmd_bench(args, cfg: RunConfig) -> int:
 def cmd_params(args, cfg: RunConfig) -> int:
     if cfg.n_classes < 1:
         raise UsageError("params needs n_classes in the config")
-    d = cfg.embed_dim
-    if cfg.representation == CONCAT:
-        base_inputs = cfg.region_size * cfg.word_vocab_cap
-    elif cfg.representation == BOW_WORD:
-        base_inputs = cfg.word_vocab_cap
-    else:
-        base_inputs = cfg.ngram_vocab_cap
-    total = d * base_inputs + d
-    for kind, _region_size in cfgmod.parse_tv_specs(cfg):
-        vocab_size = cfg.word_vocab_cap if kind == WORD else cfg.ngram_vocab_cap
-        total += cfg.tv_dim * vocab_size + cfg.tv_dim + d * cfg.tv_dim
-    total += cfg.n_classes * d * cfg.pooling_k + cfg.n_classes
+    caps = {WORD: cfg.word_vocab_cap, NGRAM123: cfg.ngram_vocab_cap}
+    base_vocab = caps[NGRAM123 if cfg.representation == BOW_NGRAM else WORD]
+    base = RegionSpec(cfg.representation, cfg.region_size, base_vocab)
+    tv_shapes = [(cfg.tv_dim, caps[kind]) for kind, _ in cfgmod.parse_tv_specs(cfg)]
+    total = parameter_count(cfg.embed_dim, base.input_dim, tv_shapes, cfg.n_classes, cfg.pooling_k)
     print(f"{total:,}")
     return 0
 

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from swcnn.errors import DataError, UsageError
+from swcnn.data import read_lines
+from swcnn.errors import UsageError
 from swcnn.textpipe import BOW_NGRAM, BOW_WORD, CONCAT, NGRAM123, WORD
 from swcnn.train import SelectionGrid, TrainConfig
 from swcnn.tv import TvTrainConfig
@@ -121,22 +122,17 @@ def apply_setting(cfg: RunConfig, key: str, raw: str) -> None:
 
 def parse_config(path) -> RunConfig:
     cfg = RunConfig()
-    try:
-        stream = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot open config: {exc}") from exc
-    with stream:
-        for lineno, line in enumerate(stream, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise UsageError(f"{path}: line {lineno}: expected key=value")
-            try:
-                apply_setting(cfg, key.strip(), value)
-            except UsageError as exc:
-                raise UsageError(f"{path}: line {lineno}: {exc}") from None
+    for lineno, line in enumerate(read_lines(path, "config"), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise UsageError(f"{path}: line {lineno}: expected key=value")
+        try:
+            apply_setting(cfg, key.strip(), value)
+        except UsageError as exc:
+            raise UsageError(f"{path}: line {lineno}: {exc}") from None
     validate_config(cfg)
     return cfg
 

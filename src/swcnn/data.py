@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -54,7 +53,32 @@ def load_csv(path) -> list[DatasetRecord]:
                 records.append(DatasetRecord(label=label, text=" ".join(row[1:])))
         except csv.Error as exc:
             raise DataError(f"{path}: line {reader.line_num}: {exc}") from exc
+        except UnicodeDecodeError:
+            raise _utf8_error(path) from None
     return records
+
+
+def _utf8_error(path) -> DataError:
+    # UTF-8 never puts a newline byte inside a multi-byte sequence, so the
+    # file can be decoded line by line to locate the first bad byte
+    with open(path, "rb") as stream:
+        for lineno, raw in enumerate(stream, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return DataError(f"{path}: line {lineno}: not valid UTF-8 ({exc.reason})")
+    return DataError(f"{path}: not valid UTF-8")
+
+
+def read_lines(path, what: str) -> list[str]:
+    """The lines of a small UTF-8 text file, without their newlines."""
+    try:
+        with open(path, encoding="utf-8") as stream:
+            return stream.read().split("\n")
+    except OSError as exc:
+        raise DataError(f"cannot open {what}: {exc}") from exc
+    except UnicodeDecodeError:
+        raise _utf8_error(path) from None
 
 
 def to_samples(records) -> list[tuple[list[str], int]]:
@@ -68,14 +92,19 @@ def n_classes_of(records) -> int:
     return max(r.label for r in records)
 
 
-def save_vocab(vocab: Vocabulary, path) -> None:
+def atomic_write(path, write_body, binary: bool = False) -> None:
+    """Write ``path`` through a temporary sibling and a rename, so a reader
+    never sees a partial file; ``write_body(out)`` writes the content.
+
+    The file gets the mode a plain ``open`` gives a new file: 0o666 less
+    the umask.
+    """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or ".", prefix=path.name, suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as out:
-            out.write(f"kind={vocab.kind}\n")
-            for token, freq in vocab.entries:
-                out.write(f"{token}\t{freq}\n")
+        with os.fdopen(fd, "wb" if binary else "w", encoding=None if binary else "utf-8") as out:
+            write_body(out)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -83,28 +112,31 @@ def save_vocab(vocab: Vocabulary, path) -> None:
         raise
 
 
+def save_vocab(vocab: Vocabulary, path) -> None:
+    def body(out):
+        out.write(f"kind={vocab.kind}\n")
+        for token, freq in vocab.entries:
+            out.write(f"{token}\t{freq}\n")
+
+    atomic_write(path, body)
+
+
 def load_vocab(path) -> Vocabulary:
-    try:
-        stream = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot open vocabulary: {exc}") from exc
-    with stream:
-        header = stream.readline().rstrip("\n")
-        if not header.startswith("kind="):
-            raise DataError(f"{path}: missing kind= header")
-        kind = header[len("kind=") :]
-        if kind not in (WORD, NGRAM123):
-            raise DataError(f"{path}: unknown vocabulary kind {kind!r}")
-        entries = []
-        for lineno, line in enumerate(stream, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            token, sep, freq = line.rpartition("\t")
-            if not sep:
-                raise DataError(f"{path}: line {lineno}: expected token<TAB>frequency")
-            try:
-                entries.append((token, int(freq)))
-            except ValueError:
-                raise DataError(f"{path}: line {lineno}: bad frequency {freq!r}") from None
+    header, *lines = read_lines(path, "vocabulary")
+    if not header.startswith("kind="):
+        raise DataError(f"{path}: missing kind= header")
+    kind = header[len("kind=") :]
+    if kind not in (WORD, NGRAM123):
+        raise DataError(f"{path}: unknown vocabulary kind {kind!r}")
+    entries = []
+    for lineno, line in enumerate(lines, start=2):
+        if not line:
+            continue
+        token, sep, freq = line.rpartition("\t")
+        if not sep:
+            raise DataError(f"{path}: line {lineno}: expected token<TAB>frequency")
+        try:
+            entries.append((token, int(freq)))
+        except ValueError:
+            raise DataError(f"{path}: line {lineno}: bad frequency {freq!r}") from None
     return Vocabulary(kind=kind, entries=tuple(entries))

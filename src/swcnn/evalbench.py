@@ -24,13 +24,14 @@ from swcnn.model import (
     PreparedDoc,
     PreparedView,
     ShallowModel,
+    _view_slots,
     embed_regions,
     encode_document,
     forward,
     max_pool,
     prepare_document,
 )
-from swcnn.textpipe import BOW_WORD, EncodedDocument, RegionSpec, region_count
+from swcnn.textpipe import BOW_WORD, RegionSpec, region_count
 
 
 @dataclass
@@ -122,22 +123,19 @@ def make_bench_pattern(length: int = 400, distinct: int = 48, seed: int = 0) -> 
     return rng.integers(0, distinct, size=length).tolist()
 
 
-def _pattern_to_doc(pattern: Sequence[int], vocab_size: int) -> EncodedDocument:
+def _pattern_ids(pattern: Sequence[int], vocab_size: int) -> np.ndarray:
     n_codes = max(pattern) + 1
     if vocab_size < n_codes:
         raise ValueError("vocabulary smaller than the code set")
     # spread ids over the full range so locality does not depend on ordering
-    ids = tuple(code * vocab_size // n_codes for code in pattern)
-    return EncodedDocument(label=0, ids=ids)
+    return np.asarray([code * vocab_size // n_codes for code in pattern], dtype=np.int64)
 
 
 def _bench_setup(d: int, p: int, pattern, vocab_size: int, seed: int):
-    from swcnn.model import _view_slots
-
     spec = RegionSpec(representation=BOW_WORD, region_size=p, vocab_size=vocab_size)
-    doc = _pattern_to_doc(pattern, vocab_size)
-    n_regions = region_count(len(doc.ids), p)
-    view = _view_slots(doc, spec, n_regions)
+    ids = _pattern_ids(pattern, vocab_size)
+    n_regions = region_count(len(ids), p)
+    view = _view_slots(ids, spec, np.arange(n_regions), len(ids))
     rng = np.random.default_rng(seed)
     W = np.asfortranarray(rng.normal(0.0, 0.01, size=(d, spec.input_dim)))
     b = rng.normal(0.0, 0.01, size=d)
@@ -209,7 +207,10 @@ def dense_control_ratio(
 
     Cost scales with the input dimensionality, so the ratio grows with
     the vocabulary-size ratio; this is the behavior the sparse kernels
-    are demonstrated against.
+    are demonstrated against.  The product runs in numpy's own loops, not
+    in a multithreaded BLAS: on a busy 2-core machine the small size's
+    BLAS calls ran 24 ms instead of 0.3 ms for seconds at a time, waiting
+    for a worker thread, which flattened the ratio to about 1.3.
     """
     times = {}
     for v in (v_small, v_large):
@@ -217,7 +218,7 @@ def dense_control_ratio(
         X = _densify(view, n_regions)
 
         def dense_forward():
-            Z = X @ W.T + b
+            Z = np.einsum("rv,dv->rd", X, W) + b
             np.maximum(Z, 0.0, out=Z)
             pooled, _ = max_pool(Z, 1)
             return top_W @ pooled.ravel() + top_b

@@ -1,9 +1,11 @@
-"""Numeric primitives over sparse region vectors.
+"""Numeric primitives: a per-region sparse affine map, relu, softmax.
 
-The affine map y = W x + b is the hot path of the whole classifier.  With
-x sparse, only the columns of W at x's nonzero indices are touched, so
-the arithmetic cost is O(d * nnz(x)) and does not depend on the input
-dimensionality (hence not on the vocabulary size).
+``sparse_affine`` computes y = W x + b for one sparse region vector,
+touching only the columns of W at x's nonzero indices, so its cost is
+O(d * nnz(x)) and does not depend on the input dimensionality (hence not
+on the vocabulary size).  The slot-incidence sweep in ``model.py`` does
+the same arithmetic for many regions at once; this function is the
+per-region reference it is tested against.
 """
 
 from __future__ import annotations
@@ -25,38 +27,8 @@ def sparse_affine(W: np.ndarray, b: np.ndarray, x: SparseRegionVector) -> np.nda
     return W[:, x.indices] @ x.values + b
 
 
-def sparse_affine_grad(grad_out: np.ndarray, x: SparseRegionVector):
-    """Gradients of sparse_affine with respect to W and b.
-
-    Returns (indices, col_grads, b_grad): column j of W at x's k-th
-    nonzero index receives col_grads[:, k] = grad_out * values[k]; the
-    bias receives grad_out.  No gradient flows to x (inputs are data).
-    """
-    d = grad_out.shape[0]
-    if grad_out.ndim != 1:
-        raise ValueError("grad_out must be a vector")
-    col_grads = np.outer(grad_out, x.values) if x.nnz else np.zeros((d, 0))
-    return x.indices, col_grads, grad_out.copy()
-
-
-def accumulate_sparse_affine_grad(dW, db, grad_out, x) -> None:
-    """In-place version of sparse_affine_grad for training loops."""
-    if dW.shape[0] != grad_out.shape[0] or x.dim != dW.shape[1]:
-        raise ValueError("gradient buffers do not match the operands")
-    if x.nnz:
-        # x's indices are strictly increasing, so fancy += is safe.
-        dW[:, x.indices] += np.outer(grad_out, x.values)
-    db += grad_out
-
-
 def relu(v: np.ndarray) -> np.ndarray:
     return np.maximum(v, 0.0)
-
-
-def relu_grad(v: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    """Pass gradient where the pre-activation is > 0; the subgradient at
-    exactly 0 is defined as 0."""
-    return np.where(v > 0.0, grad_out, 0.0)
 
 
 def softmax_xent(logits: np.ndarray, true_class: int):

@@ -29,7 +29,7 @@ import numpy as np
 
 from swcnn.kernels import relu
 from swcnn.textpipe import (
-    BOW_WORD,
+    BOW_NGRAM,
     CONCAT,
     OOV,
     EncodedDocument,
@@ -143,39 +143,43 @@ class PreparedDoc:
     views: tuple[PreparedView, ...]
 
 
-def _view_slots(enc: EncodedDocument, spec: RegionSpec, n_regions: int) -> PreparedView:
-    ids = np.asarray(enc.ids, dtype=np.int64)
-    length = len(ids)
+def view_ids(enc: EncodedDocument, spec: RegionSpec) -> np.ndarray:
+    """The ids a view's slots read: (L,) token ids, or (L, 3) n-gram ids."""
+    if spec.representation != BOW_NGRAM:
+        return np.asarray(enc.ids, dtype=np.int64)
+    if enc.ngram_ids is None:
+        raise ValueError("bow-ngram123 views need an n-gram encoded document")
+    return np.asarray(enc.ngram_ids, dtype=np.int64).reshape(len(enc.ids), 3)
+
+
+def _view_slots(ids: np.ndarray, spec: RegionSpec, starts: np.ndarray, ends) -> PreparedView:
+    """Slot incidence of the regions that start at token offsets ``starts``.
+
+    ``ids`` is laid out as ``view_ids`` returns it, for one document or a
+    concatenated corpus.  Region r becomes row r: it covers positions
+    ``starts[r]`` to ``starts[r] + p - 1``, clipped to ``ends[r]`` (the end
+    of its document; a scalar serves all regions).
+    """
     p = spec.region_size
-    v = spec.vocab_size
-    slots: list[tuple[np.ndarray, np.ndarray]] = []
-    if spec.representation in (CONCAT, BOW_WORD):
-        for s in range(p):
-            upper = min(n_regions, length - s)
-            if upper <= 0:
-                continue
-            window = ids[s : s + upper]
-            rows = np.nonzero(window != OOV)[0]
-            if len(rows) == 0:
-                continue
-            cols = window[rows]
-            if spec.representation == CONCAT:
-                cols = cols + s * v
-            slots.append((rows, cols))
+    if spec.representation == BOW_NGRAM:
+        # slot (s, n): the n-gram that starts s into the region and fits in it
+        shift, gram = np.array([(s, n - 1) for n in (1, 2, 3) for s in range(p - n + 1)]).T
     else:
-        if enc.ngram_ids is None:
-            raise ValueError("bow-ngram123 views need an n-gram encoded document")
-        grams = np.asarray(enc.ngram_ids, dtype=np.int64).reshape(length, 3) if length else np.zeros((0, 3), dtype=np.int64)
-        for n in (1, 2, 3):
-            for s in range(p - n + 1):
-                upper = min(n_regions, length - s)
-                if upper <= 0:
-                    continue
-                window = grams[s : s + upper, n - 1]
-                rows = np.nonzero(window != OOV)[0]
-                if len(rows) == 0:
-                    continue
-                slots.append((rows, window[rows]))
+        shift, gram = np.arange(p), np.zeros(p, dtype=np.int64)
+        ids = ids[:, None]  # a single id column
+    if len(ids) == 0:  # an empty document: nothing to gather
+        return PreparedView(slots=[], input_dim=spec.input_dim)
+    pos = starts + shift[:, None]  # (slots, regions)
+    inside = pos < ends
+    cols = ids[np.where(inside, pos, 0), gram[:, None]]
+    known = inside & (cols != OOV)
+    if spec.representation == CONCAT:
+        cols += shift[:, None] * spec.vocab_size
+    slots: list[tuple[np.ndarray, np.ndarray]] = []
+    for slot_known, slot_cols in zip(known, cols):
+        rows = slot_known.nonzero()[0]
+        if len(rows):
+            slots.append((rows, slot_cols[rows]))
     return PreparedView(slots=slots, input_dim=spec.input_dim)
 
 
@@ -189,17 +193,13 @@ def prepare_document(
     """
     if len(doc.views) != len(views):
         raise ValueError(f"document has {len(doc.views)} views, model has {len(views)}")
-    base_spec = views[0][0]
-    n_regions = region_count(len(doc.views[0].ids), base_spec.region_size)
+    n_regions = region_count(len(doc.views[0].ids), views[0][0].region_size)
+    starts = np.arange(n_regions)
     prepared = tuple(
-        _view_slots(enc, spec, n_regions)
+        _view_slots(view_ids(enc, spec), spec, starts, len(enc.ids))
         for enc, (spec, _) in zip(doc.views, views)
     )
     return PreparedDoc(label=doc.label, n_regions=n_regions, views=prepared)
-
-
-def prepare_tokens(model_views, tokens: Sequence[str], label: int = 0) -> PreparedDoc:
-    return prepare_document(model_views, encode_document(model_views, tokens, label))
 
 
 def embed_regions(W: np.ndarray, view: PreparedView, n_regions: int) -> np.ndarray:
@@ -299,10 +299,6 @@ class ModelGrads:
     def as_list(self) -> list[np.ndarray]:
         return [self.base_W, self.base_b, *self.fusions, self.top_W, self.top_b]
 
-    def add_(self, other: "ModelGrads") -> None:
-        for mine, theirs in zip(self.as_list(), other.as_list()):
-            mine += theirs
-
     def scale_(self, factor: float) -> None:
         for g in self.as_list():
             g *= factor
@@ -361,13 +357,22 @@ def _scatter_embedding_grad(dW: np.ndarray, dZ: np.ndarray, view: PreparedView) 
         np.add.at(dWt, cols, dZ[rows])
 
 
+def parameter_count(embed_dim, base_input_dim, tv_shapes, n_classes, pooling_k) -> int:
+    """Total number of weights: base map, per-tv map and fusion, top layer.
+
+    ``tv_shapes`` holds one (tv dimension, tv input dimension) pair per
+    two-view embedding.  No weights are allocated.
+    """
+    total = embed_dim * base_input_dim + embed_dim
+    for tv_dim, tv_input_dim in tv_shapes:
+        total += tv_dim * tv_input_dim + tv_dim + embed_dim * tv_dim
+    return total + n_classes * embed_dim * pooling_k + n_classes
+
+
 def count_parameters(model: ShallowModel) -> int:
-    """Total number of weights: base map, per-tv map and fusion, top layer."""
-    total = model.base.W.size + model.base.b.size
-    for tv in model.tvs:
-        total += tv.embedding.W.size + tv.embedding.b.size + tv.fusion.size
-    total += model.top_W.size + model.top_b.size
-    return int(total)
+    tv_shapes = [(tv.embedding.dim, tv.embedding.spec.input_dim) for tv in model.tvs]
+    return parameter_count(model.base.dim, model.base.spec.input_dim, tv_shapes,
+                           model.n_classes, model.pooling_k)
 
 
 def predict(model: ShallowModel, doc) -> int:

@@ -22,18 +22,17 @@ Layout (all integers little-endian):
     embedding container (kind 1) := embedding block
 
 Round-trips are bitwise exact; files are written atomically
-(temp file in the same directory, then rename).
+(``data.atomic_write``).  Weights that are not finite are rejected on
+load.
 """
 
 from __future__ import annotations
 
-import os
 import struct
-import tempfile
-from pathlib import Path
 
 import numpy as np
 
+from swcnn.data import atomic_write
 from swcnn.errors import DataError
 from swcnn.model import RegionEmbedding, ShallowModel, TvEmbedding
 from swcnn.textpipe import (
@@ -95,15 +94,24 @@ class _Reader:
         return struct.unpack(fmt, self.read(struct.calcsize(fmt)))
 
 
-def _read_matrix(r: _Reader) -> np.ndarray:
+def _finite(r: _Reader, arr: np.ndarray) -> np.ndarray:
+    # min and max propagate NaN and, unlike an isfinite mask, make no
+    # full-size temporary
+    if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+        raise DataError(f"{r.path}: non-finite value in a {arr.shape} weight array")
+    return arr
+
+
+def _read_matrix(r: _Reader, order: str = "C") -> np.ndarray:
     rows, cols = r.unpack("<II")
-    data = np.frombuffer(r.read(8 * rows * cols), dtype="<f8")
-    return data.reshape(rows, cols).astype(np.float64)
+    data = np.frombuffer(r.read(8 * rows * cols), dtype="<f8").reshape(rows, cols)
+    # one copy makes the array writable, native and in its final layout
+    return _finite(r, np.array(data, dtype=np.float64, order=order))
 
 
 def _read_vector(r: _Reader) -> np.ndarray:
     (dim,) = r.unpack("<I")
-    return np.frombuffer(r.read(8 * dim), dtype="<f8").astype(np.float64)
+    return _finite(r, np.frombuffer(r.read(8 * dim), dtype="<f8").astype(np.float64))
 
 
 def _read_embedding(r: _Reader) -> RegionEmbedding:
@@ -114,9 +122,12 @@ def _read_embedding(r: _Reader) -> RegionEmbedding:
     if vocab_code not in _VOCAB_NAMES:
         raise DataError(f"{r.path}: unknown vocabulary code {vocab_code}")
     entries = []
-    for _ in range(vocab_size):
+    for i in range(vocab_size):
         (token_len,) = r.unpack("<I")
-        token = r.read(token_len).decode("utf-8")
+        try:
+            token = r.read(token_len).decode("utf-8")
+        except UnicodeDecodeError:
+            raise DataError(f"{r.path}: vocabulary entry {i}: not valid UTF-8") from None
         (freq,) = r.unpack("<Q")
         entries.append((token, freq))
     vocab = Vocabulary(kind=_VOCAB_NAMES[vocab_code], entries=tuple(entries))
@@ -124,22 +135,9 @@ def _read_embedding(r: _Reader) -> RegionEmbedding:
         representation=_REP_NAMES[rep_code], region_size=region_size, vocab_size=vocab_size
     )
     # column-major weights keep the per-column gathers of the sweep contiguous
-    W = np.asfortranarray(_read_matrix(r))
+    W = _read_matrix(r, order="F")
     b = _read_vector(r)
     return RegionEmbedding(spec=spec, vocab=vocab, W=W, b=b)
-
-
-def _atomic_write(path, write_body) -> None:
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or ".", prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as out:
-            write_body(out)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _check_header(r: _Reader, expect_kind: int) -> None:
@@ -171,15 +169,18 @@ def save_model(model: ShallowModel, path) -> None:
         _write_matrix(out, model.top_W)
         _write_vector(out, model.top_b)
 
-    _atomic_write(path, body)
+    atomic_write(path, body, binary=True)
+
+
+def _open(path, what: str):
+    try:
+        return open(path, "rb")
+    except OSError as exc:
+        raise DataError(f"cannot open {what} container: {exc}") from exc
 
 
 def load_model(path) -> ShallowModel:
-    try:
-        stream = open(path, "rb")
-    except OSError as exc:
-        raise DataError(f"cannot open model container: {exc}") from exc
-    with stream:
+    with _open(path, "model") as stream:
         r = _Reader(stream, path)
         _check_header(r, KIND_MODEL)
         pooling_k, n_classes, dropout = r.unpack("<IId")
@@ -210,15 +211,11 @@ def save_embedding(emb: RegionEmbedding, path) -> None:
         out.write(struct.pack("<IB", FORMAT_VERSION, KIND_EMBEDDING))
         _write_embedding(out, emb)
 
-    _atomic_write(path, body)
+    atomic_write(path, body, binary=True)
 
 
 def load_embedding(path) -> RegionEmbedding:
-    try:
-        stream = open(path, "rb")
-    except OSError as exc:
-        raise DataError(f"cannot open embedding container: {exc}") from exc
-    with stream:
+    with _open(path, "embedding") as stream:
         r = _Reader(stream, path)
         _check_header(r, KIND_EMBEDDING)
         return _read_embedding(r)

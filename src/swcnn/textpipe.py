@@ -79,13 +79,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self.index
-
-    def id_of(self, token: str) -> int:
-        """Id of ``token``, or the OOV marker if absent."""
-        return self.index.get(token, OOV)
-
 
 def iter_ngrams(tokens: Sequence[str], max_n: int = 3) -> Iterable[str]:
     """All contiguous 1..max_n-grams of a token sequence, space-joined."""

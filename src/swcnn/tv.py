@@ -10,6 +10,8 @@ weighted square loss is evaluated only on the target indices plus a small
 sampled set of negative indices, so the per-example cost depends on the
 number of targets and negatives, not on the vocabulary size.  Labels are
 never read.  The prediction layer is discarded; only W, b survive.
+W x and its gradient use the supervised model's slot-incidence sweep,
+over regions at arbitrary offsets into the concatenated corpus.
 """
 
 from __future__ import annotations
@@ -20,17 +22,22 @@ from typing import Sequence
 import numpy as np
 
 from swcnn.errors import DataError
-from swcnn.kernels import relu_grad, sparse_affine
-from swcnn.model import RegionEmbedding
+from swcnn.kernels import sparse_affine  # noqa: F401  (traced by benchmark/tracer.py)
+from swcnn.model import (
+    RegionEmbedding,
+    _scatter_embedding_grad,
+    _view_slots,
+    embed_regions,
+    view_ids,
+)
 from swcnn.textpipe import (
     OOV,
     EncodedDocument,
     RegionSpec,
-    SparseRegionVector,
     Vocabulary,
     encode,
     region_count,
-    region_vector,
+    region_vector,  # noqa: F401  (traced by benchmark/tracer.py)
 )
 from swcnn.train import sgd_momentum_step
 
@@ -39,15 +46,13 @@ from swcnn.train import sgd_momentum_step
 class TvExample:
     """One (region, adjacent-words) training pair.
 
+    ``pos`` is the region's first token position in its document;
     ``target`` holds the sorted in-vocabulary word ids appearing in the
-    adjacent regions (binary presence).  ``negatives`` is the sampled
-    negative index set, disjoint from ``target``; it is attached when the
-    example stream is armed for training.
+    adjacent regions (binary presence).
     """
 
-    input: SparseRegionVector
+    pos: int
     target: np.ndarray
-    negatives: np.ndarray | None = None
 
 
 def make_tv_examples(
@@ -72,7 +77,7 @@ def make_tv_examples(
         target = np.unique(np.asarray([t for t in around if t != OOV], dtype=np.int64))
         if len(target) == 0:
             continue
-        examples.append(TvExample(input=region_vector(input_doc, pos, spec), target=target))
+        examples.append(TvExample(pos=pos, target=target))
     return examples
 
 
@@ -134,8 +139,9 @@ def train_tv(
     Returns (embedding, per-epoch mean losses).  Initialization and the
     negative samples are drawn from a single generator seeded with
     ``config.seed``, so a fixed seed reproduces the embedding bitwise.
-    Draw order: W, b, prediction weights, prediction bias, then per-doc
-    negative sets, then per-epoch shuffles.
+    Draw order: W, b, prediction weights, prediction bias, then per-region
+    negative sets in corpus order, then per-epoch shuffles.  A mini-batch
+    gathers W x and scatters dW in one sweep; the head loops over regions.
     """
     if len(corpus) == 0:
         raise DataError("tv training needs a non-empty corpus")
@@ -148,46 +154,62 @@ def train_tv(
     head_W = rng.normal(0.0, config.init_std, size=(n_words, d_tv))
     head_b = rng.normal(0.0, config.init_std, size=n_words)
 
-    examples: list[TvExample] = []
+    # The corpus as one flat id array; example i is the region at offset
+    # starts[i] of a document ending at ends[i], predicting outputs[i]:
+    # its n_targets[i] target ids, then its negatives.
+    pieces, starts, ends, outputs, n_targets = [], [], [], [], []
+    offset = 0
     for tokens in corpus:
         input_doc = encode(tokens, tv_vocab)
         target_doc = input_doc if tv_vocab is word_vocab else encode(tokens, word_vocab)
+        pieces.append(view_ids(input_doc, spec))
         for ex in make_tv_examples(input_doc, target_doc, spec):
-            ex.negatives = sample_negatives(ex.target, n_words, config.negatives, rng)
-            examples.append(ex)
-    if not examples:
+            negatives = sample_negatives(ex.target, n_words, config.negatives, rng)
+            starts.append(offset + ex.pos)
+            ends.append(offset + len(tokens))
+            outputs.append(np.concatenate([ex.target, negatives]))
+            n_targets.append(len(ex.target))
+        offset += len(tokens)
+    if not outputs:
         raise DataError("no tv examples")
+    ids = np.concatenate(pieces)
+    starts = np.asarray(starts, dtype=np.int64)
+    ends = np.asarray(ends, dtype=np.int64)
 
     params = [W, b, head_W, head_b]
     velocity = [np.zeros_like(p) for p in params]
     dW, db = np.zeros_like(W), np.zeros_like(b)
     dhead_W, dhead_b = np.zeros_like(head_W), np.zeros_like(head_b)
     grads = [dW, db, dhead_W, dhead_b]
-    n = len(examples)
+    n = len(outputs)
     epoch_losses = []
     for _ in range(config.epochs):
         order = rng.permutation(n)
         loss_sum = 0.0
-        for start in range(0, n, config.batch_size):
-            batch = order[start : start + config.batch_size]
+        for first in range(0, n, config.batch_size):
+            batch = order[first : first + config.batch_size]
             for g in grads:
                 g[...] = 0.0
-            for idx in batch:
-                ex = examples[idx]
-                z = sparse_affine(W, b, ex.input)
-                h = np.maximum(z, 0.0)
-                out_idx = np.concatenate([ex.target, ex.negatives])
+            view = _view_slots(ids, spec, starts[batch], ends[batch])
+            Z = embed_regions(W, view, len(batch))
+            Z += b
+            H = np.maximum(Z, 0.0)
+            dH = np.empty_like(H)
+            for row, idx in enumerate(batch):
+                out_idx = outputs[idx]
+                h = H[row]
+                head = head_W[out_idx]
                 target_vals = np.zeros(len(out_idx))
-                target_vals[: len(ex.target)] = 1.0
-                pred = head_W[out_idx] @ h + head_b[out_idx]
+                target_vals[: n_targets[idx]] = 1.0
+                pred = head @ h + head_b[out_idx]
                 loss, dpred = weighted_square_loss(pred, target_vals, np.ones(len(out_idx)))
                 loss_sum += loss
                 dhead_W[out_idx] += np.outer(dpred, h)
                 dhead_b[out_idx] += dpred
-                dz = relu_grad(z, head_W[out_idx].T @ dpred)
-                if ex.input.nnz:
-                    dW[:, ex.input.indices] += np.outer(dz, ex.input.values)
-                db += dz
+                dH[row] = head.T @ dpred
+            dZ = np.where(Z > 0.0, dH, 0.0)
+            _scatter_embedding_grad(dW, dZ, view)
+            db += dZ.sum(axis=0)
             for g in grads:
                 g *= 1.0 / len(batch)
             sgd_momentum_step(params, grads, velocity, config.lr, config.momentum)

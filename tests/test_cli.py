@@ -1,12 +1,20 @@
 import io
+import os
+import select
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import trigger_bigram_dataset, write_csv
+import swcnn
+from helpers import trigger_bigram_dataset, word_vocab, write_csv
 from swcnn.cli import main
 from swcnn.config import RunConfig, apply_setting, parse_config
-from swcnn.errors import UsageError
+from swcnn.errors import DataError, UsageError
+from swcnn.serialize import save_model
+from swcnn.train import ModelTemplate, TrainConfig, init_model
 
 
 @pytest.fixture
@@ -53,6 +61,12 @@ class TestConfig:
         path = tmp_path / "c.conf"
         path.write_text("not_a_key=1\n", encoding="utf-8")
         with pytest.raises(UsageError, match="not_a_key"):
+            parse_config(path)
+
+    def test_invalid_utf8_names_file_and_line(self, tmp_path):
+        path = tmp_path / "c.conf"
+        path.write_bytes(b"seed=9\n# caf\xe9\n")
+        with pytest.raises(DataError, match=r"c\.conf: line 2: not valid UTF-8"):
             parse_config(path)
 
     def test_type_errors_carry_key_name(self):
@@ -243,6 +257,48 @@ class TestPipeline:
             two, _ = forward(again, doc)
             assert np.array_equal(one, two)
 
+    def test_written_files_get_umask_mode(self, task_files, capsys):
+        tmp_path, train_csv, _, config = task_files
+        vocab_path = tmp_path / "w.vocab"
+        model_path = tmp_path / "m.swcn"
+        metrics_path = tmp_path / "metrics.txt"
+        old = os.umask(0o022)
+        try:
+            run(["vocab", "--config", config, "--input", train_csv, "--output", vocab_path])
+            run(["train", "--config", config, "--input", train_csv,
+                 "--set", "epochs=1", "--set", "decay_epoch=1",
+                 "--word-vocab", vocab_path, "--output", model_path,
+                 "--metrics", metrics_path])
+        finally:
+            os.umask(old)
+        for path in (vocab_path, model_path, metrics_path):
+            assert path.stat().st_mode & 0o777 == 0o644, path.name
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_predict_answers_before_stdin_closes(self, task_files, capsys):
+        tmp_path, train_csv, _, config = task_files
+        vocab_path = tmp_path / "w.vocab"
+        model_path = tmp_path / "m.swcn"
+        run(["vocab", "--config", config, "--input", train_csv, "--output", vocab_path])
+        run(["train", "--config", config, "--input", train_csv,
+             "--set", "epochs=1", "--set", "decay_epoch=1",
+             "--word-vocab", vocab_path, "--output", model_path])
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(swcnn.__file__).resolve().parents[1])
+        child = subprocess.Popen(
+            [sys.executable, "-m", "swcnn", "predict", "--model", str(model_path)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env)
+        try:
+            child.stdin.write(b"w3 w7 w1 w2\n")
+            child.stdin.flush()
+            ready, _, _ = select.select([child.stdout], [], [], 30.0)
+            assert ready, "no answer while stdin is open"
+            assert os.read(child.stdout.fileno(), 64).decode().strip() in {"0", "1"}
+        finally:
+            child.stdin.close()
+            child.wait(timeout=30)
+        assert child.returncode == 0
+
 
 class TestExitCodes:
     def test_usage_error_is_one(self, capsys):
@@ -263,6 +319,25 @@ class TestExitCodes:
         junk.write_bytes(b"garbage bytes here")
         _, _, test_csv, _ = task_files
         assert run(["eval", "--model", junk, "--input", test_csv]) == 2
+
+    def test_invalid_utf8_csv_is_two(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b'"1","caf\xe9"\n')
+        assert run(["vocab", "--input", bad, "--output", tmp_path / "w.vocab"]) == 2
+        assert "bad.csv: line 1" in capsys.readouterr().err
+
+    def test_non_finite_model_is_two(self, tmp_path, capsys, monkeypatch):
+        template = ModelTemplate(base_vocab=word_vocab(4), n_classes=2, region_size=1,
+                                 embed_dim=3, pooling_k=1)
+        model = init_model(template, TrainConfig(epochs=1, decay_epoch=1),
+                           np.random.default_rng(0))
+        model.top_W[0, 0] = np.nan
+        path = tmp_path / "nan.swcn"
+        save_model(model, path)
+        monkeypatch.setattr("sys.stdin", io.StringIO("w0 w1\n"))
+        assert run(["predict", "--model", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "nan.swcn" in captured.err
 
     def test_version_mismatch_is_two(self, task_files, capsys):
         tmp_path, train_csv, test_csv, config = task_files

@@ -46,6 +46,12 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=">= 1"):
             load_csv(path)
 
+    def test_invalid_utf8_names_file_and_line(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b'"1","fine"\n"2","caf\xe9"\n')
+        with pytest.raises(DataError, match=r"d\.csv: line 2: not valid UTF-8"):
+            load_csv(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             load_csv(tmp_path / "absent.csv")
@@ -82,6 +88,12 @@ class TestVocabFiles:
         path = tmp_path / "w.vocab"
         path.write_text("a\t3\n", encoding="utf-8")
         with pytest.raises(DataError, match="kind"):
+            load_vocab(path)
+
+    def test_invalid_utf8_names_file_and_line(self, tmp_path):
+        path = tmp_path / "v.vocab"
+        path.write_bytes(b"kind=word\nok\t3\n\xff\xfe\t1\n")
+        with pytest.raises(DataError, match=r"v\.vocab: line 3: not valid UTF-8"):
             load_vocab(path)
 
     def test_bad_frequency(self, tmp_path):

@@ -3,14 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from swcnn.kernels import (
-    accumulate_sparse_affine_grad,
-    relu,
-    relu_grad,
-    softmax_xent,
-    sparse_affine,
-    sparse_affine_grad,
-)
+from swcnn.kernels import relu, softmax_xent, sparse_affine
 from swcnn.textpipe import SparseRegionVector
 
 
@@ -69,57 +62,6 @@ class TestSparseAffine:
             assert np.allclose(got, dense_oracle(W, b, x), rtol=1e-6, atol=1e-9)
 
 
-class TestSparseAffineGrad:
-    def test_single_nonzero(self):
-        idx, cols, db = sparse_affine_grad(np.array([1.0, 1.0]), sparse_vec(3, [(0, 1.0)]))
-        assert list(idx) == [0]
-        assert np.array_equal(cols, [[1.0], [1.0]])
-        assert np.array_equal(db, [1.0, 1.0])
-
-    def test_zero_grad_out(self):
-        idx, cols, db = sparse_affine_grad(np.zeros(2), sparse_vec(3, [(1, 2.0)]))
-        assert not cols.any()
-        assert not db.any()
-
-    def test_matches_finite_differences(self):
-        rng = np.random.default_rng(0)
-        step = 1e-5
-        for _ in range(20):
-            W = rng.normal(size=(4, 6))
-            b = rng.normal(size=4)
-            x = random_sparse(rng, 6, 4)
-            grad_out = rng.normal(size=4)
-            # scalar objective grad_out . (Wx + b)
-            idx, cols, db = sparse_affine_grad(grad_out, x)
-            dW = np.zeros_like(W)
-            dW[:, idx] = cols
-            for arr, analytic in ((W, dW), (b, db)):
-                for flat in range(arr.size):
-                    at = np.unravel_index(flat, arr.shape)
-                    orig = arr[at]
-                    arr[at] = orig + step
-                    up = grad_out @ sparse_affine(W, b, x)
-                    arr[at] = orig - step
-                    down = grad_out @ sparse_affine(W, b, x)
-                    arr[at] = orig
-                    numeric = (up - down) / (2 * step)
-                    assert abs(numeric - analytic[at]) <= 1e-6 * max(1.0, abs(numeric))
-
-    def test_accumulate_matches_pure(self):
-        rng = np.random.default_rng(3)
-        W = rng.normal(size=(3, 5))
-        x = random_sparse(rng, 5, 3)
-        grad_out = rng.normal(size=3)
-        dW = np.zeros_like(W)
-        db = np.zeros(3)
-        accumulate_sparse_affine_grad(dW, db, grad_out, x)
-        idx, cols, db2 = sparse_affine_grad(grad_out, x)
-        expect = np.zeros_like(W)
-        expect[:, idx] = cols
-        assert np.allclose(dW, expect)
-        assert np.allclose(db, db2)
-
-
 class TestRelu:
     def test_basic(self):
         assert np.array_equal(relu(np.array([-1.0, 2.0])), [0.0, 2.0])
@@ -127,14 +69,6 @@ class TestRelu:
     def test_all_negative(self):
         v = np.array([-3.0, -0.5])
         assert not relu(v).any()
-        assert not relu_grad(v, np.ones(2)).any()
-
-    def test_grad_passes_where_positive(self):
-        out = relu_grad(np.array([3.0, -3.0]), np.array([5.0, 5.0]))
-        assert np.array_equal(out, [5.0, 0.0])
-
-    def test_grad_zero_at_exact_zero(self):
-        assert relu_grad(np.array([0.0]), np.array([7.0]))[0] == 0.0
 
 
 class TestSoftmaxXent:

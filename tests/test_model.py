@@ -10,6 +10,7 @@ from swcnn.model import (
     RegionEmbedding,
     ShallowModel,
     TvEmbedding,
+    _view_slots,
     backward,
     count_parameters,
     encode_document,
@@ -18,6 +19,7 @@ from swcnn.model import (
     pooling_bounds,
     predict,
     prepare_document,
+    view_ids,
     zero_grads,
 )
 from swcnn.textpipe import BOW_NGRAM, BOW_WORD, CONCAT, RegionSpec, Vocabulary, region_count, region_vector
@@ -145,6 +147,38 @@ class TestForward:
         doc = encode_document(other_template.views, ["w0"], 0)
         with pytest.raises(ValueError):
             forward(model, doc)
+
+
+class TestViewSlots:
+    """Regions at arbitrary offsets into a concatenated corpus."""
+
+    @pytest.mark.parametrize("representation", [CONCAT, BOW_WORD, BOW_NGRAM])
+    def test_rows_match_region_vectors(self, representation):
+        from swcnn.textpipe import build_vocab, encode
+
+        rng = np.random.default_rng(5)
+        corpus = [[f"w{int(rng.integers(9))}" for _ in range(int(rng.integers(0, 9)))]
+                  for _ in range(12)]
+        vocab = build_vocab(corpus, "ngram123" if representation == BOW_NGRAM else "word", 7)
+        spec = RegionSpec(representation, 3, len(vocab))
+        docs = [encode(tokens, vocab) for tokens in corpus]
+        regions, pieces, offset = [], [], 0
+        for doc in docs:
+            regions += [(doc, offset, pos) for pos in range(region_count(len(doc), 3))]
+            pieces.append(view_ids(doc, spec))
+            offset += len(doc)
+        picked = [regions[i] for i in rng.permutation(len(regions))]
+        starts = np.array([base + pos for _, base, pos in picked])
+        ends = np.array([base + len(doc) for doc, base, _ in picked])
+        view = _view_slots(np.concatenate(pieces), spec, starts, ends)
+        got = np.zeros((len(picked), spec.input_dim))
+        for rows, cols in view.slots:
+            np.add.at(got, (rows, cols), 1.0)
+        for row, (doc, _, pos) in enumerate(picked):
+            x = region_vector(doc, pos, spec)
+            want = np.zeros(spec.input_dim)
+            want[x.indices] = x.values
+            assert np.array_equal(got[row], want)
 
 
 class TestPooling:

@@ -106,6 +106,36 @@ def test_unicode_tokens_survive(tmp_path):
     assert load_embedding(path).vocab == vocab
 
 
+def test_invalid_utf8_token_names_file_and_entry(tmp_path):
+    vocab = Vocabulary(kind="word", entries=(("ab", 3), ("cd", 1)))
+    emb = RegionEmbedding(spec=RegionSpec(BOW_WORD, 2, 2), vocab=vocab,
+                          W=np.zeros((2, 2)), b=np.zeros(2))
+    path = tmp_path / "tv.swcn"
+    save_embedding(emb, path)
+    path.write_bytes(path.read_bytes().replace(b"cd", b"\xff\xfe", 1))
+    with pytest.raises(DataError, match=r"tv\.swcn: vocabulary entry 1: not valid UTF-8"):
+        load_embedding(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_model_weights_rejected(fused_model, tmp_path, value):
+    _, model = fused_model
+    model.tvs[0].fusion[1, 0] = value
+    path = tmp_path / "m.swcn"
+    save_model(model, path)
+    with pytest.raises(DataError, match=r"m\.swcn: non-finite value"):
+        load_model(path)
+
+
+def test_non_finite_embedding_weights_rejected(tmp_path):
+    emb = RegionEmbedding(spec=RegionSpec(BOW_WORD, 2, 3), vocab=word_vocab(3),
+                          W=np.zeros((2, 3)), b=np.array([0.0, np.nan]))
+    path = tmp_path / "tv.swcn"
+    save_embedding(emb, path)
+    with pytest.raises(DataError, match=r"tv\.swcn: non-finite value"):
+        load_embedding(path)
+
+
 def test_bad_magic(tmp_path):
     path = tmp_path / "junk.swcn"
     path.write_bytes(b"NOPE" + b"\x00" * 64)

@@ -3,7 +3,9 @@ import pytest
 
 from helpers import markov_corpus, word_vocab
 from swcnn.errors import DataError
-from swcnn.textpipe import BOW_WORD, OOV, RegionSpec, encode
+from swcnn.kernels import sparse_affine
+from swcnn.textpipe import BOW_NGRAM, BOW_WORD, OOV, RegionSpec, build_vocab, encode, region_vector
+from swcnn.train import sgd_momentum_step
 from swcnn.tv import (
     TvTrainConfig,
     make_tv_examples,
@@ -28,7 +30,8 @@ class TestMakeTvExamples:
         # region positions 0..5; pos=2 covers tokens 2..6
         ex = examples[2]
         assert list(ex.target) == [0, 1, 7, 8, 9]
-        assert list(ex.input.indices) == [2, 3, 4, 5, 6]
+        assert ex.pos == 2
+        assert list(region_vector(doc, ex.pos, spec).indices) == [2, 3, 4, 5, 6]
 
     def test_document_of_exactly_region_size_yields_nothing(self):
         doc = enc(["w0", "w1", "w2"])
@@ -163,3 +166,84 @@ class TestTrainTv:
         vocab = self.vocab()
         with pytest.raises(DataError):
             train_tv([], RegionSpec(BOW_WORD, 3, len(vocab)), vocab, vocab, 4, TvTrainConfig())
+
+
+def per_region_train_tv(corpus, spec, tv_vocab, word_vocab, d_tv, config):
+    """Reference for train_tv: one sparse region vector and one affine map
+    per example, the same draw order, the same batches."""
+    rng = np.random.default_rng(config.seed)
+    n_words = len(word_vocab)
+    W = np.asfortranarray(rng.normal(0.0, config.init_std, size=(d_tv, spec.input_dim)))
+    b = rng.normal(0.0, config.init_std, size=d_tv)
+    head_W = rng.normal(0.0, config.init_std, size=(n_words, d_tv))
+    head_b = rng.normal(0.0, config.init_std, size=n_words)
+    examples = []
+    for tokens in corpus:
+        input_doc = encode(tokens, tv_vocab)
+        target_doc = encode(tokens, word_vocab)
+        for ex in make_tv_examples(input_doc, target_doc, spec):
+            negatives = sample_negatives(ex.target, n_words, config.negatives, rng)
+            x = region_vector(input_doc, ex.pos, spec)
+            examples.append((x, np.concatenate([ex.target, negatives]), len(ex.target)))
+    params = [W, b, head_W, head_b]
+    velocity = [np.zeros_like(p) for p in params]
+    grads = [np.zeros_like(p) for p in params]
+    dW, db, dhead_W, dhead_b = grads
+    losses = []
+    for _ in range(config.epochs):
+        order = rng.permutation(len(examples))
+        loss_sum = 0.0
+        for first in range(0, len(examples), config.batch_size):
+            batch = order[first : first + config.batch_size]
+            for g in grads:
+                g[...] = 0.0
+            for idx in batch:
+                x, out_idx, n_target = examples[idx]
+                z = sparse_affine(W, b, x)
+                h = np.maximum(z, 0.0)
+                target = (np.arange(len(out_idx)) < n_target).astype(float)
+                pred = head_W[out_idx] @ h + head_b[out_idx]
+                loss, dpred = weighted_square_loss(pred, target, np.ones(len(out_idx)))
+                loss_sum += loss
+                dhead_W[out_idx] += np.outer(dpred, h)
+                dhead_b[out_idx] += dpred
+                dz = np.where(z > 0.0, head_W[out_idx].T @ dpred, 0.0)
+                dW[:, x.indices] += np.outer(dz, x.values)
+                db += dz
+            for g in grads:
+                g *= 1.0 / len(batch)
+            sgd_momentum_step(params, grads, velocity, config.lr, config.momentum)
+        losses.append(loss_sum / len(examples))
+    return W, b, losses, len(examples)
+
+
+def rel_err(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+class TestSharedSweepMatchesPerRegion:
+    # repeated words give bow counts of 2; "zz" and "yy" are out of
+    # vocabulary; one document is empty and one shorter than any region
+    corpus = [tokens + ["zz"] * (i % 3) for i, tokens in
+              enumerate(markov_corpus(24, doc_len=11, n_states=9, seed=8))]
+    corpus += [[], ["w1", "yy"], ["w2", "w2", "w2", "w5", "yy", "w2", "w2"]]
+
+    @pytest.mark.parametrize("representation,p", [(BOW_WORD, 1), (BOW_WORD, 5), (BOW_NGRAM, 3)])
+    def test_weights_and_losses_agree(self, representation, p):
+        word_vocab_ = build_vocab(self.corpus[:20], "word", 8)
+        tv_vocab = word_vocab_ if representation == BOW_WORD else build_vocab(
+            self.corpus[:20], "ngram123", 40)
+        spec = RegionSpec(representation, p, len(tv_vocab))
+        config = TvTrainConfig(seed=11, epochs=4, lr=0.2, negatives=3, batch_size=7,
+                               init_std=0.3)
+        W_ref, b_ref, losses_ref, n_examples = per_region_train_tv(
+            self.corpus, spec, tv_vocab, word_vocab_, 5, config)
+        assert n_examples % config.batch_size != 0
+        emb, losses = train_tv(self.corpus, spec, tv_vocab, word_vocab_, 5, config)
+        assert rel_err(emb.W, W_ref) <= 1e-12
+        assert rel_err(emb.b, b_ref) <= 1e-12
+        assert rel_err(losses, losses_ref) <= 1e-12
+        again, losses_again = train_tv(self.corpus, spec, tv_vocab, word_vocab_, 5, config)
+        assert np.array_equal(again.W, emb.W) and np.array_equal(again.b, emb.b)
+        assert losses_again == losses
