@@ -28,7 +28,8 @@ from swcnn.model import (
     backward,
     predict,
 )
-from swcnn.train import TrainConfig, SelectionGrid, ModelTemplate, train, select_model
+# the function ``train`` is not re-exported: ``swcnn.train`` is its module
+from swcnn.train import TrainConfig, SelectionGrid, ModelTemplate, select_model
 from swcnn.tv import TvTrainConfig, train_tv
 from swcnn.evalbench import evaluate, time_inference, vocab_independence_bench
 
@@ -51,7 +52,6 @@ __all__ = [
     "TrainConfig",
     "SelectionGrid",
     "ModelTemplate",
-    "train",
     "select_model",
     "TvTrainConfig",
     "train_tv",

@@ -13,6 +13,7 @@ import argparse
 import sys
 
 from swcnn import config as cfgmod
+from swcnn import model as modelmod
 from swcnn.config import RunConfig, apply_setting, parse_config, validate_config
 from swcnn.data import atomic_write, load_csv, load_vocab, n_classes_of, save_vocab, to_samples
 from swcnn.errors import DataError, NumericError, UsageError
@@ -23,7 +24,7 @@ from swcnn.evalbench import (
     time_inference,
     vocab_independence_bench,
 )
-from swcnn.model import count_parameters, encode_document, parameter_count, predict
+from swcnn.model import count_parameters, parameter_count, predict, prepare_labeled
 from swcnn.serialize import load_embedding, load_model, save_embedding, save_model
 from swcnn.textpipe import (
     BOW_NGRAM,
@@ -257,7 +258,7 @@ def cmd_select(args, cfg: RunConfig) -> int:
 def cmd_eval(args, cfg: RunConfig) -> int:
     model = load_model(_need(args.model, cfg.model_path, "--model path"))
     records = load_csv(_need(args.input, cfg.test_csv, "--input CSV"))
-    report = evaluate(model, to_samples(records))
+    report = evaluate(model, prepare_labeled(model, to_samples(records)))
     print(f"n_docs={report.n_docs}")
     print(f"n_errors={report.n_errors}")
     print(f"error_rate_percent={report.error_rate_percent:.4f}")
@@ -275,7 +276,8 @@ def cmd_predict(args, cfg: RunConfig) -> int:
     model = load_model(_need(args.model, cfg.model_path, "--model path"))
     views = model.views
     for line in sys.stdin:
-        doc = encode_document(views, tokenize(line.rstrip("\n")), 0)
+        # called through the module, so benchmark/tracer.py times it as in train and eval
+        doc = modelmod.prepare_document(views, tokenize(line.rstrip("\n")))
         # flushed per answer, so a client on a pipe need not close stdin first
         print(predict(model, doc), flush=True)
     return 0
@@ -285,7 +287,8 @@ def cmd_bench(args, cfg: RunConfig) -> int:
     if args.model or args.input:
         model = load_model(_need(args.model, cfg.model_path, "--model path"))
         records = load_csv(_need(args.input, cfg.test_csv, "--input CSV"))
-        report = time_inference(model, to_samples(records), repetitions=3)
+        docs = list(prepare_labeled(model, to_samples(records)))
+        report = time_inference(model, docs, repetitions=3)
         print(
             f"timing n_docs={report.n_docs} total_seconds={report.total_seconds:.6f} "
             f"docs_per_second={report.docs_per_second:.1f}"

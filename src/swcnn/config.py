@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 
 from swcnn.data import read_lines
 from swcnn.errors import UsageError
-from swcnn.textpipe import BOW_NGRAM, BOW_WORD, CONCAT, NGRAM123, WORD
+from swcnn.textpipe import BOW_NGRAM, BOW_WORD, CONCAT, NGRAM123, WORD, RegionSpec
 from swcnn.train import SelectionGrid, TrainConfig
 from swcnn.tv import TvTrainConfig
 
@@ -133,19 +133,31 @@ def parse_config(path) -> RunConfig:
             apply_setting(cfg, key.strip(), value)
         except UsageError as exc:
             raise UsageError(f"{path}: line {lineno}: {exc}") from None
-    validate_config(cfg)
     return cfg
 
 
 def validate_config(cfg: RunConfig) -> None:
+    """Reject a configuration that a stage would refuse, before any stage runs.
+
+    The range rules live in the objects the stages build from the
+    configuration, so they are checked by building those objects here.
+    Vocabulary sizes are not known yet and do not enter the region specs.
+    """
     if cfg.profile not in PROFILES:
         raise UsageError(f"profile must be one of {PROFILES}, got {cfg.profile!r}")
-    if cfg.representation not in (CONCAT, BOW_WORD, BOW_NGRAM):
-        raise UsageError(f"unknown representation {cfg.representation!r}")
     if cfg.tv_representation not in (BOW_WORD, BOW_NGRAM):
         raise UsageError(
             f"tv_representation must be {BOW_WORD} or {BOW_NGRAM}, got {cfg.tv_representation!r}"
         )
+    try:
+        train_config(cfg)
+        tv_config(cfg)
+        selection_grid(cfg)
+        RegionSpec(cfg.tv_representation, cfg.tv_region_size, vocab_size=1)
+        for region_size in (cfg.region_size, *cfg.grid_region_sizes):
+            RegionSpec(cfg.representation, region_size, vocab_size=1)
+    except ValueError as exc:
+        raise UsageError(f"invalid configuration: {exc}") from None
 
 
 def resolved_epochs(cfg: RunConfig) -> int:

@@ -1,13 +1,14 @@
 """Error-rate evaluation, inference timing, vocabulary-independence bench.
 
-Timing follows a strict protocol: documents are encoded and their sparse
-region inputs fully materialized *before* the timed section, so the
+Evaluation and timing take documents already turned into slot incidence
+by ``model.prepare_labeled``, so timing follows a strict protocol: the
 reported seconds cover only model compute (weight gathers, fusion,
-pooling, top layer).  Medians over repetitions are reported to shrug off
-scheduler noise.  The independence bench measures the same forward at two
-vocabulary sizes with an identical token pattern (hence identical nonzero
-counts); a naive dense control shows what an O(vocabulary) implementation
-would look like, so the property is not vacuously true.
+pooling, top layer), never encoding.  Medians over repetitions are
+reported to shrug off scheduler noise.  The independence bench measures
+the same forward at two vocabulary sizes with an identical token pattern
+(hence identical nonzero counts); a naive dense control shows what an
+O(vocabulary) implementation would look like, so the property is not
+vacuously true.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from statistics import median
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -26,10 +27,9 @@ from swcnn.model import (
     ShallowModel,
     _view_slots,
     embed_regions,
-    encode_document,
     forward,
     max_pool,
-    prepare_document,
+    prepare_document,  # noqa: F401  (traced by benchmark/tracer.py)
 )
 from swcnn.textpipe import BOW_WORD, RegionSpec, region_count
 
@@ -42,26 +42,17 @@ class EvalReport:
     confusion: np.ndarray  # confusion[true, predicted]
 
 
-def _as_prepared(model: ShallowModel, item) -> PreparedDoc:
-    if isinstance(item, PreparedDoc):
-        return item
-    tokens, label = item
-    return prepare_document(model.views, encode_document(model.views, tokens, label))
-
-
-def evaluate(model: ShallowModel, data: Sequence) -> EvalReport:
+def evaluate(model: ShallowModel, docs: Iterable[PreparedDoc]) -> EvalReport:
     """Error rate of argmax predictions over a labeled test set.
 
-    ``data`` holds (tokens, label) pairs with 0-based labels, or
-    already-prepared documents.
+    ``docs`` are prepared documents whose labels lie in
+    ``[0, n_classes)``, as ``model.prepare_labeled`` yields them; they are
+    read once, so a generator streams the test set.
     """
     n_classes = model.n_classes
     confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
     n_docs = 0
-    for item in data:
-        doc = _as_prepared(model, item)
-        if not 0 <= doc.label < n_classes:
-            raise DataError(f"label {doc.label} outside [0, {n_classes})")
+    for doc in docs:
         logits, _ = forward(model, doc, train=False)
         confusion[doc.label, int(np.argmax(logits))] += 1
         n_docs += 1
@@ -85,29 +76,26 @@ class TimingReport:
 
 
 def time_inference(
-    model: ShallowModel, docs: Sequence, repetitions: int = 3
+    model: ShallowModel, docs: Sequence[PreparedDoc], repetitions: int = 3
 ) -> TimingReport:
-    """Median wall time of forward passes over a pre-encoded test set.
+    """Median wall time of forward passes over a prepared test set.
 
-    Inputs are prepared up front; encoding and sparse-vector construction
-    never run inside the timed section.
+    Encoding and slot-incidence construction happened before the call,
+    so they never run inside the timed section.  One untimed pass warms
+    caches and the allocator.
     """
-    prepared = [_as_prepared(model, item) for item in docs]
-    if not prepared:
+    if not docs:
         raise DataError("empty timing set")
-    for doc in prepared:  # warm caches and allocator
-        forward(model, doc, train=False)
-    times = []
-    for _ in range(repetitions):
-        started = time.perf_counter()
-        for doc in prepared:
+
+    def one_pass():
+        for doc in docs:
             forward(model, doc, train=False)
-        times.append(time.perf_counter() - started)
-    total = median(times)
+
+    total = _median_seconds(one_pass, repetitions, warmup=1)
     return TimingReport(
-        n_docs=len(prepared),
+        n_docs=len(docs),
         total_seconds=total,
-        docs_per_second=len(prepared) / total,
+        docs_per_second=len(docs) / total,
         repetitions=repetitions,
     )
 

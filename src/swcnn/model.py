@@ -18,15 +18,23 @@ each slot of the representation (one per region-local position, or one
 per (n-gram-length, offset) pair) stores which region rows receive which
 weight columns, so a document's whole sweep is a handful of vectorized
 gather-adds instead of a Python loop over positions.
+
+``prepare_document`` is the one step from tokens to slot incidence (the
+paper's "input vector generation"): it encodes the tokens against every
+view and returns a ``PreparedDoc``.  ``prepare_labeled`` does the same
+over (tokens, label) pairs and rejects labels outside the model's
+classes.  Training, validation, evaluation, timing and prediction all
+run ``forward`` on ``PreparedDoc``s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from swcnn.errors import DataError
 from swcnn.kernels import relu
 from swcnn.textpipe import (
     BOW_NGRAM,
@@ -114,20 +122,6 @@ class ShallowModel:
         return params
 
 
-@dataclass(frozen=True)
-class ModelDoc:
-    """One document encoded against every view of a model."""
-
-    label: int
-    views: tuple[EncodedDocument, ...]
-
-
-def encode_document(
-    views: Sequence[tuple[RegionSpec, Vocabulary]], tokens: Sequence[str], label: int = 0
-) -> ModelDoc:
-    return ModelDoc(label=label, views=tuple(encode(tokens, vocab, label) for _, vocab in views))
-
-
 @dataclass
 class PreparedView:
     # one (rows, cols) pair per slot: region row `rows[j]` receives weight
@@ -184,22 +178,35 @@ def _view_slots(ids: np.ndarray, spec: RegionSpec, starts: np.ndarray, ends) -> 
 
 
 def prepare_document(
-    views: Sequence[tuple[RegionSpec, Vocabulary]], doc: ModelDoc
+    views: Sequence[tuple[RegionSpec, Vocabulary]], tokens: Sequence[str], label: int = 0
 ) -> PreparedDoc:
-    """Precompute the slot incidence of every view of one document.
+    """Encode one document against every view and precompute its slot incidence.
 
     This is the "input vector generation" step: after it, a forward pass
-    touches only weight gathers, adds and the top layer.
+    touches only weight gathers, adds and the top layer.  ``views`` is
+    ``ShallowModel.views``; the first view's region size sets the number
+    of region positions.
     """
-    if len(doc.views) != len(views):
-        raise ValueError(f"document has {len(doc.views)} views, model has {len(views)}")
-    n_regions = region_count(len(doc.views[0].ids), views[0][0].region_size)
+    n_regions = region_count(len(tokens), views[0][0].region_size)
     starts = np.arange(n_regions)
     prepared = tuple(
-        _view_slots(view_ids(enc, spec), spec, starts, len(enc.ids))
-        for enc, (spec, _) in zip(doc.views, views)
+        _view_slots(view_ids(encode(tokens, vocab), spec), spec, starts, len(tokens))
+        for spec, vocab in views
     )
-    return PreparedDoc(label=doc.label, n_regions=n_regions, views=prepared)
+    return PreparedDoc(label=label, n_regions=n_regions, views=prepared)
+
+
+def prepare_labeled(model: ShallowModel, samples: Iterable) -> Iterator[PreparedDoc]:
+    """``prepare_document`` over (tokens, label) pairs with 0-based labels.
+
+    Documents are prepared as they are consumed; a label outside
+    ``[0, n_classes)`` raises ``DataError``.
+    """
+    views = model.views
+    for tokens, label in samples:
+        if not 0 <= label < model.n_classes:
+            raise DataError(f"label {label} outside [0, {model.n_classes})")
+        yield prepare_document(views, tokens, label)
 
 
 def embed_regions(W: np.ndarray, view: PreparedView, n_regions: int) -> np.ndarray:
@@ -245,16 +252,13 @@ class ForwardCache:
     top_input: np.ndarray          # (k*d,) the vector the top layer saw
 
 
-def forward(model: ShallowModel, doc, train: bool = False, rng=None):
-    """Full forward pass; returns (logits, cache).
+def forward(model: ShallowModel, doc: PreparedDoc, train: bool = False, rng=None):
+    """Full forward pass over a prepared document; returns (logits, cache).
 
-    ``doc`` may be a PreparedDoc or a ModelDoc.  In train mode a seeded
-    ``rng`` must be supplied whenever the dropout rate is nonzero; the
-    dropout mask is the only source of randomness.  Inference applies no
-    dropout and no scaling.
+    In train mode a seeded ``rng`` must be supplied whenever the dropout
+    rate is nonzero; the dropout mask is the only source of randomness.
+    Inference applies no dropout and no scaling.
     """
-    if isinstance(doc, ModelDoc):
-        doc = prepare_document(model.views, doc)
     if len(doc.views) != 1 + len(model.tvs):
         raise ValueError("document views do not match the model")
     Z = embed_regions(model.base.W, doc.views[0], doc.n_regions)
@@ -375,7 +379,7 @@ def count_parameters(model: ShallowModel) -> int:
                            model.n_classes, model.pooling_k)
 
 
-def predict(model: ShallowModel, doc) -> int:
+def predict(model: ShallowModel, doc: PreparedDoc) -> int:
     """Class with the highest score; ties go to the lowest class index."""
     logits, _ = forward(model, doc, train=False)
     return int(np.argmax(logits))

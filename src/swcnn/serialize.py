@@ -28,6 +28,7 @@ load.
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -83,11 +84,17 @@ class _Reader:
     def __init__(self, stream, path):
         self.stream = stream
         self.path = path
+        self.left = os.fstat(stream.fileno()).st_size
 
     def read(self, n: int) -> bytes:
+        # a size field is checked against the file before anything is
+        # allocated for it, so a corrupt header cannot ask for terabytes
+        if n > self.left:
+            raise DataError(f"{self.path}: truncated container")
         buf = self.stream.read(n)
         if len(buf) != n:
             raise DataError(f"{self.path}: truncated container")
+        self.left -= n
         return buf
 
     def unpack(self, fmt: str):

@@ -114,7 +114,7 @@ def build_vocab(corpus: Iterable[Sequence[str]], kind: str, cap: int) -> Vocabul
 
 @dataclass(frozen=True)
 class EncodedDocument:
-    """A label plus the per-token vocabulary ids of one document.
+    """The per-token vocabulary ids of one document.
 
     ``ids[i]`` is the id of token i in the vocabulary the document was
     encoded against, or OOV.  For n-gram vocabularies, ``ngram_ids[i]``
@@ -124,7 +124,6 @@ class EncodedDocument:
     exact only with this field present.
     """
 
-    label: int
     ids: tuple[int, ...]
     ngram_ids: tuple[tuple[int, int, int], ...] | None = None
 
@@ -132,7 +131,7 @@ class EncodedDocument:
         return len(self.ids)
 
 
-def encode(tokens: Sequence[str], vocab: Vocabulary, label: int = 0) -> EncodedDocument:
+def encode(tokens: Sequence[str], vocab: Vocabulary) -> EncodedDocument:
     """Encode a token sequence against a vocabulary.
 
     In-vocabulary tokens map to their id (for n-gram vocabularies, via
@@ -160,7 +159,7 @@ def encode(tokens: Sequence[str], vocab: Vocabulary, label: int = 0) -> EncodedD
                 three = OOV
             grams.append((one, two, three))
         ngram_ids = tuple(grams)
-    return EncodedDocument(label=label, ids=ids, ngram_ids=ngram_ids)
+    return EncodedDocument(ids=ids, ngram_ids=ngram_ids)
 
 
 @dataclass(frozen=True)

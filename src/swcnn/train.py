@@ -18,15 +18,16 @@ from typing import Sequence
 import numpy as np
 
 from swcnn.errors import DataError, NumericError
+from swcnn.evalbench import evaluate
 from swcnn.kernels import softmax_xent
 from swcnn.model import (
     RegionEmbedding,
     ShallowModel,
     TvEmbedding,
     backward,
-    encode_document,
     forward,
-    prepare_document,
+    prepare_document,  # noqa: F401  (traced by benchmark/tracer.py)
+    prepare_labeled,
     zero_grads,
 )
 from swcnn.textpipe import CONCAT, RegionSpec, Vocabulary
@@ -88,12 +89,6 @@ class ModelTemplate:
             region_size=self.region_size,
             vocab_size=len(self.base_vocab),
         )
-
-    @property
-    def views(self):
-        out = [(self.base_spec, self.base_vocab)]
-        out.extend((tv.spec, tv.vocab) for tv in self.tv_embeddings)
-        return out
 
 
 def init_model(template: ModelTemplate, config: TrainConfig, rng) -> ShallowModel:
@@ -167,22 +162,8 @@ class EpochMetrics:
     seconds: float
 
 
-def _prepare_samples(views, samples, n_classes):
-    prepared = []
-    for tokens, label in samples:
-        if not 0 <= label < n_classes:
-            raise DataError(f"label {label} outside [0, {n_classes})")
-        prepared.append(prepare_document(views, encode_document(views, tokens, label)))
-    return prepared
-
-
 def _error_percent(model, prepared_docs) -> float:
-    wrong = 0
-    for doc in prepared_docs:
-        logits, _ = forward(model, doc, train=False)
-        if int(np.argmax(logits)) != doc.label:
-            wrong += 1
-    return 100.0 * wrong / len(prepared_docs)
+    return evaluate(model, prepared_docs).error_rate_percent
 
 
 def train(
@@ -201,11 +182,10 @@ def train(
     """
     if len(train_data) == 0:
         raise DataError("empty training set")
-    views = template.views
-    train_docs = _prepare_samples(views, train_data, template.n_classes)
-    val_docs = _prepare_samples(views, val_data, template.n_classes)
     rng = np.random.default_rng(config.seed)
     model = init_model(template, config, rng)
+    train_docs = list(prepare_labeled(model, train_data))
+    val_docs = list(prepare_labeled(model, val_data))
     params = model.trainable_params()
     velocity = [np.zeros_like(p) for p in params]
     grads = zero_grads(model)

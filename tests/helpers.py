@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from swcnn.model import RegionEmbedding, encode_document, forward, prepare_document
+from swcnn.model import RegionEmbedding, forward, prepare_document
 from swcnn.kernels import softmax_xent
 from swcnn.textpipe import BOW_WORD, CONCAT, RegionSpec, Vocabulary
 from swcnn.train import ModelTemplate, TrainConfig, init_model
@@ -117,9 +117,7 @@ def random_tiny_instance(seed, with_tvs, dropout=0.0):
         f"w{int(rng.integers(n_words))}" if rng.random() < 0.85 else "oovtok"
         for _ in range(doc_len)
     ]
-    doc = prepare_document(
-        template.views, encode_document(template.views, tokens, int(rng.integers(n_classes)))
-    )
+    doc = prepare_document(model.views, tokens, int(rng.integers(n_classes)))
     return model, doc
 
 

@@ -23,7 +23,7 @@ from swcnn.evalbench import (
     vocab_independence_bench,
 )
 from swcnn.kernels import sparse_affine
-from swcnn.model import encode_document, forward
+from swcnn.model import forward, prepare_document, prepare_labeled
 from swcnn.serialize import load_model
 from swcnn.textpipe import BOW_WORD, CONCAT, RegionSpec, SparseRegionVector, build_vocab
 from swcnn.train import ModelTemplate, TrainConfig, holdout_split, train
@@ -116,7 +116,7 @@ def test_05_desk_scale_learning(capsys):
     config = TrainConfig(initial_lr=0.1, epochs=30, decay_epoch=24, seed=7)
     train_set, val_set = holdout_split(train_data, 200, config.seed)
     model, metrics = train(template, config, train_set, val_set)
-    accuracy = 100.0 - evaluate(model, test_data).error_rate_percent
+    accuracy = 100.0 - evaluate(model, prepare_labeled(model, test_data)).error_rate_percent
     with capsys.disabled():
         verdict("05-desk-scale-learning", accuracy >= 98.0, f"test accuracy {accuracy:.1f}%")
 
@@ -157,8 +157,8 @@ def test_06_tv_pipeline(capsys):
     frozen = np.array_equal(fused_model.tvs[0].embedding.W, tv_w_before) and np.array_equal(
         fused_model.tvs[0].embedding.b, tv_b_before
     )
-    base_err = evaluate(base_model, test_data).error_rate_percent
-    fused_err = evaluate(fused_model, test_data).error_rate_percent
+    base_err = evaluate(base_model, prepare_labeled(base_model, test_data)).error_rate_percent
+    fused_err = evaluate(fused_model, prepare_labeled(fused_model, test_data)).error_rate_percent
     ok = loss_drops and frozen and fused_err <= base_err
     with capsys.disabled():
         verdict(
@@ -190,7 +190,7 @@ def test_07_determinism_and_serialization(capsys, tmp_path):
     logits_match = True
     for _ in range(100):
         tokens = [f"w{int(rng.integers(14))}" for _ in range(int(rng.integers(0, 20)))]
-        doc = encode_document(one.views, tokens, 0)
+        doc = prepare_document(one.views, tokens)
         before, _ = forward(one, doc)
         after, _ = forward(loaded, doc)
         logits_match = logits_match and np.array_equal(before, after)

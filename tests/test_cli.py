@@ -238,7 +238,7 @@ class TestPipeline:
         assert "sparse_ratio=" in out and "dense_control_ratio=" in out
 
     def test_saved_model_reproduces_logits(self, task_files):
-        from swcnn.model import encode_document, forward
+        from swcnn.model import forward, prepare_document
         from swcnn.serialize import load_model
 
         tmp_path, train_csv, test_csv, config = task_files
@@ -252,7 +252,7 @@ class TestPipeline:
         rng = np.random.default_rng(0)
         for _ in range(10):
             tokens = [f"w{int(rng.integers(12))}" for _ in range(10)]
-            doc = encode_document(model.views, tokens, 0)
+            doc = prepare_document(model.views, tokens)
             one, _ = forward(model, doc)
             two, _ = forward(again, doc)
             assert np.array_equal(one, two)
@@ -309,6 +309,41 @@ class TestExitCodes:
         bad.write_text("mystery=1\n", encoding="utf-8")
         assert run(["params", "--config", bad]) == 1
         assert "mystery" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,settings,message", [
+        ("train", ["epochs=1"], "decay_epoch <= epochs"),  # the config sets decay_epoch=3
+        ("train", ["region_size=0"], "region_size must be >= 1"),
+        ("params", ["n_classes=2", "region_size=0"], "region_size must be >= 1"),
+        ("train", ["batch_size=0"], "batch_size must be >= 1"),
+        ("train", ["dropout=1"], "dropout must be in"),
+    ])
+    def test_invalid_config_value_is_one(self, task_files, capsys, command, settings, message):
+        tmp_path, train_csv, _, config = task_files
+        argv = [command]
+        if command == "train":
+            argv += ["--config", config, "--input", train_csv,
+                     "--word-vocab", tmp_path / "w.vocab", "--output", tmp_path / "m.swcn"]
+        for setting in settings:
+            argv += ["--set", setting]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: invalid configuration") and message in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    def test_oversized_container_field_is_two(self, tmp_path, capsys, monkeypatch):
+        template = ModelTemplate(base_vocab=word_vocab(4), n_classes=2, region_size=1,
+                                 embed_dim=3, pooling_k=1)
+        model = init_model(template, TrainConfig(epochs=1, decay_epoch=1),
+                           np.random.default_rng(0))
+        path = tmp_path / "huge.swcn"
+        save_model(model, path)
+        raw = bytearray(path.read_bytes())
+        raw[35:39] = (0xFFFFFFF0).to_bytes(4, "little")  # first vocabulary entry length
+        path.write_bytes(bytes(raw))
+        monkeypatch.setattr("sys.stdin", io.StringIO("w0 w1\n"))
+        assert run(["predict", "--model", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "huge.swcn: truncated container" in captured.err
 
     def test_missing_input_is_two(self, tmp_path, capsys):
         assert run(["eval", "--model", tmp_path / "no.swcn",

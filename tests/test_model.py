@@ -13,7 +13,6 @@ from swcnn.model import (
     _view_slots,
     backward,
     count_parameters,
-    encode_document,
     forward,
     max_pool,
     pooling_bounds,
@@ -22,7 +21,9 @@ from swcnn.model import (
     view_ids,
     zero_grads,
 )
-from swcnn.textpipe import BOW_NGRAM, BOW_WORD, CONCAT, RegionSpec, Vocabulary, region_count, region_vector
+from swcnn.textpipe import (
+    BOW_NGRAM, BOW_WORD, CONCAT, RegionSpec, Vocabulary, encode, region_count, region_vector,
+)
 from swcnn.train import ModelTemplate, TrainConfig, init_model
 
 
@@ -41,7 +42,7 @@ def small_model(seed=0, n_words=12, region_size=3, dim=6, n_classes=3, pooling_k
     return template, init_model(template, config, rng)
 
 
-def naive_logits(model, model_doc):
+def naive_logits(model, tokens):
     """Independent composition: per-region sparse ops, explicit pooling.
 
     Two-view regions at positions past their own standalone range clip to
@@ -50,12 +51,13 @@ def naive_logits(model, model_doc):
     from swcnn.textpipe import _region_vector_unchecked
 
     base = model.base
-    enc = model_doc.views[0]
+    enc = encode(tokens, base.vocab)
+    tv_encs = [encode(tokens, tv.embedding.vocab) for tv in model.tvs]
     n_regions = region_count(len(enc.ids), base.spec.region_size)
     rows = []
     for pos in range(n_regions):
         z = sparse_affine(base.W, base.b, region_vector(enc, pos, base.spec))
-        for tv, tv_enc in zip(model.tvs, model_doc.views[1:]):
+        for tv, tv_enc in zip(model.tvs, tv_encs):
             x_tv = _region_vector_unchecked(tv_enc, pos, tv.embedding.spec)
             hidden = relu(sparse_affine(tv.embedding.W, tv.embedding.b, x_tv))
             z = z + tv.fusion @ hidden
@@ -74,7 +76,7 @@ class TestForward:
         model.base.b[...] = 0.0
         model.top_b[...] = [1.0, 0.0]
         for tokens in (["w0", "w1", "w2", "w3"], ["w5"], []):
-            doc = encode_document(template.views, tokens, 0)
+            doc = prepare_document(model.views, tokens)
             logits, _ = forward(model, doc)
             assert np.allclose(logits, [1.0, 0.0])
 
@@ -83,9 +85,9 @@ class TestForward:
             template, model = small_model(seed=seed, pooling_k=1 + seed % 3)
             rng = np.random.default_rng(seed + 50)
             tokens = [f"w{int(rng.integers(14))}" for _ in range(int(rng.integers(1, 12)))]
-            doc = encode_document(template.views, tokens, 0)
+            doc = prepare_document(model.views, tokens)
             logits, _ = forward(model, doc)
-            assert np.allclose(logits, naive_logits(model, doc), atol=1e-12)
+            assert np.allclose(logits, naive_logits(model, tokens), atol=1e-12)
 
     def test_matches_naive_composition_with_tvs(self):
         vocab = word_vocab(15)
@@ -99,9 +101,9 @@ class TestForward:
                 b=rng.normal(0, 0.5, d_tv)))
         template, model = small_model(seed=3, n_words=15, pooling_k=2, tvs=tvs)
         tokens = [f"w{int(rng.integers(17))}" for _ in range(9)]
-        doc = encode_document(template.views, tokens, 0)
+        doc = prepare_document(model.views, tokens)
         logits, _ = forward(model, doc)
-        assert np.allclose(logits, naive_logits(model, doc), atol=1e-12)
+        assert np.allclose(logits, naive_logits(model, tokens), atol=1e-12)
 
     def test_ngram_view_matches_naive(self):
         from swcnn.textpipe import build_vocab
@@ -119,13 +121,13 @@ class TestForward:
                                  embed_dim=5, pooling_k=1, tv_embeddings=(tv,))
         model = init_model(template, TrainConfig(init_std=0.5, dropout=0.0, epochs=1, decay_epoch=1),
                            np.random.default_rng(4))
-        doc = encode_document(template.views, corpus[0], 0)
+        doc = prepare_document(model.views, corpus[0])
         logits, _ = forward(model, doc)
-        assert np.allclose(logits, naive_logits(model, doc), atol=1e-12)
+        assert np.allclose(logits, naive_logits(model, corpus[0]), atol=1e-12)
 
     def test_train_mode_deterministic_given_seed(self):
         template, model = small_model(dropout=0.5)
-        doc = encode_document(template.views, ["w0", "w1", "w2", "w3", "w4"], 0)
+        doc = prepare_document(model.views, ["w0", "w1", "w2", "w3", "w4"])
         a, _ = forward(model, doc, train=True, rng=np.random.default_rng(123))
         b, _ = forward(model, doc, train=True, rng=np.random.default_rng(123))
         c, _ = forward(model, doc, train=True, rng=np.random.default_rng(124))
@@ -134,17 +136,17 @@ class TestForward:
 
     def test_inference_applies_no_dropout(self):
         template, model = small_model(dropout=0.5)
-        doc = encode_document(template.views, ["w0", "w1", "w2", "w3"], 0)
+        doc = prepare_document(model.views, ["w0", "w1", "w2", "w3"])
         one, _ = forward(model, doc)
         two, _ = forward(model, doc)
         assert np.array_equal(one, two)
 
     def test_view_count_mismatch(self):
         template, model = small_model()
-        other_template, _ = small_model(tvs=(RegionEmbedding(
+        _, other = small_model(tvs=(RegionEmbedding(
             spec=RegionSpec(BOW_WORD, 2, 12), vocab=word_vocab(12),
             W=np.zeros((2, 12), order="F"), b=np.zeros(2)),))
-        doc = encode_document(other_template.views, ["w0"], 0)
+        doc = prepare_document(other.views, ["w0"])
         with pytest.raises(ValueError):
             forward(model, doc)
 
@@ -154,7 +156,7 @@ class TestViewSlots:
 
     @pytest.mark.parametrize("representation", [CONCAT, BOW_WORD, BOW_NGRAM])
     def test_rows_match_region_vectors(self, representation):
-        from swcnn.textpipe import build_vocab, encode
+        from swcnn.textpipe import build_vocab
 
         rng = np.random.default_rng(5)
         corpus = [[f"w{int(rng.integers(9))}" for _ in range(int(rng.integers(0, 9)))]
@@ -214,7 +216,7 @@ class TestPooling:
     def test_output_dimension(self):
         template, model = small_model(dim=6, pooling_k=3)
         for length in (1, 2, 5, 11):
-            doc = encode_document(template.views, ["w0"] * length, 0)
+            doc = prepare_document(model.views, ["w0"] * length)
             _, cache = forward(model, doc)
             assert cache.top_input.shape == (6 * 3,)
 
@@ -222,7 +224,7 @@ class TestPooling:
 class TestBackward:
     def test_zero_grad_logits(self):
         template, model = small_model()
-        doc = prepare_document(template.views, encode_document(template.views, ["w0", "w1", "w2"], 0))
+        doc = prepare_document(model.views, ["w0", "w1", "w2"])
         _, cache = forward(model, doc, train=True, rng=None)
         grads = backward(model, cache, np.zeros(model.n_classes))
         assert not any(g.any() for g in grads.as_list())
@@ -230,9 +232,9 @@ class TestBackward:
     def test_single_region_collapses_to_one_layer_net(self):
         template, model = small_model(region_size=3, pooling_k=1)
         tokens = ["w0", "w1", "w2"]
-        doc = prepare_document(template.views, encode_document(template.views, tokens, 1))
+        doc = prepare_document(model.views, tokens, 1)
         logits, cache = forward(model, doc, train=True, rng=None)
-        enc = encode_document(template.views, tokens, 1).views[0]
+        enc = encode(tokens, model.base.vocab)
         x = region_vector(enc, 0, model.base.spec)
         hidden = relu(sparse_affine(model.base.W, model.base.b, x))
         assert np.allclose(logits, model.top_W @ hidden + model.top_b)
@@ -258,12 +260,12 @@ class TestBackward:
                                  embed_dim=6, pooling_k=1, tv_embeddings=(tv,))
         model = init_model(template, TrainConfig(init_std=0.5, dropout=0.0, epochs=1, decay_epoch=1), rng)
         tokens = [f"w{int(rng.integers(20))}" for _ in range(10)]
-        doc = prepare_document(template.views, encode_document(template.views, tokens, 2))
+        doc = prepare_document(model.views, tokens, 2)
         assert fd_max_rel_error(model, doc) < 1e-4
 
     def test_dropout_mask_enters_gradient(self):
         template, model = small_model(dropout=0.5, pooling_k=1)
-        doc = prepare_document(template.views, encode_document(template.views, ["w0", "w1", "w2", "w3"], 0))
+        doc = prepare_document(model.views, ["w0", "w1", "w2", "w3"])
         logits, cache = forward(model, doc, train=True, rng=np.random.default_rng(15))
         _, _, grad_logits = softmax_xent(logits, 0)
         grads = backward(model, cache, grad_logits)
@@ -273,7 +275,7 @@ class TestBackward:
 
     def test_cache_model_mismatch(self):
         template, model = small_model()
-        doc = prepare_document(template.views, encode_document(template.views, ["w0"], 0))
+        doc = prepare_document(model.views, ["w0"])
         _, cache = forward(model, doc, train=True, rng=None)
         vocab = word_vocab(12)
         other = ShallowModel(
@@ -333,7 +335,7 @@ class TestPredict:
         model.base.W[...] = 0.0
         model.base.b[...] = 0.0
         model.top_b[...] = [0.2, 0.9]
-        doc = encode_document(template.views, ["w0"], 0)
+        doc = prepare_document(model.views, ["w0"])
         assert predict(model, doc) == 1
 
     def test_tie_breaks_low(self):
@@ -341,12 +343,12 @@ class TestPredict:
         model.base.W[...] = 0.0
         model.base.b[...] = 0.0
         model.top_b[...] = [0.5, 0.5]
-        doc = encode_document(template.views, ["w0"], 0)
+        doc = prepare_document(model.views, ["w0"])
         assert predict(model, doc) == 0
 
     def test_shift_invariance(self):
         template, model = small_model(n_classes=3, pooling_k=1)
-        doc = encode_document(template.views, ["w0", "w3", "w5"], 0)
+        doc = prepare_document(model.views, ["w0", "w3", "w5"])
         before = predict(model, doc)
         model.top_b += 11.25
         assert predict(model, doc) == before

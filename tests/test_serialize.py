@@ -1,9 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
 
 from helpers import word_vocab
 from swcnn.errors import DataError
-from swcnn.model import RegionEmbedding, encode_document, forward
+from swcnn.model import RegionEmbedding, ShallowModel, forward, prepare_document
 from swcnn.serialize import (
     FORMAT_VERSION,
     MAGIC,
@@ -69,14 +71,14 @@ def test_save_load_save_produces_identical_bytes(fused_model, tmp_path):
 
 
 def test_round_trip_preserves_logits(fused_model, tmp_path):
-    template, model = fused_model
+    _, model = fused_model
     path = tmp_path / "m.swcn"
     save_model(model, path)
     loaded = load_model(path)
     rng = np.random.default_rng(3)
     for _ in range(20):
         tokens = [f"w{int(rng.integers(30))}" for _ in range(int(rng.integers(0, 15)))]
-        doc = encode_document(template.views, tokens, 0)
+        doc = prepare_document(model.views, tokens)
         before, _ = forward(model, doc)
         after, _ = forward(loaded, doc)
         assert np.array_equal(before, after)
@@ -134,6 +136,45 @@ def test_non_finite_embedding_weights_rejected(tmp_path):
     save_embedding(emb, path)
     with pytest.raises(DataError, match=r"tv\.swcn: non-finite value"):
         load_embedding(path)
+
+
+def _oversize(path, header_len, vocab, field):
+    """Rewrite one size field of the first embedding block to 0xFFFFFFFF.
+
+    ``header_len`` is the byte count before the block: 9 for an embedding
+    container, 25 for a model container.
+    """
+    vocab_at = header_len + 10  # after representation, region size, kind, size
+    matrix_at = vocab_at + sum(12 + len(tok.encode("utf-8")) for tok, _ in vocab.entries)
+    raw = bytearray(path.read_bytes())
+    if field == "matrix":
+        assert struct.unpack_from("<II", raw, matrix_at) == (2, len(vocab))
+        raw[matrix_at:matrix_at + 8] = b"\xff" * 8
+    else:
+        assert struct.unpack_from("<I", raw, vocab_at) == (len(vocab.entries[0][0]),)
+        raw[vocab_at:vocab_at + 4] = b"\xff" * 4
+    path.write_bytes(bytes(raw))
+
+
+@pytest.mark.parametrize("field", ["matrix", "vocabulary entry"])
+@pytest.mark.parametrize("kind", ["embedding", "model"])
+def test_oversized_size_field_is_truncation(tmp_path, kind, field):
+    vocab = word_vocab(3)
+    emb = RegionEmbedding(spec=RegionSpec(BOW_WORD, 2, 3), vocab=vocab,
+                          W=np.zeros((2, 3)), b=np.zeros(2))
+    path = tmp_path / "big.swcn"
+    if kind == "embedding":
+        save_embedding(emb, path)
+        _oversize(path, 9, vocab, field)
+        load = load_embedding
+    else:
+        model = ShallowModel(base=emb, tvs=(), pooling_k=1,
+                             top_W=np.zeros((2, 2)), top_b=np.zeros(2))
+        save_model(model, path)
+        _oversize(path, 25, vocab, field)
+        load = load_model
+    with pytest.raises(DataError, match=r"big\.swcn: truncated container"):
+        load(path)
 
 
 def test_bad_magic(tmp_path):

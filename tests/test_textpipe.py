@@ -104,9 +104,8 @@ GOOD_BUY = Vocabulary(kind=WORD, entries=(("good", 3), ("buy", 2)))
 
 class TestEncode:
     def test_lookup_and_oov(self):
-        doc = encode(["good", "zzz"], GOOD_BUY, 1)
+        doc = encode(["good", "zzz"], GOOD_BUY)
         assert doc.ids == (0, OOV)
-        assert doc.label == 1
 
     def test_empty(self):
         assert encode([], GOOD_BUY).ids == ()
@@ -205,4 +204,4 @@ class TestRegionProperties:
     @settings(max_examples=30)
     def test_encoding_deterministic(self, tokens):
         vocab = build_vocab([tokens], WORD, 50) if tokens else GOOD_BUY
-        assert encode(tokens, vocab, 0) == encode(tokens, vocab, 0)
+        assert encode(tokens, vocab) == encode(tokens, vocab)

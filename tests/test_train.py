@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import trigger_bigram_dataset
-from swcnn.errors import NumericError
+from swcnn.errors import DataError, NumericError
 from swcnn.train import (
     GridPoint,
     ModelTemplate,
@@ -173,6 +173,13 @@ class TestTrain:
         _, metrics = train(template, config, data, val_data=())
         assert metrics[0].val_error is None
 
+    def test_label_outside_classes_rejected(self):
+        data = tiny_task(30)
+        template = tiny_template(data)
+        config = TrainConfig(epochs=1, decay_epoch=1, seed=0)
+        with pytest.raises(DataError, match=r"label 2 outside \[0, 2\)"):
+            train(template, config, data, val_data=[(["w0"], 2)])
+
     def test_divergence_aborts_with_location(self):
         data = tiny_task(30)
         template = tiny_template(data)
@@ -251,3 +258,12 @@ class TestSelectModel:
         by_size = {p.region_size: p.val_error for p in report.points}
         assert by_size[5] < by_size[3]
         assert report.chosen.region_size == 5
+
+
+def test_package_attribute_is_the_train_module():
+    import types
+
+    import swcnn.train as module
+
+    assert isinstance(module, types.ModuleType)
+    assert callable(module.train)
