@@ -12,11 +12,9 @@ the base model as extra frozen inputs.
 from swcnn.textpipe import (
     OOV,
     RegionSpec,
-    SparseRegionVector,
     Vocabulary,
     build_vocab,
     encode,
-    region_vector,
     tokenize,
 )
 from swcnn.model import (
@@ -36,11 +34,9 @@ from swcnn.evalbench import evaluate, time_inference, vocab_independence_bench
 __all__ = [
     "OOV",
     "RegionSpec",
-    "SparseRegionVector",
     "Vocabulary",
     "build_vocab",
     "encode",
-    "region_vector",
     "tokenize",
     "RegionEmbedding",
     "ShallowModel",

@@ -26,15 +26,7 @@ from swcnn.evalbench import (
 )
 from swcnn.model import count_parameters, parameter_count, predict, prepare_labeled
 from swcnn.serialize import load_embedding, load_model, save_embedding, save_model
-from swcnn.textpipe import (
-    BOW_NGRAM,
-    BOW_WORD,
-    NGRAM123,
-    WORD,
-    RegionSpec,
-    build_vocab,
-    tokenize,
-)
+from swcnn.textpipe import NGRAM123, WORD, RegionSpec, build_vocab, tokenize
 from swcnn.train import ModelTemplate, default_holdout, holdout_split, select_model, train
 from swcnn.tv import train_tv
 
@@ -146,21 +138,19 @@ def cmd_tv_train(args, cfg: RunConfig) -> int:
     corpus = [tokenize(r.text) for r in records]
     word_vocab = _load_word_vocab(_need(args.word_vocab, cfg.word_vocab, "--word-vocab"))
     input_vocab_path = args.input_vocab or cfg.tv_vocab
-    if cfg.tv_representation == BOW_WORD:
-        input_vocab = load_vocab(input_vocab_path) if input_vocab_path else word_vocab
-        if input_vocab.kind != WORD:
-            raise DataError("bow-word embeddings need a word vocabulary")
-    else:
-        if not input_vocab_path:
-            raise UsageError("bow-ngram123 embeddings need --input-vocab")
-        input_vocab = load_vocab(input_vocab_path)
-        if input_vocab.kind != NGRAM123:
-            raise DataError("bow-ngram123 embeddings need an ngram123 vocabulary")
+    input_vocab = load_vocab(input_vocab_path) if input_vocab_path else word_vocab
     spec = RegionSpec(
         representation=cfg.tv_representation,
         region_size=cfg.tv_region_size,
         vocab_size=len(input_vocab),
     )
+    if input_vocab.kind != spec.vocab_kind:
+        if not input_vocab_path:
+            raise UsageError(f"{spec.representation} embeddings need --input-vocab")
+        raise DataError(
+            f"{input_vocab_path}: {spec.representation} embeddings need a vocabulary "
+            f"of kind {spec.vocab_kind}, found kind={input_vocab.kind}"
+        )
     embedding, losses = train_tv(
         corpus, spec, input_vocab, word_vocab, cfg.tv_dim, cfgmod.tv_config(cfg)
     )
@@ -322,10 +312,8 @@ def cmd_bench(args, cfg: RunConfig) -> int:
 def cmd_params(args, cfg: RunConfig) -> int:
     if cfg.n_classes < 1:
         raise UsageError("params needs n_classes in the config")
-    caps = {WORD: cfg.word_vocab_cap, NGRAM123: cfg.ngram_vocab_cap}
-    base_vocab = caps[NGRAM123 if cfg.representation == BOW_NGRAM else WORD]
-    base = RegionSpec(cfg.representation, cfg.region_size, base_vocab)
-    tv_shapes = [(cfg.tv_dim, caps[kind]) for kind, _ in cfgmod.parse_tv_specs(cfg)]
+    base = cfgmod.capped_spec(cfg, cfg.representation, cfg.region_size)
+    tv_shapes = [(cfg.tv_dim, spec.input_dim) for spec in cfgmod.parse_tv_specs(cfg)]
     total = parameter_count(cfg.embed_dim, base.input_dim, tv_shapes, cfg.n_classes, cfg.pooling_k)
     print(f"{total:,}")
     return 0

@@ -11,7 +11,7 @@ profile default").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 from swcnn.data import read_lines
 from swcnn.errors import UsageError
@@ -149,15 +149,23 @@ def validate_config(cfg: RunConfig) -> None:
         raise UsageError(
             f"tv_representation must be {BOW_WORD} or {BOW_NGRAM}, got {cfg.tv_representation!r}"
         )
+    for key in ("embed_dim", "pooling_k", "tv_dim", "word_vocab_cap", "ngram_vocab_cap"):
+        if getattr(cfg, key) < 1:
+            raise UsageError(f"invalid configuration: {key} must be >= 1")
     try:
         train_config(cfg)
         tv_config(cfg)
         selection_grid(cfg)
         RegionSpec(cfg.tv_representation, cfg.tv_region_size, vocab_size=1)
         for region_size in (cfg.region_size, *cfg.grid_region_sizes):
-            RegionSpec(cfg.representation, region_size, vocab_size=1)
+            base = RegionSpec(cfg.representation, region_size, vocab_size=1)
     except ValueError as exc:
         raise UsageError(f"invalid configuration: {exc}") from None
+    if base.vocab_kind != WORD:
+        raise UsageError(
+            f"invalid configuration: representation {cfg.representation} reads a "
+            f"{base.vocab_kind} vocabulary, but the base view reads the word vocabulary"
+        )
 
 
 def resolved_epochs(cfg: RunConfig) -> int:
@@ -204,8 +212,15 @@ def tv_config(cfg: RunConfig) -> TvTrainConfig:
     )
 
 
-def parse_tv_specs(cfg: RunConfig) -> list[tuple[str, int]]:
-    """(vocabulary kind, region size) pairs from the tv_specs key."""
+def capped_spec(cfg: RunConfig, representation: str, region_size: int) -> RegionSpec:
+    """A view whose vocabulary is as large as its kind's configured cap."""
+    spec = RegionSpec(representation, region_size, vocab_size=1)
+    cap = cfg.ngram_vocab_cap if spec.vocab_kind == NGRAM123 else cfg.word_vocab_cap
+    return replace(spec, vocab_size=cap)
+
+
+def parse_tv_specs(cfg: RunConfig) -> list[RegionSpec]:
+    """The tv views named by the tv_specs key, at their vocabulary caps."""
     out = []
     if not cfg.tv_specs:
         return out
@@ -214,13 +229,13 @@ def parse_tv_specs(cfg: RunConfig) -> list[tuple[str, int]]:
         if not part:
             continue
         name, sep, size = part.partition(":")
-        kind = {"bow": WORD, "ngram": NGRAM123}.get(name.strip())
-        if kind is None or not sep:
+        representation = {"bow": BOW_WORD, "ngram": BOW_NGRAM}.get(name.strip())
+        if representation is None or not sep:
             raise UsageError(
                 f"tv_specs entries look like bow:5 or ngram:9, got {part!r}"
             )
         try:
-            out.append((kind, int(size)))
+            out.append(capped_spec(cfg, representation, int(size)))
         except ValueError:
             raise UsageError(f"bad region size in tv_specs entry {part!r}") from None
     return out

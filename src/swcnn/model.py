@@ -40,7 +40,6 @@ from swcnn.textpipe import (
     BOW_NGRAM,
     CONCAT,
     OOV,
-    EncodedDocument,
     RegionSpec,
     Vocabulary,
     encode,
@@ -50,7 +49,10 @@ from swcnn.textpipe import (
 
 @dataclass
 class RegionEmbedding:
-    """An affine map over one sparse region view, with its vocabulary."""
+    """An affine map over one sparse region view, with its vocabulary.
+
+    The vocabulary is of the kind the view's representation reads.
+    """
 
     spec: RegionSpec
     vocab: Vocabulary
@@ -65,6 +67,11 @@ class RegionEmbedding:
             raise ValueError("bias does not match W")
         if len(self.vocab) != self.spec.vocab_size:
             raise ValueError("vocabulary size does not match spec")
+        if self.vocab.kind != self.spec.vocab_kind:
+            raise ValueError(
+                f"{self.spec.representation} needs a vocabulary of kind "
+                f"{self.spec.vocab_kind}, got kind {self.vocab.kind}"
+            )
 
     @property
     def dim(self) -> int:
@@ -137,19 +144,10 @@ class PreparedDoc:
     views: tuple[PreparedView, ...]
 
 
-def view_ids(enc: EncodedDocument, spec: RegionSpec) -> np.ndarray:
-    """The ids a view's slots read: (L,) token ids, or (L, 3) n-gram ids."""
-    if spec.representation != BOW_NGRAM:
-        return np.asarray(enc.ids, dtype=np.int64)
-    if enc.ngram_ids is None:
-        raise ValueError("bow-ngram123 views need an n-gram encoded document")
-    return np.asarray(enc.ngram_ids, dtype=np.int64).reshape(len(enc.ids), 3)
-
-
 def _view_slots(ids: np.ndarray, spec: RegionSpec, starts: np.ndarray, ends) -> PreparedView:
     """Slot incidence of the regions that start at token offsets ``starts``.
 
-    ``ids`` is laid out as ``view_ids`` returns it, for one document or a
+    ``ids`` is laid out as ``encode`` returns it, for one document or a
     concatenated corpus.  Region r becomes row r: it covers positions
     ``starts[r]`` to ``starts[r] + p - 1``, clipped to ``ends[r]`` (the end
     of its document; a scalar serves all regions).
@@ -190,7 +188,7 @@ def prepare_document(
     n_regions = region_count(len(tokens), views[0][0].region_size)
     starts = np.arange(n_regions)
     prepared = tuple(
-        _view_slots(view_ids(encode(tokens, vocab), spec), spec, starts, len(tokens))
+        _view_slots(encode(tokens, vocab), spec, starts, len(tokens))
         for spec, vocab in views
     )
     return PreparedDoc(label=label, n_regions=n_regions, views=prepared)

@@ -121,6 +121,18 @@ def _read_vector(r: _Reader) -> np.ndarray:
     return _finite(r, np.frombuffer(r.read(8 * dim), dtype="<f8").astype(np.float64))
 
 
+def _build(r: _Reader, cls, **fields):
+    """``cls(**fields)``, where a rejected combination is a corrupt container.
+
+    A header can disagree with the weights that follow it, or name a
+    representation that does not read its vocabulary.
+    """
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise DataError(f"{r.path}: {exc}") from None
+
+
 def _read_embedding(r: _Reader) -> RegionEmbedding:
     rep_code, region_size = r.unpack("<BI")
     if rep_code not in _REP_NAMES:
@@ -138,13 +150,14 @@ def _read_embedding(r: _Reader) -> RegionEmbedding:
         (freq,) = r.unpack("<Q")
         entries.append((token, freq))
     vocab = Vocabulary(kind=_VOCAB_NAMES[vocab_code], entries=tuple(entries))
-    spec = RegionSpec(
-        representation=_REP_NAMES[rep_code], region_size=region_size, vocab_size=vocab_size
+    spec = _build(
+        r, RegionSpec,
+        representation=_REP_NAMES[rep_code], region_size=region_size, vocab_size=vocab_size,
     )
     # column-major weights keep the per-column gathers of the sweep contiguous
     W = _read_matrix(r, order="F")
     b = _read_vector(r)
-    return RegionEmbedding(spec=spec, vocab=vocab, W=W, b=b)
+    return _build(r, RegionEmbedding, spec=spec, vocab=vocab, W=W, b=b)
 
 
 def _check_header(r: _Reader, expect_kind: int) -> None:
@@ -197,12 +210,13 @@ def load_model(path) -> ShallowModel:
         for _ in range(n_tvs):
             emb = _read_embedding(r)
             fusion = _read_matrix(r)
-            tvs.append(TvEmbedding(embedding=emb, fusion=fusion))
+            tvs.append(_build(r, TvEmbedding, embedding=emb, fusion=fusion))
         top_W = _read_matrix(r)
         top_b = _read_vector(r)
         if top_W.shape[0] != n_classes:
             raise DataError(f"{path}: inconsistent class count")
-        return ShallowModel(
+        return _build(
+            r, ShallowModel,
             base=base,
             tvs=tuple(tvs),
             pooling_k=pooling_k,

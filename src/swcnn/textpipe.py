@@ -1,21 +1,27 @@
-"""Text pipeline: tokenization, capped vocabularies, sparse region vectors.
+"""Text pipeline: tokenization, capped vocabularies, id arrays, region specs.
 
 Raw documents become deterministic lowercase token sequences.  A
 frequency-ranked vocabulary (plain words or {1,2,3}-grams) maps tokens to
 integer ids; out-of-vocabulary tokens keep an explicit marker so they can
-contribute zero columns downstream.  A text region (a window of
-``region_size`` consecutive tokens) is turned into a sparse vector under
-one of three representations:
+contribute zero columns downstream.  ``encode`` turns a document into the
+int64 id array the model's slot sweep reads: shape (L,) of word ids, or
+(L, 3) of the 1-, 2- and 3-gram ids starting at each position.
+
+A text region (a window of ``region_size`` consecutive tokens) is read
+under one of three representations, each over one vocabulary kind
+(``RegionSpec.vocab_kind``):
 
 * ``concat-one-hot``: one one-hot block per position, dimensionality
-  ``region_size * vocab_size`` (position-sensitive).
+  ``region_size * vocab_size`` (position-sensitive), over words.
 * ``bow-word``: word counts over the region, dimensionality ``vocab_size``
-  (position-insensitive).
+  (position-insensitive), over words.
 * ``bow-ngram123``: counts of the {1,2,3}-grams fully contained in the
   region, over an n-gram vocabulary.
 
 Documents shorter than the region size are right-padded with OOV markers
 so every document has at least one region; stride is always 1.
+``region_vector`` builds one region's sparse vector explicitly; it is the
+per-region reference the sweep is tested against.
 """
 
 from __future__ import annotations
@@ -112,54 +118,25 @@ def build_vocab(corpus: Iterable[Sequence[str]], kind: str, cap: int) -> Vocabul
     return Vocabulary(kind=kind, entries=tuple(ranked))
 
 
-@dataclass(frozen=True)
-class EncodedDocument:
-    """The per-token vocabulary ids of one document.
+def encode(tokens: Sequence[str], vocab: Vocabulary) -> np.ndarray:
+    """The int64 ids of a token sequence, laid out as the slot sweep reads them.
 
-    ``ids[i]`` is the id of token i in the vocabulary the document was
-    encoded against, or OOV.  For n-gram vocabularies, ``ngram_ids[i]``
-    additionally holds the ids of the 1-, 2- and 3-gram starting at
-    position i (OOV where the n-gram is absent from the vocabulary or
-    runs past the end of the document); bow-ngram region vectors are
-    exact only with this field present.
+    Against a word vocabulary the result has shape (L,): token i maps to
+    its id, or OOV.  Against an n-gram vocabulary it has shape (L, 3):
+    row i holds the ids of the 1-, 2- and 3-gram starting at token i, OOV
+    where the gram is absent from the vocabulary or runs past the end.
     """
-
-    ids: tuple[int, ...]
-    ngram_ids: tuple[tuple[int, int, int], ...] | None = None
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-
-def encode(tokens: Sequence[str], vocab: Vocabulary) -> EncodedDocument:
-    """Encode a token sequence against a vocabulary.
-
-    In-vocabulary tokens map to their id (for n-gram vocabularies, via
-    their unigram key); all others map to the OOV marker.  Length is
-    preserved.
-    """
-    ids = tuple(vocab.index.get(tok, OOV) for tok in tokens)
-    ngram_ids = None
-    if vocab.kind == NGRAM123:
-        lookup = vocab.index
-        n_tokens = len(tokens)
-        grams = []
-        for i in range(n_tokens):
-            key = tokens[i]
-            one = lookup.get(key, OOV)
-            if i + 2 <= n_tokens:
-                key = key + " " + tokens[i + 1]
-                two = lookup.get(key, OOV)
-                if i + 3 <= n_tokens:
-                    three = lookup.get(key + " " + tokens[i + 2], OOV)
-                else:
-                    three = OOV
-            else:
-                two = OOV
-                three = OOV
-            grams.append((one, two, three))
-        ngram_ids = tuple(grams)
-    return EncodedDocument(ids=ids, ngram_ids=ngram_ids)
+    get = vocab.index.get
+    ones = [get(tok, OOV) for tok in tokens]
+    if vocab.kind == WORD:
+        return np.array(ones, dtype=np.int64)
+    pairs = [a + " " + b for a, b in zip(tokens, tokens[1:])]
+    triples = [pair + " " + c for pair, c in zip(pairs, tokens[2:])]
+    ids = np.full((len(tokens), 3), OOV, dtype=np.int64)
+    ids[:, 0] = ones
+    ids[: len(pairs), 1] = [get(pair, OOV) for pair in pairs]
+    ids[: len(triples), 2] = [get(triple, OOV) for triple in triples]
+    return ids
 
 
 @dataclass(frozen=True)
@@ -183,6 +160,11 @@ class RegionSpec:
         if self.representation == CONCAT:
             return self.region_size * self.vocab_size
         return self.vocab_size
+
+    @property
+    def vocab_kind(self) -> str:
+        """The kind of vocabulary this representation reads."""
+        return NGRAM123 if self.representation == BOW_NGRAM else WORD
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,23 +190,23 @@ def region_count(doc_len: int, region_size: int) -> int:
     return max(1, doc_len - region_size + 1)
 
 
-def region_vector(doc: EncodedDocument, pos: int, spec: RegionSpec) -> SparseRegionVector:
+def region_vector(ids: np.ndarray, pos: int, spec: RegionSpec) -> SparseRegionVector:
     """Sparse vector of the region covering token positions pos..pos+p-1.
 
-    Positions past the end of the document (present only when the
-    document was right-padded to the region size) act as OOV and
-    contribute nothing.
+    ``ids`` is the document as ``encode`` returns it against the
+    vocabulary the representation reads.  Positions past the end of the
+    document (present only when the document was right-padded to the
+    region size) act as OOV and contribute nothing.
     """
-    n_positions = region_count(len(doc.ids), spec.region_size)
+    n_positions = region_count(len(ids), spec.region_size)
     if not 0 <= pos < n_positions:
         raise ValueError(f"region position {pos} outside [0, {n_positions})")
-    return _region_vector_unchecked(doc, pos, spec)
+    return _region_vector_unchecked(ids, pos, spec)
 
 
-def _region_vector_unchecked(doc, pos, spec):
+def _region_vector_unchecked(ids, pos, spec):
     p = spec.region_size
     v = spec.vocab_size
-    ids = doc.ids
     end = min(pos + p, len(ids))
     if spec.representation == CONCAT:
         pairs = [
@@ -236,11 +218,9 @@ def _region_vector_unchecked(doc, pos, spec):
     if spec.representation == BOW_WORD:
         counts = Counter(t for t in ids[pos:end] if t != OOV)
     else:
-        if doc.ngram_ids is None:
-            raise ValueError("bow-ngram123 region vectors need an n-gram encoded document")
         counts = Counter()
         for start in range(pos, end):
-            grams = doc.ngram_ids[start]
+            grams = ids[start]
             for n in (1, 2, 3):
                 if start + n > pos + p:
                     break

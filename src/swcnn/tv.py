@@ -23,16 +23,9 @@ import numpy as np
 
 from swcnn.errors import DataError
 from swcnn.kernels import sparse_affine  # noqa: F401  (traced by benchmark/tracer.py)
-from swcnn.model import (
-    RegionEmbedding,
-    _scatter_embedding_grad,
-    _view_slots,
-    embed_regions,
-    view_ids,
-)
+from swcnn.model import RegionEmbedding, _scatter_embedding_grad, _view_slots, embed_regions
 from swcnn.textpipe import (
     OOV,
-    EncodedDocument,
     RegionSpec,
     Vocabulary,
     encode,
@@ -55,29 +48,21 @@ class TvExample:
     target: np.ndarray
 
 
-def make_tv_examples(
-    input_doc: EncodedDocument, target_doc: EncodedDocument, spec: RegionSpec
-) -> list[TvExample]:
+def make_tv_examples(target_ids: np.ndarray, spec: RegionSpec) -> list[TvExample]:
     """Training pairs for every region position of one document.
 
-    ``input_doc`` is the document encoded against the embedding's own
-    vocabulary, ``target_doc`` against the word vocabulary the adjacent
-    regions are predicted over.  Positions whose clipped adjacent union
-    contains no in-vocabulary word are skipped.
+    ``target_ids`` is the document encoded against the word vocabulary
+    the adjacent regions are predicted over.  Positions whose clipped
+    adjacent union contains no in-vocabulary word are skipped.
     """
-    if len(input_doc.ids) != len(target_doc.ids):
-        raise ValueError("input and target encodings tokenize differently")
     p = spec.region_size
-    length = len(target_doc.ids)
-    target_ids = target_doc.ids
+    ids = target_ids.tolist()  # Python ints keep the short per-position slices cheap
     examples = []
-    for pos in range(region_count(length, p)):
-        around = list(target_ids[max(0, pos - p) : pos])
-        around.extend(target_ids[pos + p : min(length, pos + 2 * p)])
-        target = np.unique(np.asarray([t for t in around if t != OOV], dtype=np.int64))
-        if len(target) == 0:
-            continue
-        examples.append(TvExample(pos=pos, target=target))
+    for pos in range(region_count(len(ids), p)):
+        around = [t for t in ids[max(0, pos - p) : pos] + ids[pos + p : pos + 2 * p] if t != OOV]
+        target = np.unique(np.asarray(around, dtype=np.int64))
+        if len(target):
+            examples.append(TvExample(pos=pos, target=target))
     return examples
 
 
@@ -145,12 +130,12 @@ def train_tv(
     """
     if len(corpus) == 0:
         raise DataError("tv training needs a non-empty corpus")
-    if spec.vocab_size != len(tv_vocab):
-        raise ValueError("spec vocab_size does not match the input vocabulary")
     rng = np.random.default_rng(config.seed)
     n_words = len(word_vocab)
     W = np.asfortranarray(rng.normal(0.0, config.init_std, size=(d_tv, spec.input_dim)))
     b = rng.normal(0.0, config.init_std, size=d_tv)
+    # checks the input vocabulary against the spec; training updates W, b in place
+    embedding = RegionEmbedding(spec=spec, vocab=tv_vocab, W=W, b=b)
     head_W = rng.normal(0.0, config.init_std, size=(n_words, d_tv))
     head_b = rng.normal(0.0, config.init_std, size=n_words)
 
@@ -160,10 +145,10 @@ def train_tv(
     pieces, starts, ends, outputs, n_targets = [], [], [], [], []
     offset = 0
     for tokens in corpus:
-        input_doc = encode(tokens, tv_vocab)
-        target_doc = input_doc if tv_vocab is word_vocab else encode(tokens, word_vocab)
-        pieces.append(view_ids(input_doc, spec))
-        for ex in make_tv_examples(input_doc, target_doc, spec):
+        input_ids = encode(tokens, tv_vocab)
+        pieces.append(input_ids)
+        target_ids = input_ids if tv_vocab is word_vocab else encode(tokens, word_vocab)
+        for ex in make_tv_examples(target_ids, spec):
             negatives = sample_negatives(ex.target, n_words, config.negatives, rng)
             starts.append(offset + ex.pos)
             ends.append(offset + len(tokens))
@@ -214,5 +199,4 @@ def train_tv(
                 g *= 1.0 / len(batch)
             sgd_momentum_step(params, grads, velocity, config.lr, config.momentum)
         epoch_losses.append(loss_sum / n)
-    embedding = RegionEmbedding(spec=spec, vocab=tv_vocab, W=W, b=b)
     return embedding, epoch_losses

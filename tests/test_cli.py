@@ -113,6 +113,11 @@ class TestParams:
     def test_requires_class_count(self, capsys):
         assert run(["params"]) == 1
 
+    @pytest.mark.parametrize("entry", ["bow", "cnn:5", "bow:x", "ngram:0"])
+    def test_bad_tv_spec_is_one(self, capsys, entry):
+        assert run(["params", "--set", "n_classes=2", "--set", f"tv_specs=bow:5,{entry}"]) == 1
+        assert entry in capsys.readouterr().err
+
 
 class TestPipeline:
     def test_vocab_train_eval_predict(self, task_files, capsys, monkeypatch):
@@ -316,6 +321,15 @@ class TestExitCodes:
         ("params", ["n_classes=2", "region_size=0"], "region_size must be >= 1"),
         ("train", ["batch_size=0"], "batch_size must be >= 1"),
         ("train", ["dropout=1"], "dropout must be in"),
+        ("train", ["pooling_k=0"], "pooling_k must be >= 1"),
+        ("params", ["n_classes=2", "pooling_k=0"], "pooling_k must be >= 1"),
+        ("train", ["embed_dim=0"], "embed_dim must be >= 1"),
+        ("params", ["n_classes=2", "embed_dim=0"], "embed_dim must be >= 1"),
+        ("tv-train", ["tv_dim=0"], "tv_dim must be >= 1"),
+        ("params", ["n_classes=2", "tv_dim=0"], "tv_dim must be >= 1"),
+        ("train", ["representation=bow-ngram123"], "base view reads the word vocabulary"),
+        ("params", ["n_classes=2", "representation=bow-ngram123"],
+         "base view reads the word vocabulary"),
     ])
     def test_invalid_config_value_is_one(self, task_files, capsys, command, settings, message):
         tmp_path, train_csv, _, config = task_files
@@ -344,6 +358,27 @@ class TestExitCodes:
         assert run(["predict", "--model", path]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "huge.swcn: truncated container" in captured.err
+
+    @pytest.mark.parametrize("representation,input_vocab,code,message", [
+        ("bow-ngram123", None, 1, "bow-ngram123 embeddings need --input-vocab"),
+        ("bow-ngram123", "w.vocab", 2, "w.vocab: bow-ngram123 embeddings need a vocabulary of kind ngram123"),
+        ("bow-word", "g.vocab", 2, "g.vocab: bow-word embeddings need a vocabulary of kind word"),
+    ])
+    def test_tv_input_vocab_of_the_wrong_kind(self, task_files, capsys, representation,
+                                              input_vocab, code, message):
+        tmp_path, train_csv, _, config = task_files
+        for name, kind in (("w.vocab", "word"), ("g.vocab", "ngram123")):
+            assert run(["vocab", "--input", train_csv, "--output", tmp_path / name,
+                        "--kind", kind]) == 0
+        argv = ["tv-train", "--config", config, "--input", train_csv,
+                "--word-vocab", tmp_path / "w.vocab", "--output", tmp_path / "tv.swcn",
+                "--set", f"tv_representation={representation}"]
+        if input_vocab:
+            argv += ["--input-vocab", tmp_path / input_vocab]
+        capsys.readouterr()
+        assert run(argv) == code
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "tv.swcn").exists()
 
     def test_missing_input_is_two(self, tmp_path, capsys):
         assert run(["eval", "--model", tmp_path / "no.swcn",

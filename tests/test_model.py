@@ -18,7 +18,6 @@ from swcnn.model import (
     pooling_bounds,
     predict,
     prepare_document,
-    view_ids,
     zero_grads,
 )
 from swcnn.textpipe import (
@@ -53,7 +52,7 @@ def naive_logits(model, tokens):
     base = model.base
     enc = encode(tokens, base.vocab)
     tv_encs = [encode(tokens, tv.embedding.vocab) for tv in model.tvs]
-    n_regions = region_count(len(enc.ids), base.spec.region_size)
+    n_regions = region_count(len(enc), base.spec.region_size)
     rows = []
     for pos in range(n_regions):
         z = sparse_affine(base.W, base.b, region_vector(enc, pos, base.spec))
@@ -167,7 +166,7 @@ class TestViewSlots:
         regions, pieces, offset = [], [], 0
         for doc in docs:
             regions += [(doc, offset, pos) for pos in range(region_count(len(doc), 3))]
-            pieces.append(view_ids(doc, spec))
+            pieces.append(doc)
             offset += len(doc)
         picked = [regions[i] for i in rng.permutation(len(regions))]
         starts = np.array([base + pos for _, base, pos in picked])

@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from helpers import word_vocab
 from swcnn.errors import DataError
@@ -175,6 +177,54 @@ def test_oversized_size_field_is_truncation(tmp_path, kind, field):
         load = load_model
     with pytest.raises(DataError, match=r"big\.swcn: truncated container"):
         load(path)
+
+
+# Model container offsets: pooling_k at 9; the base block starts at 25 with
+# the representation code, then region size (26), vocabulary kind code (30).
+@pytest.mark.parametrize("offset,fmt,value,message", [
+    (9, "<I", 0, "pooling_k must be >= 1"),
+    (26, "<I", 0, "region_size must be >= 1"),
+    (26, "<I", 2, "W has 75 columns, spec input dim is 50"),
+    (25, "<B", 2, "W has 75 columns, spec input dim is 25"),  # bow-ngram123
+    (30, "<B", 1, "concat-one-hot needs a vocabulary of kind word, got kind ngram123"),
+])
+def test_header_disagreeing_with_weights_names_file(fused_model, tmp_path, offset, fmt,
+                                                    value, message):
+    _, model = fused_model
+    path = tmp_path / "m.swcn"
+    save_model(model, path)
+    raw = bytearray(path.read_bytes())
+    assert struct.unpack_from(fmt, raw, offset)[0] != value
+    struct.pack_into(fmt, raw, offset, value)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(DataError, match=rf"m\.swcn: {message}"):
+        load_model(path)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(min_value=0), st.integers(min_value=-1, max_value=255))
+@example(offset=9, byte=0)  # pooling_k 2 -> 0
+@example(offset=26, byte=2)  # base region size 3 -> 2
+@example(offset=30, byte=1)  # base vocabulary kind word -> ngram123
+def test_corrupt_container_is_a_model_or_a_data_error(fused_model, tmp_path, offset, byte):
+    """Cut the container at ``offset``, or (``byte`` >= 0) overwrite one byte."""
+    _, model = fused_model
+    path = tmp_path / "m.swcn"
+    save_model(model, path)
+    raw = bytearray(path.read_bytes())
+    offset %= len(raw)
+    if byte < 0:
+        del raw[offset:]
+    else:
+        raw[offset] = byte
+    path.write_bytes(bytes(raw))
+    try:
+        loaded = load_model(path)
+    except DataError as exc:
+        assert "m.swcn" in str(exc)
+    else:
+        assert isinstance(loaded, ShallowModel)
 
 
 def test_bad_magic(tmp_path):

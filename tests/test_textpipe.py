@@ -105,24 +105,24 @@ GOOD_BUY = Vocabulary(kind=WORD, entries=(("good", 3), ("buy", 2)))
 class TestEncode:
     def test_lookup_and_oov(self):
         doc = encode(["good", "zzz"], GOOD_BUY)
-        assert doc.ids == (0, OOV)
+        assert doc.dtype == np.int64 and doc.tolist() == [0, OOV]
 
     def test_empty(self):
-        assert encode([], GOOD_BUY).ids == ()
+        assert encode([], GOOD_BUY).shape == (0,)
 
     def test_all_oov_document_is_valid(self):
         doc = encode(["x", "y", "z"], GOOD_BUY)
-        assert doc.ids == (OOV, OOV, OOV)
+        assert doc.tolist() == [OOV, OOV, OOV]
         spec = RegionSpec(CONCAT, 2, 2)
         assert region_vector(doc, 0, spec).nnz == 0
 
     def test_ngram_ids_attached_for_ngram_vocab(self):
         vocab = build_vocab([["a", "b"]], NGRAM123, 10)
         doc = encode(["a", "b"], vocab)
-        assert doc.ngram_ids == (
-            (vocab.index["a"], vocab.index["a b"], OOV),
-            (vocab.index["b"], OOV, OOV),
-        )
+        assert doc.tolist() == [
+            [vocab.index["a"], vocab.index["a b"], OOV],
+            [vocab.index["b"], OOV, OOV],
+        ]
 
 
 class TestRegionVector:
@@ -200,8 +200,20 @@ class TestRegionProperties:
             assert grams.values.sum() <= max(0, p) + max(0, p - 1) + max(0, p - 2)
             assert np.all(np.diff(grams.indices) > 0)
 
+    @given(tokens_strategy, st.integers(min_value=1, max_value=30))
+    @settings(max_examples=60)
+    def test_ngram_ids_follow_their_definition(self, tokens, cap):
+        vocab = build_vocab([tokens, ["w0", "w1", "w2"]], NGRAM123, cap)
+        ids = encode(tokens, vocab)
+        assert ids.shape == (len(tokens), 3) and ids.dtype == np.int64
+        for i in range(len(tokens)):
+            for n in (1, 2, 3):
+                fits = i + n <= len(tokens)
+                want = vocab.index.get(" ".join(tokens[i : i + n]), OOV) if fits else OOV
+                assert ids[i, n - 1] == want
+
     @given(tokens_strategy)
     @settings(max_examples=30)
     def test_encoding_deterministic(self, tokens):
         vocab = build_vocab([tokens], WORD, 50) if tokens else GOOD_BUY
-        assert encode(tokens, vocab) == encode(tokens, vocab)
+        assert np.array_equal(encode(tokens, vocab), encode(tokens, vocab))

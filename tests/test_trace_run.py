@@ -1,8 +1,8 @@
-"""The benchmark's tracer still starts and sees document preparation.
+"""The benchmark's tracer still starts and sees the functions it times.
 
 ``benchmark/tracer.py`` rebinds module functions by name when it starts,
 so renaming or bypassing one of them breaks traced benchmark runs; this
-runs it on a tiny corpus for ``train`` and ``predict``.
+runs it on a tiny corpus for ``train``, ``predict`` and ``tv-train``.
 """
 
 import json
@@ -50,3 +50,20 @@ def test_traced_train_and_predict_prepare_documents(tmp_path):
     sums, out = traced(tmp_path / "predict.json", ["predict", "--model", model], lines)
     assert len(out.split()) == 5
     assert sums["model.prepare_s"] > 0 and sums["model.slots"] > 0
+
+
+def test_traced_ngram_tv_train_encodes_and_makes_examples(tmp_path):
+    data = trigger_bigram_dataset(40, doc_len=12, vocab_size=10, seed=2)
+    train_csv = tmp_path / "train.csv"
+    write_csv(train_csv, [(label + 1, " ".join(tokens)) for tokens, label in data])
+    words, grams = tmp_path / "w.vocab", tmp_path / "g.vocab"
+    assert main(["vocab", "--input", str(train_csv), "--output", str(words)]) == 0
+    assert main(["vocab", "--input", str(train_csv), "--output", str(grams),
+                 "--kind", "ngram123"]) == 0
+    argv = ["tv-train", "--input", train_csv, "--word-vocab", words, "--input-vocab", grams,
+            "--output", tmp_path / "tv.swcn"]
+    for setting in ["tv_representation=bow-ngram123", "tv_region_size=3", "tv_dim=4",
+                    "tv_epochs=1", "tv_negatives=3"]:
+        argv += ["--set", setting]
+    sums, _ = traced(tmp_path / "tv.json", argv)
+    assert sums["textpipe.encode_s"] > 0 and sums["tv.examples"] > 0

@@ -26,7 +26,7 @@ class TestMakeTvExamples:
         tokens = [f"w{i}" for i in range(10)]
         doc = enc(tokens)
         spec = RegionSpec(BOW_WORD, 5, 10)
-        examples = make_tv_examples(doc, doc, spec)
+        examples = make_tv_examples(doc, spec)
         # region positions 0..5; pos=2 covers tokens 2..6
         ex = examples[2]
         assert list(ex.target) == [0, 1, 7, 8, 9]
@@ -35,17 +35,17 @@ class TestMakeTvExamples:
 
     def test_document_of_exactly_region_size_yields_nothing(self):
         doc = enc(["w0", "w1", "w2"])
-        assert make_tv_examples(doc, doc, RegionSpec(BOW_WORD, 3, 10)) == []
+        assert make_tv_examples(doc, RegionSpec(BOW_WORD, 3, 10)) == []
 
     def test_unit_region(self):
         doc = enc(["w0", "w1", "w2", "w3"])
-        examples = make_tv_examples(doc, doc, RegionSpec(BOW_WORD, 1, 10))
+        examples = make_tv_examples(doc, RegionSpec(BOW_WORD, 1, 10))
         ex = examples[1]
         assert list(ex.target) == [0, 2]
 
     def test_oov_only_neighborhood_skipped(self):
         doc = enc(["zz", "w1", "yy"])
-        examples = make_tv_examples(doc, doc, RegionSpec(BOW_WORD, 1, 10))
+        examples = make_tv_examples(doc, RegionSpec(BOW_WORD, 1, 10))
         # only the two OOV positions have an in-vocab neighbor
         assert len(examples) == 2
         assert all(list(ex.target) == [1] for ex in examples)
@@ -55,7 +55,7 @@ class TestMakeTvExamples:
         for _ in range(30):
             tokens = [f"w{int(rng.integers(14))}" for _ in range(int(rng.integers(1, 15)))]
             doc = enc(tokens)
-            for ex in make_tv_examples(doc, doc, RegionSpec(BOW_WORD, 3, 10)):
+            for ex in make_tv_examples(doc, RegionSpec(BOW_WORD, 3, 10)):
                 assert len(ex.target)
                 assert ex.target.min() >= 0 and ex.target.max() < 10
                 assert OOV not in ex.target
@@ -181,7 +181,7 @@ def per_region_train_tv(corpus, spec, tv_vocab, word_vocab, d_tv, config):
     for tokens in corpus:
         input_doc = encode(tokens, tv_vocab)
         target_doc = encode(tokens, word_vocab)
-        for ex in make_tv_examples(input_doc, target_doc, spec):
+        for ex in make_tv_examples(target_doc, spec):
             negatives = sample_negatives(ex.target, n_words, config.negatives, rng)
             x = region_vector(input_doc, ex.pos, spec)
             examples.append((x, np.concatenate([ex.target, negatives]), len(ex.target)))
