@@ -1,9 +1,10 @@
 """Command-line interface orchestrating the pipeline end to end.
 
 Subcommands: vocab, tv-train, train, select, eval, predict, bench,
-params.  Every subcommand reads an optional key=value config file plus
-repeatable ``--set key=value`` overrides; explicit flags beat config
-values.  Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric
+params.  Every subcommand reads an optional key=value config file of
+hyperparameters plus repeatable ``--set key=value`` overrides.  Each
+file is named by its flag alone; only ``vocab --cap`` overrides a config
+key.  Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric
 failure.
 """
 
@@ -108,8 +109,7 @@ def _load_config(args) -> RunConfig:
     return cfg
 
 
-def _need(flag_value, cfg_value, what):
-    value = flag_value or cfg_value
+def _need(value, what):
     if not value:
         raise UsageError(f"missing {what}")
     return value
@@ -123,38 +123,41 @@ def _load_word_vocab(path):
 
 
 def cmd_vocab(args, cfg: RunConfig) -> int:
-    records = load_csv(_need(args.input, cfg.train_csv, "--input CSV"))
-    corpus = [tokenize(r.text) for r in records]
-    cap = args.cap or (cfg.word_vocab_cap if args.kind == WORD else cfg.ngram_vocab_cap)
-    vocab = build_vocab(corpus, args.kind, cap)
-    out = _need(args.output, cfg.word_vocab, "--output path")
+    out = _need(args.output, "--output path")
+    cap = cfgmod.vocab_cap(cfg, args.kind) if args.cap is None else args.cap
+    if cap < 1:
+        raise UsageError(f"--cap must be >= 1, got {cap}")
+    records = load_csv(_need(args.input, "--input CSV"))
+    vocab = build_vocab([tokenize(r.text) for r in records], args.kind, cap)
+    if not vocab.entries:
+        # load_vocab rejects a vocabulary without entries
+        raise DataError(f"{args.input}: no tokens to build a vocabulary from")
     save_vocab(vocab, out)
     print(f"vocab kind={vocab.kind} size={len(vocab)} path={out}")
     return 0
 
 
 def cmd_tv_train(args, cfg: RunConfig) -> int:
-    records = load_csv(_need(args.input, cfg.train_csv, "--input CSV"))
+    out = _need(args.output, "--output path")
+    records = load_csv(_need(args.input, "--input CSV"))
     corpus = [tokenize(r.text) for r in records]
-    word_vocab = _load_word_vocab(_need(args.word_vocab, cfg.word_vocab, "--word-vocab"))
-    input_vocab_path = args.input_vocab or cfg.tv_vocab
-    input_vocab = load_vocab(input_vocab_path) if input_vocab_path else word_vocab
+    word_vocab = _load_word_vocab(_need(args.word_vocab, "--word-vocab"))
+    input_vocab = load_vocab(args.input_vocab) if args.input_vocab else word_vocab
     spec = RegionSpec(
         representation=cfg.tv_representation,
         region_size=cfg.tv_region_size,
         vocab_size=len(input_vocab),
     )
     if input_vocab.kind != spec.vocab_kind:
-        if not input_vocab_path:
+        if not args.input_vocab:
             raise UsageError(f"{spec.representation} embeddings need --input-vocab")
         raise DataError(
-            f"{input_vocab_path}: {spec.representation} embeddings need a vocabulary "
+            f"{args.input_vocab}: {spec.representation} embeddings need a vocabulary "
             f"of kind {spec.vocab_kind}, found kind={input_vocab.kind}"
         )
     embedding, losses = train_tv(
         corpus, spec, input_vocab, word_vocab, cfg.tv_dim, cfgmod.tv_config(cfg)
     )
-    out = _need(args.output, cfg.tv_out, "--output path")
     save_embedding(embedding, out)
     for epoch, loss in enumerate(losses, start=1):
         print(f"epoch={epoch} tv_loss={loss:.6f}")
@@ -163,12 +166,11 @@ def cmd_tv_train(args, cfg: RunConfig) -> int:
 
 
 def _training_inputs(args, cfg: RunConfig):
-    records = load_csv(_need(args.input, cfg.train_csv, "--input CSV"))
+    records = load_csv(_need(args.input, "--input CSV"))
     samples = to_samples(records)
     n_classes = cfg.n_classes or n_classes_of(records)
-    word_vocab = _load_word_vocab(_need(args.word_vocab, cfg.word_vocab, "--word-vocab"))
-    tv_paths = list(args.tv) or [p for p in cfg.embeddings.split(",") if p.strip()]
-    tvs = tuple(load_embedding(p.strip()) for p in tv_paths)
+    word_vocab = _load_word_vocab(_need(args.word_vocab, "--word-vocab"))
+    tvs = tuple(load_embedding(p) for p in args.tv)
     template = ModelTemplate(
         base_vocab=word_vocab,
         n_classes=n_classes,
@@ -179,6 +181,10 @@ def _training_inputs(args, cfg: RunConfig):
         tv_embeddings=tvs,
     )
     n_holdout = cfg.holdout if cfg.holdout >= 0 else default_holdout(len(samples))
+    if n_holdout >= len(samples):
+        raise UsageError(
+            f"holdout {n_holdout} leaves no training records: {args.input} has {len(samples)}"
+        )
     return samples, template, n_holdout
 
 
@@ -198,24 +204,24 @@ def _metric_lines(metrics):
 
 
 def cmd_train(args, cfg: RunConfig) -> int:
+    out = _need(args.output, "--output path")
     samples, template, n_holdout = _training_inputs(args, cfg)
     train_set, val_set = holdout_split(samples, n_holdout, cfg.seed)
     if not val_set:
         print("note: empty validation holdout, reporting training loss only")
     model, metrics = train(template, cfgmod.train_config(cfg), train_set, val_set)
-    out = _need(args.output, cfg.model_path, "--output path")
     save_model(model, out)
     lines = _metric_lines(metrics)
     for line in lines:
         print(line)
-    metrics_path = args.metrics or cfg.metrics_path
-    if metrics_path:
-        _write_lines(metrics_path, lines)
+    if args.metrics:
+        _write_lines(args.metrics, lines)
     print(f"model path={out} params={count_parameters(model)}")
     return 0
 
 
 def cmd_select(args, cfg: RunConfig) -> int:
+    out = _need(args.output, "--output path")
     samples, template, n_holdout = _training_inputs(args, cfg)
     best_model, report = select_model(
         cfgmod.selection_grid(cfg), template, cfgmod.train_config(cfg), samples, n_holdout
@@ -234,20 +240,18 @@ def cmd_select(args, cfg: RunConfig) -> int:
         f"selected region_size={chosen.region_size} pooling_k={chosen.pooling_k} "
         f"initial_lr={chosen.initial_lr:g}"
     )
-    out = _need(args.output, cfg.model_path, "--output path")
     save_model(best_model, out)
     for line in lines:
         print(line)
-    metrics_path = args.metrics or cfg.metrics_path
-    if metrics_path:
-        _write_lines(metrics_path, lines)
+    if args.metrics:
+        _write_lines(args.metrics, lines)
     print(f"model path={out} params={count_parameters(best_model)}")
     return 0
 
 
 def cmd_eval(args, cfg: RunConfig) -> int:
-    model = load_model(_need(args.model, cfg.model_path, "--model path"))
-    records = load_csv(_need(args.input, cfg.test_csv, "--input CSV"))
+    model = load_model(_need(args.model, "--model path"))
+    records = load_csv(_need(args.input, "--input CSV"))
     report = evaluate(model, prepare_labeled(model, to_samples(records)))
     print(f"n_docs={report.n_docs}")
     print(f"n_errors={report.n_errors}")
@@ -263,7 +267,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
 
 
 def cmd_predict(args, cfg: RunConfig) -> int:
-    model = load_model(_need(args.model, cfg.model_path, "--model path"))
+    model = load_model(_need(args.model, "--model path"))
     views = model.views
     for line in sys.stdin:
         # called through the module, so benchmark/tracer.py times it as in train and eval
@@ -275,8 +279,8 @@ def cmd_predict(args, cfg: RunConfig) -> int:
 
 def cmd_bench(args, cfg: RunConfig) -> int:
     if args.model or args.input:
-        model = load_model(_need(args.model, cfg.model_path, "--model path"))
-        records = load_csv(_need(args.input, cfg.test_csv, "--input CSV"))
+        model = load_model(_need(args.model, "--model path"))
+        records = load_csv(_need(args.input, "--input CSV"))
         docs = list(prepare_labeled(model, to_samples(records)))
         report = time_inference(model, docs, repetitions=3)
         print(

@@ -1,16 +1,18 @@
 """Run configuration: one key=value file drives every CLI stage.
 
 Lines are ``key=value``; blank lines and lines starting with ``#`` are
-ignored.  Unknown keys are rejected.  Command-line ``--set key=value``
-overrides take precedence over the file.  The ``profile`` key encodes the
-pooling rule (sentiment tasks fix k=1, topic tasks search {1, 10});
-``small_data=true`` switches the epoch schedule from 30/24 to 100/80
-unless ``epochs``/``decay_epoch`` are set explicitly (0 means "use the
-profile default").
+ignored.  Unknown keys are rejected, and numbers must be finite.  No key
+names a file: every file a stage reads or writes is named by its CLI
+flag.  Command-line ``--set key=value`` overrides take precedence over
+the file.  The ``profile`` key encodes the pooling rule (sentiment tasks
+fix k=1, topic tasks search {1, 10}); ``small_data=true`` switches the
+epoch schedule from 30/24 to 100/80 unless ``epochs``/``decay_epoch``
+are set explicitly (0 means "use the profile default").
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 from swcnn.data import read_lines
@@ -66,15 +68,6 @@ class RunConfig:
     bench_p: int = 3
     bench_repetitions: int = 100
 
-    train_csv: str = ""
-    test_csv: str = ""
-    word_vocab: str = ""
-    tv_vocab: str = ""
-    embeddings: str = ""  # comma-separated tv container paths
-    model_path: str = "model.swcn"
-    metrics_path: str = ""
-    tv_out: str = "tv.swcn"
-
 
 _FIELDS = {f.name: f for f in fields(RunConfig)}
 
@@ -91,9 +84,11 @@ def _coerce(field, raw: str):
             raise UsageError(f"config key {name} expects an integer, got {raw!r}") from None
     if hint in ("float",):
         try:
-            return float(text)
+            value = float(text)
         except ValueError:
             raise UsageError(f"config key {name} expects a number, got {raw!r}") from None
+        _require_finite(name, raw, [value])
+        return value
     if hint in ("bool",):
         low = text.lower()
         if low in ("1", "true", "yes", "on"):
@@ -108,10 +103,19 @@ def _coerce(field, raw: str):
             raise UsageError(f"config key {name} expects comma-separated integers") from None
     if hint.startswith("tuple[float"):
         try:
-            return tuple(float(part) for part in text.split(",") if part.strip())
+            values = tuple(float(part) for part in text.split(",") if part.strip())
         except ValueError:
             raise UsageError(f"config key {name} expects comma-separated numbers") from None
+        _require_finite(name, raw, values)
+        return values
     return text
+
+
+def _require_finite(name: str, raw: str, values) -> None:
+    # a NaN or infinite rate trains to completion and writes weights that
+    # load_model then rejects
+    if not all(map(math.isfinite, values)):
+        raise UsageError(f"invalid configuration: {name} must be finite, got {raw!r}")
 
 
 def apply_setting(cfg: RunConfig, key: str, raw: str) -> None:
@@ -149,6 +153,9 @@ def validate_config(cfg: RunConfig) -> None:
         raise UsageError(
             f"tv_representation must be {BOW_WORD} or {BOW_NGRAM}, got {cfg.tv_representation!r}"
         )
+    for key in ("seed", "n_classes"):
+        if getattr(cfg, key) < 0:
+            raise UsageError(f"invalid configuration: {key} must be >= 0")
     for key in ("embed_dim", "pooling_k", "tv_dim", "word_vocab_cap", "ngram_vocab_cap"):
         if getattr(cfg, key) < 1:
             raise UsageError(f"invalid configuration: {key} must be >= 1")
@@ -215,8 +222,12 @@ def tv_config(cfg: RunConfig) -> TvTrainConfig:
 def capped_spec(cfg: RunConfig, representation: str, region_size: int) -> RegionSpec:
     """A view whose vocabulary is as large as its kind's configured cap."""
     spec = RegionSpec(representation, region_size, vocab_size=1)
-    cap = cfg.ngram_vocab_cap if spec.vocab_kind == NGRAM123 else cfg.word_vocab_cap
-    return replace(spec, vocab_size=cap)
+    return replace(spec, vocab_size=vocab_cap(cfg, spec.vocab_kind))
+
+
+def vocab_cap(cfg: RunConfig, kind: str) -> int:
+    """The configured size cap of a vocabulary kind."""
+    return cfg.ngram_vocab_cap if kind == NGRAM123 else cfg.word_vocab_cap
 
 
 def parse_tv_specs(cfg: RunConfig) -> list[RegionSpec]:

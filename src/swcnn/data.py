@@ -8,7 +8,9 @@ fields with a single space; labels stay 1-based in records and are
 converted to 0-based at encoding time.
 
 Vocabulary files are plain text: a ``kind=`` header line, then one
-``token<TAB>frequency`` line per id, in id order.
+``token<TAB>frequency`` line per id, in id order.  A vocabulary has at
+least one entry, and each frequency fits the u64 a model container
+stores it in.
 """
 
 from __future__ import annotations
@@ -136,7 +138,13 @@ def load_vocab(path) -> Vocabulary:
         if not sep:
             raise DataError(f"{path}: line {lineno}: expected token<TAB>frequency")
         try:
-            entries.append((token, int(freq)))
+            count = int(freq)
         except ValueError:
             raise DataError(f"{path}: line {lineno}: bad frequency {freq!r}") from None
+        # a model container stores each frequency as a u64
+        if not 0 <= count < 2**64:
+            raise DataError(f"{path}: line {lineno}: frequency {count} outside [0, 2**64)")
+        entries.append((token, count))
+    if not entries:
+        raise DataError(f"{path}: no vocabulary entries")
     return Vocabulary(kind=kind, entries=tuple(entries))

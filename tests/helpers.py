@@ -155,3 +155,14 @@ def write_csv(path, rows):
         for row in rows:
             quoted = ",".join('"' + str(f).replace('"', '""') + '"' for f in row)
             out.write(quoted + "\n")
+
+
+def write_corrupted(path, raw: bytes, offset: int, byte: int) -> None:
+    """Write ``raw`` cut at ``offset``, or (``byte`` >= 0) with that byte overwritten."""
+    raw = bytearray(raw)
+    offset %= len(raw)
+    if byte < 0:
+        del raw[offset:]
+    else:
+        raw[offset] = byte
+    path.write_bytes(bytes(raw))

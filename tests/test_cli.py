@@ -1,5 +1,8 @@
+import dataclasses
 import io
+import math
 import os
+import re
 import select
 import subprocess
 import sys
@@ -7,14 +10,22 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import swcnn
-from helpers import trigger_bigram_dataset, word_vocab, write_csv
+from helpers import trigger_bigram_dataset, word_vocab, write_corrupted, write_csv
+from swcnn import config as cfgmod
 from swcnn.cli import main
-from swcnn.config import RunConfig, apply_setting, parse_config
+from swcnn.config import RunConfig, apply_setting, parse_config, validate_config
 from swcnn.errors import DataError, UsageError
 from swcnn.serialize import save_model
 from swcnn.train import ModelTemplate, TrainConfig, init_model
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+# former config keys that named files; a file is named by its CLI flag only
+REMOVED_KEYS = ("train_csv", "test_csv", "word_vocab", "tv_vocab", "embeddings",
+                "model_path", "metrics_path", "tv_out")
 
 
 @pytest.fixture
@@ -96,6 +107,63 @@ class TestConfig:
         assert selection_grid(cfg).pooling_ks == (1, 10)
         cfg.profile = "sentiment"
         assert selection_grid(cfg).pooling_ks == (1,)
+
+    def test_readme_lists_every_config_key(self):
+        text = README.read_text(encoding="utf-8")
+        section = text.split("### Config keys")[1].split("\n## ")[0]
+        named = set(re.findall(r"`([a-z][a-z0-9_]*)", section))
+        keys = {f.name for f in dataclasses.fields(RunConfig)}
+        assert keys <= named, f"undocumented config keys: {sorted(keys - named)}"
+        assert not named & set(REMOVED_KEYS)
+        assert not keys & set(REMOVED_KEYS)
+        snake = {name for name in named if "_" in name}
+        assert snake <= keys, f"README names unknown config keys: {sorted(snake - keys)}"
+
+
+VALID_CONFIG = (
+    "# a run\n"
+    "seed=15\n"
+    "profile=topic\n"
+    "n_classes=12\n"
+    "embed_dim=16\n"
+    "epochs=4\n"
+    "decay_epoch=3\n"
+    "initial_lr=0.1\n"
+    "top_l2=1e-300\n"
+    "holdout=10\n"
+    "grid_initial_lrs=0.5,0.25\n"
+    "tv_dim=4\n"
+    "tv_representation=bow-ngram123\n"
+).encode()
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(min_value=0), st.integers(min_value=-1, max_value=255))
+@example(offset=VALID_CONFIG.index(b"seed=15") + 5, byte=ord("-"))  # seed=-5
+@example(offset=VALID_CONFIG.index(b"1e-300") + 2, byte=ord("3"))  # top_l2=1e3300, infinite
+@example(offset=VALID_CONFIG.index(b"n_classes=12") + 10, byte=ord("-"))  # n_classes=-2
+def test_corrupt_config_is_valid_or_a_usage_or_data_error(tmp_path, offset, byte):
+    """Cut the config at ``offset``, or (``byte`` >= 0) overwrite one byte.
+
+    An accepted config builds everything the stages build from it.
+    """
+    path = tmp_path / "c.conf"
+    write_corrupted(path, VALID_CONFIG, offset, byte)
+    try:
+        cfg = parse_config(path)
+        validate_config(cfg)
+    except (UsageError, DataError):
+        return
+    cfgmod.train_config(cfg)
+    cfgmod.tv_config(cfg)
+    cfgmod.selection_grid(cfg)
+    np.random.default_rng(cfg.seed)
+    assert cfg.n_classes >= 0
+    for f in dataclasses.fields(RunConfig):
+        value = getattr(cfg, f.name)
+        if f.type in ("float", "tuple[float, ...]"):
+            assert all(map(math.isfinite, np.atleast_1d(value)))
 
 
 class TestParams:
@@ -330,6 +398,13 @@ class TestExitCodes:
         ("train", ["representation=bow-ngram123"], "base view reads the word vocabulary"),
         ("params", ["n_classes=2", "representation=bow-ngram123"],
          "base view reads the word vocabulary"),
+        ("train", ["initial_lr=nan"], "initial_lr must be finite"),
+        ("tv-train", ["tv_lr=nan"], "tv_lr must be finite"),
+        ("train", ["momentum=inf"], "momentum must be finite"),
+        ("select", ["grid_initial_lrs=0.1,-inf"], "grid_initial_lrs must be finite"),
+        ("train", ["seed=-1"], "seed must be >= 0"),
+        ("train", ["n_classes=-1"], "n_classes must be >= 0"),
+        ("params", ["n_classes=-1"], "n_classes must be >= 0"),
     ])
     def test_invalid_config_value_is_one(self, task_files, capsys, command, settings, message):
         tmp_path, train_csv, _, config = task_files
@@ -379,6 +454,86 @@ class TestExitCodes:
         assert run(argv) == code
         assert message in capsys.readouterr().err
         assert not (tmp_path / "tv.swcn").exists()
+
+    @pytest.mark.parametrize("command", ["train", "select"])
+    def test_holdout_without_training_records_is_one(self, task_files, capsys, command):
+        tmp_path, train_csv, _, config = task_files
+        small = tmp_path / "two.csv"
+        write_csv(small, [(1, "w1 w2"), (2, "w3 w7")])
+        vocab_path = tmp_path / "w.vocab"
+        assert run(["vocab", "--input", train_csv, "--output", vocab_path]) == 0
+        capsys.readouterr()
+        assert run([command, "--config", config, "--input", small, "--word-vocab", vocab_path,
+                    "--output", tmp_path / "m.swcn", "--set", "holdout=5"]) == 1
+        captured = capsys.readouterr()
+        assert "error: holdout 5 leaves no training records" in captured.err
+        assert "two.csv has 2" in captured.err and "Traceback" not in captured.err
+        assert not (tmp_path / "m.swcn").exists()
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_vocab_cap_below_one_is_one(self, task_files, capsys, cap):
+        tmp_path, train_csv, _, _ = task_files
+        out = tmp_path / "w.vocab"
+        assert run(["vocab", "--input", train_csv, "--output", out, "--cap", cap]) == 1
+        assert f"--cap must be >= 1, got {cap}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "tv-train"])
+    def test_vocabulary_without_entries_is_two(self, task_files, capsys, command):
+        tmp_path, train_csv, _, config = task_files
+        empty = tmp_path / "empty.vocab"
+        empty.write_text("kind=word\n", encoding="utf-8")
+        assert run([command, "--config", config, "--input", train_csv, "--word-vocab", empty,
+                    "--output", tmp_path / "out.swcn"]) == 2
+        assert "empty.vocab: no vocabulary entries" in capsys.readouterr().err
+
+    def test_vocab_of_a_corpus_without_tokens_is_two(self, tmp_path, capsys):
+        blank = tmp_path / "blank.csv"
+        write_csv(blank, [(1, " "), (2, "")])
+        assert run(["vocab", "--input", blank, "--output", tmp_path / "w.vocab"]) == 2
+        assert "blank.csv: no tokens" in capsys.readouterr().err
+        assert not (tmp_path / "w.vocab").exists()
+
+    @pytest.mark.parametrize("key", REMOVED_KEYS)
+    def test_removed_file_key_is_one(self, tmp_path, capsys, key):
+        conf = tmp_path / "old.conf"
+        conf.write_text(f"seed=2\n{key}=somewhere\n", encoding="utf-8")
+        assert run(["params", "--config", conf, "--set", "n_classes=2"]) == 1
+        assert f"old.conf: line 2: unknown config key '{key}'" in capsys.readouterr().err
+
+    def test_config_naming_a_vocabulary_cannot_overwrite_it(self, task_files, capsys):
+        tmp_path, train_csv, _, _ = task_files
+        word = tmp_path / "w.vocab"
+        assert run(["vocab", "--input", train_csv, "--output", word]) == 0
+        before = word.read_bytes()
+        conf = tmp_path / "old.conf"
+        conf.write_text(f"word_vocab={word}\n", encoding="utf-8")
+        assert run(["vocab", "--config", conf, "--input", train_csv, "--kind", "ngram123"]) == 1
+        assert "unknown config key 'word_vocab'" in capsys.readouterr().err
+        assert word.read_bytes() == before
+
+    @pytest.mark.parametrize("command,flags,message", [
+        ("train", ["--input", "train.csv", "--word-vocab", "w.vocab"], "--output path"),
+        ("select", ["--input", "train.csv", "--word-vocab", "w.vocab"], "--output path"),
+        ("tv-train", ["--input", "train.csv", "--word-vocab", "w.vocab"], "--output path"),
+        ("eval", ["--input", "test.csv"], "--model path"),
+        ("predict", [], "--model path"),
+        ("bench", ["--input", "test.csv"], "--model path"),
+    ])
+    def test_file_named_by_no_flag_is_one(self, task_files, capsys, monkeypatch,
+                                          command, flags, message):
+        tmp_path, train_csv, _, config = task_files
+        monkeypatch.chdir(tmp_path)
+        assert run(["vocab", "--input", train_csv, "--output", "w.vocab"]) == 0
+        run(["train", "--config", config, "--input", train_csv, "--word-vocab", "w.vocab",
+             "--output", "model.swcn", "--set", "epochs=1", "--set", "decay_epoch=1"])
+        before = {p.name: p.stat().st_mtime_ns for p in tmp_path.iterdir()}
+        capsys.readouterr()
+        monkeypatch.setattr("sys.stdin", io.StringIO("w3 w7\n"))
+        assert run([command, "--config", config, *flags]) == 1
+        captured = capsys.readouterr()
+        assert f"error: missing {message}" in captured.err and captured.out == ""
+        assert {p.name: p.stat().st_mtime_ns for p in tmp_path.iterdir()} == before
 
     def test_missing_input_is_two(self, tmp_path, capsys):
         assert run(["eval", "--model", tmp_path / "no.swcn",

@@ -1,9 +1,21 @@
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from helpers import write_csv
-from swcnn.data import load_csv, load_vocab, n_classes_of, save_vocab, to_samples
+from helpers import word_vocab, write_corrupted, write_csv
+from swcnn.data import DatasetRecord, load_csv, load_vocab, n_classes_of, save_vocab, to_samples
 from swcnn.errors import DataError
-from swcnn.textpipe import NGRAM123, build_vocab
+from swcnn.model import RegionEmbedding
+from swcnn.serialize import load_model, save_model
+from swcnn.textpipe import BOW_NGRAM, BOW_WORD, NGRAM123, RegionSpec, build_vocab
+from swcnn.train import ModelTemplate, TrainConfig, init_model
+
+# one cut (byte < 0) or one overwritten byte of a valid file, at any offset
+corruptions = given(st.integers(min_value=0), st.integers(min_value=-1, max_value=255))
+corruption_settings = settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
 
 
 class TestLoadCsv:
@@ -69,6 +81,28 @@ class TestLoadCsv:
         assert n_classes_of(load_csv(path)) == 4
 
 
+VALID_CSV = '"1","the cat sat"\n"2","a ""quoted"" dog","tail"\n"3","x\\ny caf\u00e9"\n'.encode()
+
+
+@corruption_settings
+@corruptions
+@example(offset=0, byte=-1)  # empty file
+@example(offset=1, byte=ord("0"))  # label 0
+@example(offset=29, byte=0xFF)  # invalid UTF-8
+def test_corrupt_csv_is_records_or_a_data_error(tmp_path, offset, byte):
+    """Accepted records also give samples and a class count."""
+    path = tmp_path / "d.csv"
+    write_corrupted(path, VALID_CSV, offset, byte)
+    try:
+        records = load_csv(path)
+        samples = to_samples(records)
+        n_classes = n_classes_of(records)
+    except DataError:
+        return
+    assert all(isinstance(r, DatasetRecord) and r.label >= 1 for r in records)
+    assert len(samples) == len(records) and n_classes >= 1
+
+
 class TestVocabFiles:
     def test_round_trip(self, tmp_path):
         vocab = build_vocab([["b", "a", "a"], ["c", "b", "a"]], "word", 10)
@@ -101,3 +135,59 @@ class TestVocabFiles:
         path.write_text("kind=word\na\tNaNish\n", encoding="utf-8")
         with pytest.raises(DataError, match="line 2"):
             load_vocab(path)
+
+    def test_header_only_names_file(self, tmp_path):
+        path = tmp_path / "w.vocab"
+        path.write_text("kind=word\n\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r"w\.vocab: no vocabulary entries"):
+            load_vocab(path)
+
+    @pytest.mark.parametrize("freq", [-3, 2**64])
+    def test_frequency_outside_u64_names_line(self, tmp_path, freq):
+        path = tmp_path / "w.vocab"
+        path.write_text(f"kind=word\na\t9\nb\t{freq}\n", encoding="utf-8")
+        with pytest.raises(DataError, match=rf"w\.vocab: line 3: frequency {freq} outside"):
+            load_vocab(path)
+
+
+VALID_VOCABS = {
+    "word": "kind=word\nthe\t18446744073709551615\nof\t25\nand\t13\n".encode(),
+    NGRAM123: (
+        "kind=ngram123\nthe\t18446744073709551615\nthe cat\t12\ncaf\u00e9 au lait\t4\n"
+    ).encode(),
+}
+
+
+def save_in_a_model(vocab, path):
+    """A model whose one tv embedding reads ``vocab``, saved and loaded again."""
+    representation = BOW_NGRAM if vocab.kind == NGRAM123 else BOW_WORD
+    spec = RegionSpec(representation, 2, len(vocab))
+    tv = RegionEmbedding(spec=spec, vocab=vocab, W=np.zeros((2, len(vocab)), order="F"),
+                         b=np.zeros(2))
+    template = ModelTemplate(base_vocab=word_vocab(3), n_classes=2, region_size=1,
+                             embed_dim=2, pooling_k=1, tv_embeddings=(tv,))
+    save_model(init_model(template, TrainConfig(epochs=1, decay_epoch=1),
+                          np.random.default_rng(0)), path)
+    return load_model(path).tvs[0].embedding.vocab
+
+
+@corruption_settings
+@pytest.mark.parametrize("kind", sorted(VALID_VOCABS))
+@corruptions
+# a header alone, a frequency of -5 or -2, a frequency of 28446744073709551615 >= 2**64
+@example(offset=len("kind=word\n"), byte=-1)
+@example(offset=len("kind=word\nthe\t18446744073709551615\nof\t"), byte=ord("-"))
+@example(offset=len("kind=word\nthe\t"), byte=ord("2"))
+@example(offset=len("kind=ngram123\n"), byte=-1)
+@example(offset=len("kind=ngram123\nthe\t18446744073709551615\nthe cat\t"), byte=ord("-"))
+@example(offset=len("kind=ngram123\nthe\t"), byte=ord("2"))
+def test_corrupt_vocab_is_a_vocabulary_or_a_data_error(tmp_path, kind, offset, byte):
+    """An accepted vocabulary also survives a model container round trip."""
+    path = tmp_path / "v.vocab"
+    write_corrupted(path, VALID_VOCABS[kind], offset, byte)
+    try:
+        vocab = load_vocab(path)
+    except DataError as exc:
+        assert "v.vocab" in str(exc)
+    else:
+        assert save_in_a_model(vocab, tmp_path / "m.swcn") == vocab
