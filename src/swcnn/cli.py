@@ -11,6 +11,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from swcnn import config as cfgmod
@@ -115,6 +116,21 @@ def _need(value, what):
     return value
 
 
+def _output(path):
+    """An output file's path (or None), checked before any work is done."""
+    if path and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(os.path.abspath(path)))):
+        raise UsageError(f"cannot write {path}: not a file in an existing directory")
+    return path
+
+
+def _samples(path, records, n_classes):
+    """Tokenized samples of the records read from ``path``; labels run 1..n_classes."""
+    for number, record in enumerate(records, start=1):
+        if record.label > n_classes:
+            raise DataError(f"{path}: record {number}: label {record.label} outside 1..{n_classes}")
+    return to_samples(records)
+
+
 def _load_word_vocab(path):
     vocab = load_vocab(path)
     if vocab.kind != WORD:
@@ -123,7 +139,7 @@ def _load_word_vocab(path):
 
 
 def cmd_vocab(args, cfg: RunConfig) -> int:
-    out = _need(args.output, "--output path")
+    out = _output(_need(args.output, "--output path"))
     cap = cfgmod.vocab_cap(cfg, args.kind) if args.cap is None else args.cap
     if cap < 1:
         raise UsageError(f"--cap must be >= 1, got {cap}")
@@ -138,7 +154,7 @@ def cmd_vocab(args, cfg: RunConfig) -> int:
 
 
 def cmd_tv_train(args, cfg: RunConfig) -> int:
-    out = _need(args.output, "--output path")
+    out = _output(_need(args.output, "--output path"))
     records = load_csv(_need(args.input, "--input CSV"))
     corpus = [tokenize(r.text) for r in records]
     word_vocab = _load_word_vocab(_need(args.word_vocab, "--word-vocab"))
@@ -166,9 +182,11 @@ def cmd_tv_train(args, cfg: RunConfig) -> int:
 
 
 def _training_inputs(args, cfg: RunConfig):
+    _output(_need(args.output, "--output path"))
+    _output(args.metrics)
     records = load_csv(_need(args.input, "--input CSV"))
-    samples = to_samples(records)
     n_classes = cfg.n_classes or n_classes_of(records)
+    samples = _samples(args.input, records, n_classes)
     word_vocab = _load_word_vocab(_need(args.word_vocab, "--word-vocab"))
     tvs = tuple(load_embedding(p) for p in args.tv)
     template = ModelTemplate(
@@ -203,25 +221,26 @@ def _metric_lines(metrics):
     return lines
 
 
+def _save_trained(args, model, lines) -> int:
+    save_model(model, args.output)
+    for line in lines:
+        print(line)
+    if args.metrics:
+        _write_lines(args.metrics, lines)
+    print(f"model path={args.output} params={count_parameters(model)}")
+    return 0
+
+
 def cmd_train(args, cfg: RunConfig) -> int:
-    out = _need(args.output, "--output path")
     samples, template, n_holdout = _training_inputs(args, cfg)
     train_set, val_set = holdout_split(samples, n_holdout, cfg.seed)
     if not val_set:
         print("note: empty validation holdout, reporting training loss only")
     model, metrics = train(template, cfgmod.train_config(cfg), train_set, val_set)
-    save_model(model, out)
-    lines = _metric_lines(metrics)
-    for line in lines:
-        print(line)
-    if args.metrics:
-        _write_lines(args.metrics, lines)
-    print(f"model path={out} params={count_parameters(model)}")
-    return 0
+    return _save_trained(args, model, _metric_lines(metrics))
 
 
 def cmd_select(args, cfg: RunConfig) -> int:
-    out = _need(args.output, "--output path")
     samples, template, n_holdout = _training_inputs(args, cfg)
     best_model, report = select_model(
         cfgmod.selection_grid(cfg), template, cfgmod.train_config(cfg), samples, n_holdout
@@ -240,19 +259,14 @@ def cmd_select(args, cfg: RunConfig) -> int:
         f"selected region_size={chosen.region_size} pooling_k={chosen.pooling_k} "
         f"initial_lr={chosen.initial_lr:g}"
     )
-    save_model(best_model, out)
-    for line in lines:
-        print(line)
-    if args.metrics:
-        _write_lines(args.metrics, lines)
-    print(f"model path={out} params={count_parameters(best_model)}")
-    return 0
+    return _save_trained(args, best_model, lines)
 
 
 def cmd_eval(args, cfg: RunConfig) -> int:
+    _output(args.table)
     model = load_model(_need(args.model, "--model path"))
     records = load_csv(_need(args.input, "--input CSV"))
-    report = evaluate(model, prepare_labeled(model, to_samples(records)))
+    report = evaluate(model, prepare_labeled(model, _samples(args.input, records, model.n_classes)))
     print(f"n_docs={report.n_docs}")
     print(f"n_errors={report.n_errors}")
     print(f"error_rate_percent={report.error_rate_percent:.4f}")
@@ -281,7 +295,7 @@ def cmd_bench(args, cfg: RunConfig) -> int:
     if args.model or args.input:
         model = load_model(_need(args.model, "--model path"))
         records = load_csv(_need(args.input, "--input CSV"))
-        docs = list(prepare_labeled(model, to_samples(records)))
+        docs = list(prepare_labeled(model, _samples(args.input, records, model.n_classes)))
         report = time_inference(model, docs, repetitions=3)
         print(
             f"timing n_docs={report.n_docs} total_seconds={report.total_seconds:.6f} "

@@ -20,7 +20,7 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from swcnn.errors import DataError
+from swcnn.errors import DataError, UsageError
 from swcnn.textpipe import NGRAM123, WORD, Vocabulary, tokenize
 
 
@@ -57,6 +57,8 @@ def load_csv(path) -> list[DatasetRecord]:
             raise DataError(f"{path}: line {reader.line_num}: {exc}") from exc
         except UnicodeDecodeError:
             raise _utf8_error(path) from None
+    if not records:
+        raise DataError(f"{path}: no records")
     return records
 
 
@@ -99,19 +101,23 @@ def atomic_write(path, write_body, binary: bool = False) -> None:
     never sees a partial file; ``write_body(out)`` writes the content.
 
     The file gets the mode a plain ``open`` gives a new file: 0o666 less
-    the umask.
+    the umask.  A file that cannot be written raises ``UsageError``
+    naming ``path``.
     """
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "wb" if binary else "w", encoding=None if binary else "utf-8") as out:
-            write_body(out)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "wb" if binary else "w", encoding=None if binary else "utf-8") as out:
+                write_body(out)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def save_vocab(vocab: Vocabulary, path) -> None:

@@ -13,6 +13,11 @@ W_i, b_i are not).  The R region vectors are max-pooled into k units
 emit zeros), concatenated, passed through inverted dropout in train mode,
 and mapped to class scores by a linear layer.
 
+Pooling runs on the pre-activations and only the k pooled units are
+rectified, which gives the same features since relu is monotone.
+``pool_rows`` holds each pooled value's source row, or -1 where the unit
+is empty or its maximum is not positive (the relu passes no gradient).
+
 For speed the sweep is organized around "slot incidence" lists: per view,
 each slot of the representation (one per region-local position, or one
 per (n-gram-length, offset) pair) stores which region rows receive which
@@ -35,7 +40,6 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from swcnn.errors import DataError
-from swcnn.kernels import relu
 from swcnn.textpipe import (
     BOW_NGRAM,
     CONCAT,
@@ -76,6 +80,12 @@ class RegionEmbedding:
     @property
     def dim(self) -> int:
         return self.W.shape[0]
+
+    def features(self, view: PreparedView, n_regions: int) -> np.ndarray:
+        """relu(W x + b) for every region position of ``view``, as (R, dim)."""
+        H = embed_regions(self.W, view, n_regions)
+        H += self.b
+        return np.maximum(H, 0.0, out=H)
 
 
 @dataclass
@@ -244,8 +254,7 @@ def max_pool(H: np.ndarray, k: int):
 class ForwardCache:
     prep: PreparedDoc
     tv_outputs: list[np.ndarray]
-    relu_mask: np.ndarray          # (R, d) bool, region pre-activation > 0
-    pool_rows: np.ndarray          # (k, d) source row per pooled unit
+    pool_rows: np.ndarray          # (k, d) source row per pooled unit, -1 where the relu is 0
     dropout_scale: np.ndarray | None  # (k*d,) 0 or 1/(1-rate), None in infer mode
     top_input: np.ndarray          # (k*d,) the vector the top layer saw
 
@@ -262,15 +271,14 @@ def forward(model: ShallowModel, doc: PreparedDoc, train: bool = False, rng=None
     Z = embed_regions(model.base.W, doc.views[0], doc.n_regions)
     tv_outputs = []
     for tv, view in zip(model.tvs, doc.views[1:]):
-        hidden = embed_regions(tv.embedding.W, view, doc.n_regions)
-        hidden += tv.embedding.b
-        np.maximum(hidden, 0.0, out=hidden)
+        hidden = tv.embedding.features(view, doc.n_regions)
         tv_outputs.append(hidden)
         Z += hidden @ tv.fusion.T
     Z += model.base.b
-    H = relu(Z)
-    pooled, pool_rows = max_pool(H, model.pooling_k)
-    v = pooled.ravel()
+    pooled, pool_rows = max_pool(Z, model.pooling_k)
+    # `not > 0` also catches NaN, which still reaches the loss through `pooled`
+    pool_rows[~(pooled > 0.0)] = -1
+    v = np.maximum(pooled, 0.0, out=pooled).ravel()
     dropout_scale = None
     if train and model.dropout_rate > 0.0:
         if rng is None:
@@ -282,7 +290,6 @@ def forward(model: ShallowModel, doc: PreparedDoc, train: bool = False, rng=None
     cache = ForwardCache(
         prep=doc,
         tv_outputs=tv_outputs,
-        relu_mask=H > 0.0,
         pool_rows=pool_rows,
         dropout_scale=dropout_scale,
         top_input=v,
@@ -325,26 +332,16 @@ def backward(model: ShallowModel, cache: ForwardCache, grad_logits: np.ndarray, 
     if len(cache.prep.views) != 1 + len(model.tvs):
         raise ValueError("cache does not match the model")
     grads = out if out is not None else zero_grads(model)
-    k = model.pooling_k
-    d = model.base.dim
     v = cache.top_input
     grads.top_W += np.outer(grad_logits, v)
     grads.top_b += grad_logits
     dv = model.top_W.T @ grad_logits
     if cache.dropout_scale is not None:
         dv = dv * cache.dropout_scale
-    dpool = dv.reshape(k, d)
-    n_regions = cache.prep.n_regions
-    dH = np.zeros((n_regions, d))
-    col_range = np.arange(d)
-    for u in range(k):
-        rows = cache.pool_rows[u]
-        valid = rows >= 0
-        if valid.any():
-            # (row, col) pairs are unique within a unit and units cover
-            # disjoint position spans, so fancy += does not collide
-            dH[rows[valid], col_range[valid]] += dpool[u][valid]
-    dZ = np.where(cache.relu_mask, dH, 0.0)
+    valid = cache.pool_rows >= 0
+    dZ = np.zeros((cache.prep.n_regions, model.base.dim))
+    # units cover disjoint spans, so no (row, col) repeats; += turns -0.0 into +0.0
+    dZ[cache.pool_rows[valid], valid.nonzero()[1]] += dv.reshape(valid.shape)[valid]
     _scatter_embedding_grad(grads.base_W, dZ, cache.prep.views[0])
     grads.base_b += dZ.sum(axis=0)
     for df, tv_out in zip(grads.fusions, cache.tv_outputs):

@@ -21,9 +21,10 @@ from typing import Sequence
 
 import numpy as np
 
+from swcnn import model as modelmod
 from swcnn.errors import DataError
 from swcnn.kernels import sparse_affine  # noqa: F401  (traced by benchmark/tracer.py)
-from swcnn.model import RegionEmbedding, _scatter_embedding_grad, _view_slots, embed_regions
+from swcnn.model import RegionEmbedding, _view_slots
 from swcnn.textpipe import (
     OOV,
     RegionSpec,
@@ -176,9 +177,7 @@ def train_tv(
             for g in grads:
                 g[...] = 0.0
             view = _view_slots(ids, spec, starts[batch], ends[batch])
-            Z = embed_regions(W, view, len(batch))
-            Z += b
-            H = np.maximum(Z, 0.0)
+            H = embedding.features(view, len(batch))
             dH = np.empty_like(H)
             for row, idx in enumerate(batch):
                 out_idx = outputs[idx]
@@ -192,8 +191,9 @@ def train_tv(
                 dhead_W[out_idx] += np.outer(dpred, h)
                 dhead_b[out_idx] += dpred
                 dH[row] = head.T @ dpred
-            dZ = np.where(Z > 0.0, dH, 0.0)
-            _scatter_embedding_grad(dW, dZ, view)
+            dZ = np.where(H > 0.0, dH, 0.0)
+            # called through the module, so benchmark/tracer.py times it as in train
+            modelmod._scatter_embedding_grad(dW, dZ, view)
             db += dZ.sum(axis=0)
             for g in grads:
                 g *= 1.0 / len(batch)

@@ -2,8 +2,10 @@
 
 import numpy as np
 
-from swcnn.model import RegionEmbedding, forward, prepare_document
-from swcnn.kernels import softmax_xent
+from swcnn.model import (
+    RegionEmbedding, embed_regions, forward, max_pool, prepare_document, zero_grads,
+)
+from swcnn.kernels import relu, softmax_xent
 from swcnn.textpipe import BOW_WORD, CONCAT, RegionSpec, Vocabulary
 from swcnn.train import ModelTemplate, TrainConfig, init_model
 
@@ -166,3 +168,57 @@ def write_corrupted(path, raw: bytes, offset: int, byte: int) -> None:
     else:
         raw[offset] = byte
     path.write_bytes(bytes(raw))
+
+
+def rectify_then_pool(model, doc, train=False, rng=None):
+    """Logits and gradients with the relu applied to every region row.
+
+    The reference for ``forward`` and ``backward``, which rectify after
+    pooling: here the R x d features are rectified and masked in full, and
+    the pooled gradient is routed back one pooling unit at a time.
+    Returns (logits, ModelGrads) for the softmax loss on ``doc.label``.
+    """
+    Z = embed_regions(model.base.W, doc.views[0], doc.n_regions)
+    tv_outputs = []
+    for tv, view in zip(model.tvs, doc.views[1:]):
+        hidden = embed_regions(tv.embedding.W, view, doc.n_regions)
+        hidden += tv.embedding.b
+        np.maximum(hidden, 0.0, out=hidden)
+        tv_outputs.append(hidden)
+        Z += hidden @ tv.fusion.T
+    Z += model.base.b
+    H = relu(Z)
+    relu_mask = H > 0.0
+    pooled, pool_rows = max_pool(H, model.pooling_k)
+    v = pooled.ravel()
+    dropout_scale = None
+    if train and model.dropout_rate > 0.0:
+        keep = rng.random(v.shape) >= model.dropout_rate
+        dropout_scale = keep / (1.0 - model.dropout_rate)
+        v = v * dropout_scale
+    logits = model.top_W @ v + model.top_b
+    _, _, grad_logits = softmax_xent(logits, doc.label)
+
+    grads = zero_grads(model)
+    k, d = model.pooling_k, model.base.dim
+    grads.top_W += np.outer(grad_logits, v)
+    grads.top_b += grad_logits
+    dv = model.top_W.T @ grad_logits
+    if dropout_scale is not None:
+        dv = dv * dropout_scale
+    dpool = dv.reshape(k, d)
+    dH = np.zeros((doc.n_regions, d))
+    col_range = np.arange(d)
+    for u in range(k):
+        rows = pool_rows[u]
+        valid = rows >= 0
+        if valid.any():
+            dH[rows[valid], col_range[valid]] += dpool[u][valid]
+    dZ = np.where(relu_mask, dH, 0.0)
+    dWt = grads.base_W.T
+    for rows, cols in doc.views[0].slots:
+        np.add.at(dWt, cols, dZ[rows])
+    grads.base_b += dZ.sum(axis=0)
+    for df, tv_out in zip(grads.fusions, tv_outputs):
+        df += dZ.T @ tv_out
+    return logits, grads

@@ -19,6 +19,7 @@ from swcnn import config as cfgmod
 from swcnn.cli import main
 from swcnn.config import RunConfig, apply_setting, parse_config, validate_config
 from swcnn.errors import DataError, UsageError
+from swcnn.data import save_vocab
 from swcnn.serialize import save_model
 from swcnn.train import ModelTemplate, TrainConfig, init_model
 
@@ -534,6 +535,81 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert f"error: missing {message}" in captured.err and captured.out == ""
         assert {p.name: p.stat().st_mtime_ns for p in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("command,csv,settings,message", [
+        ("vocab", "empty.csv", [], "empty.csv: no records"),
+        ("tv-train", "empty.csv", [], "empty.csv: no records"),
+        ("train", "empty.csv", [], "empty.csv: no records"),
+        ("train", "empty.csv", ["n_classes=2"], "empty.csv: no records"),
+        ("select", "empty.csv", [], "empty.csv: no records"),
+        ("eval", "empty.csv", [], "empty.csv: no records"),
+        ("bench", "empty.csv", [], "empty.csv: no records"),
+        ("train", "three.csv", ["n_classes=2"], "three.csv: record 2: label 3 outside 1..2"),
+        ("eval", "three.csv", [], "three.csv: record 2: label 3 outside 1..2"),
+        ("bench", "three.csv", [], "three.csv: record 2: label 3 outside 1..2"),
+    ])
+    def test_unusable_csv_is_two_and_names_it(self, tmp_path, capsys, command, csv, settings,
+                                              message):
+        (tmp_path / "empty.csv").write_bytes(b"")
+        write_csv(tmp_path / "three.csv", [(1, "w0 w1"), (3, "w2 w3"), (2, "w1")])
+        vocab = tmp_path / "w.vocab"
+        save_vocab(word_vocab(4), vocab)
+        template = ModelTemplate(base_vocab=word_vocab(4), n_classes=2, region_size=1,
+                                 embed_dim=3, pooling_k=1)
+        model = tmp_path / "m.swcn"
+        save_model(init_model(template, TrainConfig(epochs=1, decay_epoch=1),
+                              np.random.default_rng(0)), model)
+        flags = {
+            "vocab": ["--output", tmp_path / "new.vocab"],
+            "tv-train": ["--word-vocab", vocab, "--output", tmp_path / "tv.swcn"],
+            "train": ["--word-vocab", vocab, "--output", tmp_path / "new.swcn"],
+            "select": ["--word-vocab", vocab, "--output", tmp_path / "new.swcn"],
+            "eval": ["--model", model],
+            "bench": ["--model", model],
+        }[command]
+        argv = [command, "--input", tmp_path / csv, *flags]
+        for setting in settings:
+            argv += ["--set", setting]
+        before = sorted(p.name for p in tmp_path.iterdir())
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert f"data error: {tmp_path / message}" in captured.err
+        assert "Traceback" not in captured.err
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("command,flag", [
+        ("vocab", "--output"),
+        ("tv-train", "--output"),
+        ("train", "--output"),
+        ("train", "--metrics"),
+        ("select", "--output"),
+        ("select", "--metrics"),
+        ("eval", "--table"),
+    ])
+    @pytest.mark.parametrize("target", ["absent/out", "."])
+    def test_unwritable_output_is_one_before_any_work(self, task_files, capsys, command, flag,
+                                                      target):
+        tmp_path, train_csv, test_csv, config = task_files
+        vocab, model, bad = tmp_path / "w.vocab", tmp_path / "m.swcn", tmp_path / target
+        assert run(["vocab", "--input", train_csv, "--output", vocab]) == 0
+        if command == "eval":
+            assert run(["train", "--config", config, "--input", train_csv, "--word-vocab", vocab,
+                        "--output", model, "--set", "epochs=1", "--set", "decay_epoch=1"]) == 0
+            argv = ["--model", model, "--input", test_csv, "--table", bad]
+        else:
+            argv = ["--config", config, "--input", train_csv,
+                    "--output", bad if flag == "--output" else tmp_path / "new.out"]
+            if command != "vocab":
+                argv += ["--word-vocab", vocab]
+            if flag == "--metrics":
+                argv += ["--metrics", bad]
+        before = sorted(p.name for p in tmp_path.iterdir())
+        capsys.readouterr()
+        assert run([command, *argv]) == 1
+        captured = capsys.readouterr()
+        assert f"error: cannot write {bad}" in captured.err
+        assert "Traceback" not in captured.err and "epoch=" not in captured.out
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
 
     def test_missing_input_is_two(self, tmp_path, capsys):
         assert run(["eval", "--model", tmp_path / "no.swcn",

@@ -4,8 +4,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import word_vocab, write_corrupted, write_csv
-from swcnn.data import DatasetRecord, load_csv, load_vocab, n_classes_of, save_vocab, to_samples
-from swcnn.errors import DataError
+from swcnn.data import (
+    DatasetRecord, atomic_write, load_csv, load_vocab, n_classes_of, save_vocab, to_samples,
+)
+from swcnn.errors import DataError, UsageError
 from swcnn.model import RegionEmbedding
 from swcnn.serialize import load_model, save_model
 from swcnn.textpipe import BOW_NGRAM, BOW_WORD, NGRAM123, RegionSpec, build_vocab
@@ -79,6 +81,30 @@ class TestLoadCsv:
         path = tmp_path / "d.csv"
         write_csv(path, [(2, "x"), (4, "y"), (1, "z")])
         assert n_classes_of(load_csv(path)) == 4
+
+    def test_no_records_names_file(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"")
+        with pytest.raises(DataError, match=r"d\.csv: no records"):
+            load_csv(path)
+
+
+class TestAtomicWrite:
+    def test_failed_write_names_path_and_leaves_nothing(self, tmp_path):
+        def body(out):
+            out.write("partial")
+            raise OSError(28, "No space left on device")
+
+        path = tmp_path / "out.txt"
+        with pytest.raises(UsageError, match=r"cannot write .*out\.txt: No space left"):
+            atomic_write(path, body)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_missing_directory_names_path(self, tmp_path):
+        path = tmp_path / "absent" / "out.txt"
+        with pytest.raises(UsageError, match=r"cannot write .*absent/out\.txt"):
+            atomic_write(path, lambda out: out.write("x"))
+        assert list(tmp_path.iterdir()) == []
 
 
 VALID_CSV = '"1","the cat sat"\n"2","a ""quoted"" dog","tail"\n"3","x\\ny caf\u00e9"\n'.encode()

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import fd_max_rel_error, random_tiny_instance, word_vocab
+from helpers import fd_max_rel_error, random_tiny_instance, rectify_then_pool, word_vocab
 from swcnn.kernels import relu, softmax_xent, sparse_affine
 from swcnn.model import (
     ModelGrads,
@@ -289,6 +289,52 @@ class TestBackward:
         )
         with pytest.raises(ValueError):
             backward(other, cache, np.zeros(3))
+
+
+class TestRectifyAfterPooling:
+    """``forward``/``backward`` agree bitwise with rectifying all R rows first."""
+
+    @staticmethod
+    def assert_bitwise(model, doc, seed=0):
+        logits, cache = forward(model, doc, train=True, rng=np.random.default_rng(seed))
+        _, _, grad_logits = softmax_xent(logits, doc.label)
+        grads = backward(model, cache, grad_logits)
+        want_logits, want = rectify_then_pool(model, doc, train=True,
+                                              rng=np.random.default_rng(seed))
+        assert logits.tobytes() == want_logits.tobytes()
+        for got, expect in zip(grads.as_list(), want.as_list(), strict=True):
+            assert got.tobytes() == expect.tobytes()
+        return cache
+
+    @pytest.mark.parametrize("with_tvs", [False, True])
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    def test_random_instances(self, with_tvs, dropout):
+        for seed in range(40):
+            model, doc = random_tiny_instance(seed, with_tvs, dropout=dropout)
+            self.assert_bitwise(model, doc, seed)
+
+    @pytest.mark.parametrize("tokens", [["w0", "w4", "w7"], ["w1"], []])
+    def test_more_units_than_regions(self, tokens):
+        template, model = small_model(region_size=3, pooling_k=5, dropout=0.5)
+        doc = prepare_document(model.views, tokens, 1)
+        cache = self.assert_bitwise(model, doc)
+        assert doc.n_regions == 1 and (cache.pool_rows == -1).any()
+
+    def test_non_positive_maximum_routes_nothing(self):
+        template, model = small_model(pooling_k=2)
+        model.base.b[:3] = -50.0  # these features never rise above 0
+        doc = prepare_document(model.views, [f"w{i % 12}" for i in range(9)], 2)
+        cache = self.assert_bitwise(model, doc)
+        assert (cache.pool_rows[:, :3] == -1).all() and (cache.pool_rows[:, 3:] >= 0).any()
+        assert not cache.top_input.reshape(2, -1)[:, :3].any()
+
+    def test_nan_reaches_the_logits(self):
+        template, model = small_model(pooling_k=2)
+        model.base.W[1, :] = np.nan
+        doc = prepare_document(model.views, ["w0", "w1", "w2", "w3"])
+        logits, cache = forward(model, doc)
+        assert np.isnan(logits).all()
+        assert (cache.pool_rows[:, 1] == -1).all()
 
 
 class TestCountParameters:

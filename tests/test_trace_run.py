@@ -67,3 +67,6 @@ def test_traced_ngram_tv_train_encodes_and_makes_examples(tmp_path):
         argv += ["--set", setting]
     sums, _ = traced(tmp_path / "tv.json", argv)
     assert sums["textpipe.encode_s"] > 0 and sums["tv.examples"] > 0
+    # the sweep and the scatter run through the model module's names
+    for metric in ("model.embed_regions_s", "model.gathered_rows", "model.scatter_grad_s"):
+        assert sums.get(metric, 0) > 0, metric
