@@ -308,10 +308,6 @@ class ModelGrads:
     def as_list(self) -> list[np.ndarray]:
         return [self.base_W, self.base_b, *self.fusions, self.top_W, self.top_b]
 
-    def scale_(self, factor: float) -> None:
-        for g in self.as_list():
-            g *= factor
-
 
 def zero_grads(model: ShallowModel) -> ModelGrads:
     return ModelGrads(

@@ -7,6 +7,10 @@ matrix per two-view embedding, top weights, top bias, all Gaussian with
 the configured standard deviation), then per-epoch shuffles and dropout
 masks in loop order.  Given (seed, data, config) the trained model is
 bitwise reproducible on one platform.
+
+A step's cost follows the batch's regions, not the vocabulary: the base
+weight W is stepped lazily (``LazyMomentum``), one column per word slot
+the batch reads, and the other parameters, which are small, densely.
 """
 
 from __future__ import annotations
@@ -132,16 +136,111 @@ def default_holdout(n_records: int) -> int:
     return 10_000 if n_records > 100_000 else n_records // 10
 
 
+class LazyMomentum:
+    """Classical momentum on one weight, applied only to the rows a step touches.
+
+    Row i is the slice ``w.take(i, axis)``; its velocity lives here.  A row
+    that gets no gradient for k steps would, under the dense step, see its
+    velocity scaled by m^k and the weight moved by (m + ... + m^k) times
+    the velocity.  That catch-up is applied only when the row is next
+    touched or flushed, so a step costs O(touched rows), not O(rows).  The
+    learning rate does not enter it, so it holds across a decay.  The
+    touched rows get the dense step's arithmetic; only the catch-up rounds
+    differently.
+
+    Per step: ``touch(rows)`` before anything reads those rows, then
+    ``sgd_momentum_step`` with this object as the weight's velocity once
+    ``grad`` holds the step's gradient, which must be zero outside the
+    touched rows.  ``touch`` re-zeroes the previous step's gradient rows.
+    ``flush()`` brings every row up to date before the whole weight is read.
+    """
+
+    CHUNK = 256  # rows per gather, so no temporary grows with the touched count
+
+    def __init__(self, w: np.ndarray, grad: np.ndarray, axis: int, momentum: float,
+                 n_steps: int):
+        if w.shape != grad.shape:
+            raise ValueError(f"shape mismatch: {w.shape} vs {grad.shape}")
+        self.w, self.grad, self.momentum = w, grad, momentum
+        self._w, self._g = _row_view(w, axis), _row_view(grad, axis)
+        self._v = np.zeros_like(self._w)
+        # the step each row is current at; 0 for a row never stepped, whose
+        # velocity is still zero
+        self._last = np.zeros(len(self._w), dtype=np.int64)
+        self._rows = np.empty(0, dtype=np.int64)
+        self._t = 0
+        # cumulative products and sums, so that momentum 0 and 1 stay exact
+        powers = np.cumprod(np.full(n_steps, float(momentum)))
+        self._decay = np.concatenate([[1.0], powers])  # m^k
+        self._drift = np.concatenate([[0.0], np.cumsum(powers)])  # m + ... + m^k
+
+    def _chunks(self, rows: np.ndarray):
+        for lo in range(0, len(rows), self.CHUNK):
+            yield rows[lo : lo + self.CHUNK]
+
+    def _catch_up(self, rows: np.ndarray) -> None:
+        for chunk in self._chunks(rows):
+            k = self._t - self._last[chunk]
+            chunk, k = chunk[k > 0], k[k > 0]
+            v = self._v[chunk]
+            self._w[chunk] += self._drift[k, None] * v
+            v *= self._decay[k, None]
+            self._v[chunk] = v
+            self._last[chunk] = self._t
+
+    def touch(self, rows: np.ndarray) -> None:
+        """Make the sorted distinct ``rows`` current and the next step's rows."""
+        self._g[self._rows] = 0.0
+        self._catch_up(rows)
+        self._rows = rows
+
+    def step(self, lr: float) -> None:
+        """v <- momentum*v - lr*g; w <- w + v on the touched rows."""
+        for chunk in self._chunks(self._rows):
+            v = self._v[chunk]
+            v *= self.momentum
+            v -= lr * self._g[chunk]
+            self._v[chunk] = v
+            self._w[chunk] += v
+        self._t += 1
+        self._last[self._rows] = self._t
+
+    def flush(self) -> None:
+        """Bring every row ever stepped up to date."""
+        self._catch_up(np.flatnonzero((self._last > 0) & (self._last < self._t)))
+
+
+def _row_view(a: np.ndarray, axis: int) -> np.ndarray:
+    """``a`` as (rows, row size) without a copy; row i is ``a.take(i, axis)``."""
+    rows = np.moveaxis(a, axis, 0)
+    return rows[:, None] if rows.ndim == 1 else rows
+
+
 def sgd_momentum_step(params, grads, velocity, lr: float, momentum: float = 0.9) -> None:
-    """Classical momentum: v <- momentum*v - lr*g; w <- w + v (in place)."""
+    """Classical momentum: v <- momentum*v - lr*g; w <- w + v (in place).
+
+    A velocity may instead be the ``LazyMomentum`` of that weight and
+    gradient, which steps only the rows it was last touched with.
+    """
     if not len(params) == len(grads) == len(velocity):
         raise ValueError("params, grads and velocity must align")
     for w, g, v in zip(params, grads, velocity):
+        if isinstance(v, LazyMomentum):
+            if v.w is not w or v.grad is not g or v.momentum != momentum:
+                raise ValueError("lazy velocity belongs to another weight or momentum")
+            v.step(lr)
+            continue
         if not (w.shape == g.shape == v.shape):
             raise ValueError(f"shape mismatch: {w.shape} vs {g.shape} vs {v.shape}")
         v *= momentum
         v -= lr * g
         w += v
+
+
+def slot_columns(views) -> np.ndarray:
+    """Sorted distinct weight columns that the slots of ``views`` read."""
+    cols = [c for view in views for _, c in view.slots]
+    return np.unique(np.concatenate(cols)) if cols else np.empty(0, dtype=np.int64)
 
 
 def lr_at_epoch(config: TrainConfig, epoch: int) -> float:
@@ -179,6 +278,13 @@ def train(
     plus the top-layer L2 penalty top_l2 * ||top_W||^2; validation error
     is a percentage, or None when no validation data was supplied (the
     caller then selects on training loss).
+
+    Only the columns of W that a batch's base-view slots read are caught
+    up before its forward pass and stepped after its backward pass; every
+    column is brought up to date at each epoch end, before validation.
+    This is the dense momentum step in exact arithmetic, but rounds
+    differently (relative differences of order 1e-15).  The catch-up draws
+    nothing, so the draw order is that of the dense step.
     """
     if len(train_data) == 0:
         raise DataError("empty training set")
@@ -186,10 +292,14 @@ def train(
     model = init_model(template, config, rng)
     train_docs = list(prepare_labeled(model, train_data))
     val_docs = list(prepare_labeled(model, val_data))
-    params = model.trainable_params()
-    velocity = [np.zeros_like(p) for p in params]
-    grads = zero_grads(model)
     n = len(train_docs)
+    params = model.trainable_params()
+    grads = zero_grads(model)
+    # W's columns are stepped lazily; b, the fusions and the top layer are small
+    base = LazyMomentum(model.base.W, grads.base_W, 1, config.momentum,
+                        config.epochs * -(-n // config.batch_size))
+    velocity = [base, *(np.zeros_like(p) for p in params[1:])]
+    small_grads = grads.as_list()[1:]
     metrics: list[EpochMetrics] = []
     for epoch in range(1, config.epochs + 1):
         started = time.perf_counter()
@@ -198,7 +308,8 @@ def train(
         objective_sum = 0.0
         for batch_index, start in enumerate(range(0, n, config.batch_size)):
             batch = order[start : start + config.batch_size]
-            for g in grads.as_list():
+            base.touch(slot_columns(train_docs[idx].views[0] for idx in batch))
+            for g in small_grads:
                 g[...] = 0.0
             batch_xent = 0.0
             for idx in batch:
@@ -206,8 +317,8 @@ def train(
                 logits, cache = forward(model, doc, train=True, rng=rng)
                 loss, _, grad_logits = softmax_xent(logits, doc.label)
                 batch_xent += loss
-                backward(model, cache, grad_logits, out=grads)
-            grads.scale_(1.0 / len(batch))
+                # scaled here, the gradients accumulate as the batch mean
+                backward(model, cache, grad_logits / len(batch), out=grads)
             grads.top_W += 2.0 * config.top_l2 * model.top_W
             batch_objective = batch_xent / len(batch) + config.top_l2 * float(
                 np.sum(model.top_W * model.top_W)
@@ -218,6 +329,7 @@ def train(
                 )
             objective_sum += batch_objective * len(batch)
             sgd_momentum_step(params, grads.as_list(), velocity, lr, config.momentum)
+        base.flush()
         val_error = _error_percent(model, val_docs) if val_docs else None
         metrics.append(
             EpochMetrics(

@@ -33,7 +33,7 @@ from swcnn.textpipe import (
     region_count,
     region_vector,  # noqa: F401  (traced by benchmark/tracer.py)
 )
-from swcnn.train import sgd_momentum_step
+from swcnn.train import LazyMomentum, sgd_momentum_step, slot_columns
 
 
 @dataclass(eq=False)
@@ -128,6 +128,10 @@ def train_tv(
     Draw order: W, b, prediction weights, prediction bias, then per-region
     negative sets in corpus order, then per-epoch shuffles.  A mini-batch
     gathers W x and scatters dW in one sweep; the head loops over regions.
+    W and the prediction layer are stepped lazily, as in ``train``: only
+    W's columns the batch's regions read and the head rows of its targets
+    and negatives, all brought up to date at each epoch end.  That rounds
+    differently from the dense step, and draws nothing.
     """
     if len(corpus) == 0:
         raise DataError("tv training needs a non-empty corpus")
@@ -162,21 +166,28 @@ def train_tv(
     starts = np.asarray(starts, dtype=np.int64)
     ends = np.asarray(ends, dtype=np.int64)
 
-    params = [W, b, head_W, head_b]
-    velocity = [np.zeros_like(p) for p in params]
-    dW, db = np.zeros_like(W), np.zeros_like(b)
-    dhead_W, dhead_b = np.zeros_like(head_W), np.zeros_like(head_b)
-    grads = [dW, db, dhead_W, dhead_b]
     n = len(outputs)
+    n_steps = config.epochs * -(-n // config.batch_size)
+    params = [W, b, head_W, head_b]
+    grads = [np.zeros_like(p) for p in params]
+    dW, db, dhead_W, dhead_b = grads
+    # W's columns and the head's rows are stepped lazily; b is small
+    lazy_W = LazyMomentum(W, dW, 1, config.momentum, n_steps)
+    lazy_head = [LazyMomentum(p, g, 0, config.momentum, n_steps)
+                 for p, g in ((head_W, dhead_W), (head_b, dhead_b))]
+    velocity = [lazy_W, np.zeros_like(b), *lazy_head]
     epoch_losses = []
     for _ in range(config.epochs):
         order = rng.permutation(n)
         loss_sum = 0.0
         for first in range(0, n, config.batch_size):
             batch = order[first : first + config.batch_size]
-            for g in grads:
-                g[...] = 0.0
             view = _view_slots(ids, spec, starts[batch], ends[batch])
+            lazy_W.touch(slot_columns([view]))
+            head_rows = np.unique(np.concatenate([outputs[idx] for idx in batch]))
+            for lazy in lazy_head:
+                lazy.touch(head_rows)
+            db[...] = 0.0
             H = embedding.features(view, len(batch))
             dH = np.empty_like(H)
             for row, idx in enumerate(batch):
@@ -188,6 +199,7 @@ def train_tv(
                 pred = head @ h + head_b[out_idx]
                 loss, dpred = weighted_square_loss(pred, target_vals, np.ones(len(out_idx)))
                 loss_sum += loss
+                dpred /= len(batch)  # the gradients accumulate as the batch mean
                 dhead_W[out_idx] += np.outer(dpred, h)
                 dhead_b[out_idx] += dpred
                 dH[row] = head.T @ dpred
@@ -195,8 +207,8 @@ def train_tv(
             # called through the module, so benchmark/tracer.py times it as in train
             modelmod._scatter_embedding_grad(dW, dZ, view)
             db += dZ.sum(axis=0)
-            for g in grads:
-                g *= 1.0 / len(batch)
             sgd_momentum_step(params, grads, velocity, config.lr, config.momentum)
+        for lazy in (lazy_W, *lazy_head):
+            lazy.flush()
         epoch_losses.append(loss_sum / n)
     return embedding, epoch_losses

@@ -2,12 +2,16 @@
 
 import numpy as np
 
+from swcnn.evalbench import evaluate
 from swcnn.model import (
-    RegionEmbedding, embed_regions, forward, max_pool, prepare_document, zero_grads,
+    RegionEmbedding, backward, embed_regions, forward, max_pool, prepare_document,
+    prepare_labeled, zero_grads,
 )
 from swcnn.kernels import relu, softmax_xent
 from swcnn.textpipe import BOW_WORD, CONCAT, RegionSpec, Vocabulary
-from swcnn.train import ModelTemplate, TrainConfig, init_model
+from swcnn.train import (
+    ModelTemplate, TrainConfig, init_model, lr_at_epoch, sgd_momentum_step,
+)
 
 
 def word_vocab(n):
@@ -222,3 +226,52 @@ def rectify_then_pool(model, doc, train=False, rng=None):
     for df, tv_out in zip(grads.fusions, tv_outputs):
         df += dZ.T @ tv_out
     return logits, grads
+
+
+def dense_train(template, config, train_data, val_data=()):
+    """The reference for ``train``: every step zeroes, scales and steps
+    every parameter in full, with the same draws in the same order.
+
+    Returns (model, per-epoch train losses, per-epoch validation errors).
+    """
+    rng = np.random.default_rng(config.seed)
+    model = init_model(template, config, rng)
+    train_docs = list(prepare_labeled(model, train_data))
+    val_docs = list(prepare_labeled(model, val_data))
+    params = model.trainable_params()
+    velocity = [np.zeros_like(p) for p in params]
+    grads = zero_grads(model)
+    n = len(train_docs)
+    losses, val_errors = [], []
+    for epoch in range(1, config.epochs + 1):
+        lr = lr_at_epoch(config, epoch)
+        order = rng.permutation(n)
+        objective_sum = 0.0
+        for start in range(0, n, config.batch_size):
+            batch = order[start : start + config.batch_size]
+            for g in grads.as_list():
+                g[...] = 0.0
+            batch_xent = 0.0
+            for idx in batch:
+                doc = train_docs[idx]
+                logits, cache = forward(model, doc, train=True, rng=rng)
+                loss, _, grad_logits = softmax_xent(logits, doc.label)
+                batch_xent += loss
+                backward(model, cache, grad_logits, out=grads)
+            for g in grads.as_list():
+                g *= 1.0 / len(batch)
+            grads.top_W += 2.0 * config.top_l2 * model.top_W
+            batch_objective = batch_xent / len(batch) + config.top_l2 * float(
+                np.sum(model.top_W * model.top_W)
+            )
+            objective_sum += batch_objective * len(batch)
+            sgd_momentum_step(params, grads.as_list(), velocity, lr, config.momentum)
+        losses.append(objective_sum / n)
+        val_errors.append(evaluate(model, val_docs).error_rate_percent if val_docs else None)
+    return model, losses, val_errors
+
+
+def rel_err(got, want):
+    """Largest absolute difference relative to the largest magnitude of ``want``."""
+    got, want = np.asarray(got), np.asarray(want)
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))

@@ -29,7 +29,8 @@ def traced(out_json, argv, stdin=b""):
         input=stdin, capture_output=True, env=env, timeout=300,
     )
     assert child.returncode == 0, child.stderr.decode()
-    return json.loads(out_json.read_text(encoding="utf-8"))["sum"], child.stdout.decode()
+    record = json.loads(out_json.read_text(encoding="utf-8"))
+    return record["sum"], record["mean"], child.stdout.decode()
 
 
 def test_traced_train_and_predict_prepare_documents(tmp_path):
@@ -42,12 +43,15 @@ def test_traced_train_and_predict_prepare_documents(tmp_path):
     argv = ["train", "--input", train_csv, "--word-vocab", vocab, "--output", model]
     for setting in settings:
         argv += ["--set", setting]
-    sums, _ = traced(tmp_path / "train.json", argv)
+    sums, means, _ = traced(tmp_path / "train.json", argv)
     assert sums["model.prepare_s"] > 0 and sums["model.slots"] > 0
     assert sums["train.validate_s"] > 0
+    # the optimizer step is traced, and W's gradient is still in place when it runs
+    assert sums["train.optimizer_s"] > 0
+    assert means["train.touched_col_frac"] and min(means["train.touched_col_frac"]) > 0
 
     lines = "".join(" ".join(tokens) + "\n" for tokens, _ in data[:5]).encode()
-    sums, out = traced(tmp_path / "predict.json", ["predict", "--model", model], lines)
+    sums, _, out = traced(tmp_path / "predict.json", ["predict", "--model", model], lines)
     assert len(out.split()) == 5
     assert sums["model.prepare_s"] > 0 and sums["model.slots"] > 0
 
@@ -65,8 +69,10 @@ def test_traced_ngram_tv_train_encodes_and_makes_examples(tmp_path):
     for setting in ["tv_representation=bow-ngram123", "tv_region_size=3", "tv_dim=4",
                     "tv_epochs=1", "tv_negatives=3"]:
         argv += ["--set", setting]
-    sums, _ = traced(tmp_path / "tv.json", argv)
+    sums, means, _ = traced(tmp_path / "tv.json", argv)
     assert sums["textpipe.encode_s"] > 0 and sums["tv.examples"] > 0
+    assert sums["tv.optimizer_s"] > 0
+    assert means["tv.touched_row_frac"] and min(means["tv.touched_row_frac"]) > 0
     # the sweep and the scatter run through the model module's names
     for metric in ("model.embed_regions_s", "model.gathered_rows", "model.scatter_grad_s"):
         assert sums.get(metric, 0) > 0, metric

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from helpers import trigger_bigram_dataset
+from helpers import dense_train, rel_err, trigger_bigram_dataset
 from swcnn.errors import DataError, NumericError
 from swcnn.train import (
     GridPoint,
+    LazyMomentum,
     ModelTemplate,
     SelectionGrid,
     TrainConfig,
@@ -69,6 +70,50 @@ class TestSgdMomentum:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             sgd_momentum_step([np.zeros(2)], [np.zeros(3)], [np.zeros(2)], lr=0.1)
+
+
+class TestLazyMomentum:
+    # 700 rows, more than one chunk, so a step's rows span several chunks;
+    # row LAST is touched at one step only and otherwise caught up by flush
+    LAST, STEPS = 699, 14
+
+    @pytest.mark.parametrize("momentum", [0.0, 0.9, 1.0])
+    @pytest.mark.parametrize("shape,axis", [((700, 3), 0), ((3, 700), 1), ((700,), 0)])
+    def test_matches_dense_steps(self, momentum, shape, axis):
+        rng = np.random.default_rng(5)
+        w = rng.normal(size=shape)
+        w_ref, v_ref = w.copy(), np.zeros(shape)
+        grad = np.zeros(shape)
+        lazy = LazyMomentum(w, grad, axis, momentum, self.STEPS)
+
+        def rows_of(a):
+            return np.moveaxis(a, axis, 0)
+
+        for step in range(self.STEPS):
+            size = 0 if step == 5 else int(rng.integers(1, 500))
+            rows = np.sort(rng.choice(self.LAST, size=size, replace=False))
+            if step == 3:
+                rows = np.append(rows, self.LAST)
+            lazy.touch(rows)
+            assert not grad.any()
+            if size:
+                assert rel_err(rows_of(w)[rows], rows_of(w_ref)[rows]) <= 1e-12
+            dense_grad = np.zeros(shape)
+            rows_of(dense_grad)[rows] = rng.normal(size=rows_of(dense_grad)[rows].shape)
+            grad[...] = dense_grad
+            lr = 0.3 if step < 8 else 0.03
+            sgd_momentum_step([w], [grad], [lazy], lr, momentum)
+            sgd_momentum_step([w_ref], [dense_grad], [v_ref], lr, momentum)
+        lazy.flush()
+        assert rel_err(w, w_ref) <= 1e-12
+
+    def test_belongs_to_one_weight_and_momentum(self):
+        w, grad = np.zeros((4, 2)), np.zeros((4, 2))
+        lazy = LazyMomentum(w, grad, 0, 0.9, 3)
+        with pytest.raises(ValueError):
+            sgd_momentum_step([w.copy()], [grad], [lazy], lr=0.1, momentum=0.9)
+        with pytest.raises(ValueError):
+            sgd_momentum_step([w], [grad], [lazy], lr=0.1, momentum=0.5)
 
 
 class TestLrSchedule:
@@ -206,6 +251,54 @@ class TestTrain:
         model, _ = train(template, config, data)
         assert np.array_equal(model.tvs[0].embedding.W, w_before)
         assert np.array_equal(model.tvs[0].embedding.b, b_before)
+
+
+class TestLazyTrainMatchesDense:
+    """``train`` against ``helpers.dense_train``, the full-tensor step."""
+
+    @staticmethod
+    def task():
+        data = tiny_task(46, seed=3)
+        # a word in one document only: its columns are touched in one batch
+        # per epoch and otherwise only caught up; an empty document
+        tokens, label = data[0]
+        data[0] = (tokens[:6] + ["once"] + tokens[6:], label)
+        data.append(([], 1))
+        return data
+
+    @pytest.mark.parametrize("momentum,representation", [
+        (0.0, "concat-one-hot"), (0.9, "concat-one-hot"), (1.0, "concat-one-hot"),
+        (0.9, "bow-word"),
+    ])
+    def test_weights_losses_and_errors_agree(self, momentum, representation):
+        from swcnn.model import RegionEmbedding
+        from swcnn.textpipe import BOW_WORD, RegionSpec, build_vocab
+
+        data = self.task()
+        vocab = build_vocab([t for t, _ in data], "word", 1000)
+        rng = np.random.default_rng(12)
+        spec = RegionSpec(BOW_WORD, 5, len(vocab))
+        tv = RegionEmbedding(spec=spec, vocab=vocab,
+                             W=np.asfortranarray(rng.normal(size=(4, len(vocab)))),
+                             b=rng.normal(size=4))
+        template = ModelTemplate(base_vocab=vocab, n_classes=2, region_size=3,
+                                 representation=representation, embed_dim=8,
+                                 pooling_k=2, tv_embeddings=(tv,))
+        # 39 training documents in batches of 7: 6 steps per epoch, 36 in
+        # all, the lr decaying after the third epoch
+        config = TrainConfig(initial_lr=0.1, epochs=6, decay_epoch=3, momentum=momentum,
+                             batch_size=7, dropout=0.5, seed=8)
+        tr, val = holdout_split(data, 8, 1)
+        assert any("once" in t for t, _ in tr) and [] in [t for t, _ in tr]
+        ref, ref_losses, ref_errors = dense_train(template, config, tr, val)
+        model, metrics = train(template, config, tr, val)
+        for got, want in zip(model.trainable_params(), ref.trainable_params()):
+            assert rel_err(got, want) <= 1e-12
+        assert rel_err([m.train_loss for m in metrics], ref_losses) <= 1e-12
+        assert rel_err([m.val_error for m in metrics], ref_errors) <= 1e-12
+        once = vocab.index["once"]  # slot 0's column for concat-one-hot
+        init = init_model(template, config, np.random.default_rng(config.seed))
+        assert not np.array_equal(model.base.W[:, once], init.base.W[:, once])
 
 
 class TestSelectModel:

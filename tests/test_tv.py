@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import markov_corpus, word_vocab
+from helpers import markov_corpus, rel_err, word_vocab
 from swcnn.errors import DataError
 from swcnn.kernels import sparse_affine
 from swcnn.textpipe import BOW_NGRAM, BOW_WORD, OOV, RegionSpec, build_vocab, encode, region_vector
@@ -217,11 +217,6 @@ def per_region_train_tv(corpus, spec, tv_vocab, word_vocab, d_tv, config):
     return W, b, losses, len(examples)
 
 
-def rel_err(got, want):
-    got, want = np.asarray(got), np.asarray(want)
-    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
-
-
 class TestSharedSweepMatchesPerRegion:
     # repeated words give bow counts of 2; "zz" and "yy" are out of
     # vocabulary; one document is empty and one shorter than any region
@@ -247,3 +242,21 @@ class TestSharedSweepMatchesPerRegion:
         again, losses_again = train_tv(self.corpus, spec, tv_vocab, word_vocab_, 5, config)
         assert np.array_equal(again.W, emb.W) and np.array_equal(again.b, emb.b)
         assert losses_again == losses
+
+
+@pytest.mark.parametrize("momentum", [0.0, 0.9, 1.0])
+def test_word_occurring_once_matches_per_region(momentum):
+    # "once" is a target of a few examples of one document: its head row
+    # is touched in at most a few steps and otherwise caught up by flushes
+    corpus = markov_corpus(20, doc_len=11, n_states=9, seed=4)
+    corpus.append(["s1", "s2", "s3", "once", "s4", "s5", "s6"])
+    vocab = build_vocab(corpus, "word", 1000)
+    assert dict(vocab.entries)["once"] == 1
+    spec = RegionSpec(BOW_WORD, 2, len(vocab))
+    config = TvTrainConfig(seed=3, epochs=4, lr=0.2, negatives=3, batch_size=9,
+                           init_std=0.3, momentum=momentum)
+    W_ref, b_ref, losses_ref, _ = per_region_train_tv(corpus, spec, vocab, vocab, 5, config)
+    emb, losses = train_tv(corpus, spec, vocab, vocab, 5, config)
+    assert rel_err(emb.W, W_ref) <= 1e-12
+    assert rel_err(emb.b, b_ref) <= 1e-12
+    assert rel_err(losses, losses_ref) <= 1e-12
