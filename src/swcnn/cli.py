@@ -11,6 +11,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import os
 import sys
 
@@ -262,7 +263,26 @@ def cmd_select(args, cfg: RunConfig) -> int:
     return _save_trained(args, best_model, lines)
 
 
+def _heap_temporaries() -> None:
+    """Have glibc serve allocations up to 32 MB from its heap, not from mmap.
+
+    Answering documents one by one allocates R x d temporaries for each.
+    Above glibc's default 128 KB threshold each one is mapped, faulted in
+    page by page and unmapped again; glibc raises the threshold only after
+    a larger mapped block is freed.  These are the values its own rule
+    sets after freeing a 32 MB block.  Without glibc this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def cmd_eval(args, cfg: RunConfig) -> int:
+    _heap_temporaries()
     _output(args.table)
     model = load_model(_need(args.model, "--model path"))
     records = load_csv(_need(args.input, "--input CSV"))
@@ -281,6 +301,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
 
 
 def cmd_predict(args, cfg: RunConfig) -> int:
+    _heap_temporaries()
     model = load_model(_need(args.model, "--model path"))
     views = model.views
     for line in sys.stdin:
@@ -292,6 +313,7 @@ def cmd_predict(args, cfg: RunConfig) -> int:
 
 
 def cmd_bench(args, cfg: RunConfig) -> int:
+    _heap_temporaries()
     if args.model or args.input:
         model = load_model(_need(args.model, "--model path"))
         records = load_csv(_need(args.input, "--input CSV"))

@@ -8,10 +8,12 @@ Layout (all integers little-endian):
         u8 representation | u32 region_size |
         u8 vocab kind | u32 vocab size |
         per entry: u32 byte length, UTF-8 token, u64 frequency |
-        W matrix | b vector
+        W weights | b vector
 
-    matrix := u32 rows | u32 cols | rows*cols f64 row-major
-    vector := u32 dim  | dim f64
+    weights := u32 rows | u32 cols | rows*cols f64 column-major
+               (W.T row-major, the order the sweep gathers columns in)
+    matrix  := u32 rows | u32 cols | rows*cols f64 row-major
+    vector  := u32 dim  | dim f64
 
     model container (kind 0) :=
         u32 pooling_k | u32 n_classes | f64 dropout |
@@ -21,13 +23,22 @@ Layout (all integers little-endian):
 
     embedding container (kind 1) := embedding block
 
+This is version 2, the only version written.  Version 1 differs in the
+version field and in storing each W row-major (as a matrix); the two
+give a model the same byte count.  There is no alignment padding.
+
+A version 2 W is mapped read-only from the open file, with no copy: it
+is a plain F-ordered ndarray over the map that raises on a write.  A
+version 1 W is copied from the same map into column-major memory.
 Round-trips are bitwise exact; files are written atomically
-(``data.atomic_write``).  Weights that are not finite are rejected on
-load.
+(``data.atomic_write``), never in place.  Weights that are not finite
+are rejected on load; the scan that checks a mapped W also makes its
+pages resident.
 """
 
 from __future__ import annotations
 
+import mmap
 import os
 import struct
 
@@ -47,7 +58,7 @@ from swcnn.textpipe import (
 )
 
 MAGIC = b"SWCN"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 KIND_MODEL = 0
 KIND_EMBEDDING = 1
 
@@ -57,10 +68,11 @@ _VOCAB_CODES = {WORD: 0, NGRAM123: 1}
 _VOCAB_NAMES = {v: k for k, v in _VOCAB_CODES.items()}
 
 
-def _write_matrix(out, arr: np.ndarray) -> None:
+def _write_matrix(out, arr: np.ndarray, order: str = "C") -> None:
+    """``arr``'s shape, then its values in ``order`` ("F": ``arr.T`` row-major)."""
     rows, cols = arr.shape
     out.write(struct.pack("<II", rows, cols))
-    out.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    out.write(np.ascontiguousarray(arr.T if order == "F" else arr, dtype="<f8"))
 
 
 def _write_vector(out, arr: np.ndarray) -> None:
@@ -76,7 +88,7 @@ def _write_embedding(out, emb: RegionEmbedding) -> None:
         out.write(struct.pack("<I", len(raw)))
         out.write(raw)
         out.write(struct.pack("<Q", freq))
-    _write_matrix(out, emb.W)
+    _write_matrix(out, emb.W, order="F")
     _write_vector(out, emb.b)
 
 
@@ -85,17 +97,32 @@ class _Reader:
         self.stream = stream
         self.path = path
         self.left = os.fstat(stream.fileno()).st_size
+        self.version = 0
+        self._map = None
 
-    def read(self, n: int) -> bytes:
+    def _reserve(self, n: int) -> None:
         # a size field is checked against the file before anything is
-        # allocated for it, so a corrupt header cannot ask for terabytes
+        # allocated or mapped for it, so a corrupt header cannot ask for terabytes
         if n > self.left:
             raise DataError(f"{self.path}: truncated container")
+        self.left -= n
+
+    def read(self, n: int) -> bytes:
+        self._reserve(n)
         buf = self.stream.read(n)
         if len(buf) != n:
             raise DataError(f"{self.path}: truncated container")
-        self.left -= n
         return buf
+
+    def mapped(self, count: int) -> np.ndarray:
+        """The next ``count`` f64 values as a read-only view of the file."""
+        self._reserve(8 * count)
+        offset = self.stream.tell()
+        self.stream.seek(8 * count, os.SEEK_CUR)
+        if self._map is None:
+            # maps the file already open, not its path, which may have been replaced
+            self._map = mmap.mmap(self.stream.fileno(), 0, access=mmap.ACCESS_READ)
+        return np.frombuffer(self._map, dtype="<f8", count=count, offset=offset)
 
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.read(struct.calcsize(fmt)))
@@ -109,11 +136,22 @@ def _finite(r: _Reader, arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _read_matrix(r: _Reader, order: str = "C") -> np.ndarray:
+def _read_matrix(r: _Reader) -> np.ndarray:
     rows, cols = r.unpack("<II")
     data = np.frombuffer(r.read(8 * rows * cols), dtype="<f8").reshape(rows, cols)
-    # one copy makes the array writable, native and in its final layout
-    return _finite(r, np.array(data, dtype=np.float64, order=order))
+    # one copy makes the array writable and native
+    return _finite(r, np.array(data, dtype=np.float64))
+
+
+def _read_weights(r: _Reader) -> np.ndarray:
+    """An embedding's W, column-major so the sweep's column gathers stay contiguous."""
+    rows, cols = r.unpack("<II")
+    values = r.mapped(rows * cols)
+    if r.version == 1:
+        W = np.array(values.reshape(rows, cols), dtype=np.float64, order="F")
+    else:
+        W = values.reshape(cols, rows).T
+    return _finite(r, W)
 
 
 def _read_vector(r: _Reader) -> np.ndarray:
@@ -154,8 +192,7 @@ def _read_embedding(r: _Reader) -> RegionEmbedding:
         r, RegionSpec,
         representation=_REP_NAMES[rep_code], region_size=region_size, vocab_size=vocab_size,
     )
-    # column-major weights keep the per-column gathers of the sweep contiguous
-    W = _read_matrix(r, order="F")
+    W = _read_weights(r)
     b = _read_vector(r)
     return _build(r, RegionEmbedding, spec=spec, vocab=vocab, W=W, b=b)
 
@@ -164,10 +201,10 @@ def _check_header(r: _Reader, expect_kind: int) -> None:
     magic = r.read(4)
     if magic != MAGIC:
         raise DataError(f"{r.path}: not a SWCN container (bad magic {magic!r})")
-    (version,) = r.unpack("<I")
-    if version != FORMAT_VERSION:
+    (r.version,) = r.unpack("<I")
+    if not 1 <= r.version <= FORMAT_VERSION:
         raise DataError(
-            f"{r.path}: unsupported container version {version} (expected {FORMAT_VERSION})"
+            f"{r.path}: unsupported container version {r.version} (expected 1 to {FORMAT_VERSION})"
         )
     (kind,) = r.unpack("<B")
     if kind != expect_kind:

@@ -1,5 +1,7 @@
 """Shared builders for synthetic corpora, tiny models and gradient checks."""
 
+import struct
+
 import numpy as np
 
 from swcnn.evalbench import evaluate
@@ -8,7 +10,7 @@ from swcnn.model import (
     prepare_labeled, zero_grads,
 )
 from swcnn.kernels import relu, softmax_xent
-from swcnn.textpipe import BOW_WORD, CONCAT, RegionSpec, Vocabulary
+from swcnn.textpipe import BOW_NGRAM, BOW_WORD, CONCAT, RegionSpec, Vocabulary
 from swcnn.train import (
     ModelTemplate, TrainConfig, init_model, lr_at_epoch, sgd_momentum_step,
 )
@@ -172,6 +174,44 @@ def write_corrupted(path, raw: bytes, offset: int, byte: int) -> None:
     else:
         raw[offset] = byte
     path.write_bytes(bytes(raw))
+
+
+def _v1_matrix(arr) -> bytes:
+    return struct.pack("<II", *arr.shape) + np.ascontiguousarray(arr, dtype="<f8").tobytes()
+
+
+def _v1_vector(arr) -> bytes:
+    return struct.pack("<I", len(arr)) + np.asarray(arr, dtype="<f8").tobytes()
+
+
+def _v1_block(emb) -> bytes:
+    reps = {CONCAT: 0, BOW_WORD: 1, BOW_NGRAM: 2}
+    kinds = {"word": 0, "ngram123": 1}
+    parts = [struct.pack("<BIBI", reps[emb.spec.representation], emb.spec.region_size,
+                         kinds[emb.vocab.kind], len(emb.vocab))]
+    for token, freq in emb.vocab.entries:
+        raw = token.encode("utf-8")
+        parts.append(struct.pack("<I", len(raw)) + raw + struct.pack("<Q", freq))
+    parts.append(_v1_matrix(emb.W))  # row-major, unlike version 2
+    parts.append(_v1_vector(emb.b))
+    return b"".join(parts)
+
+
+def v1_model_bytes(model) -> bytes:
+    """``model`` as a version 1 container, written from the documented layout
+    without ``swcnn.serialize``."""
+    parts = [b"SWCN", struct.pack("<IB", 1, 0),
+             struct.pack("<IId", model.pooling_k, model.n_classes, model.dropout_rate),
+             _v1_block(model.base), struct.pack("<I", len(model.tvs))]
+    for tv in model.tvs:
+        parts += [_v1_block(tv.embedding), _v1_matrix(tv.fusion)]
+    parts += [_v1_matrix(model.top_W), _v1_vector(model.top_b)]
+    return b"".join(parts)
+
+
+def v1_embedding_bytes(emb) -> bytes:
+    """``emb`` as a version 1 embedding container."""
+    return b"SWCN" + struct.pack("<IB", 1, 1) + _v1_block(emb)
 
 
 def rectify_then_pool(model, doc, train=False, rng=None):

@@ -14,13 +14,18 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import swcnn
-from helpers import trigger_bigram_dataset, word_vocab, write_corrupted, write_csv
+from helpers import (
+    trigger_bigram_dataset, v1_embedding_bytes, v1_model_bytes, word_vocab, write_corrupted,
+    write_csv,
+)
 from swcnn import config as cfgmod
 from swcnn.cli import main
 from swcnn.config import RunConfig, apply_setting, parse_config, validate_config
 from swcnn.errors import DataError, UsageError
 from swcnn.data import save_vocab
-from swcnn.serialize import save_model
+from swcnn.model import RegionEmbedding
+from swcnn.serialize import load_embedding, save_model
+from swcnn.textpipe import BOW_WORD, RegionSpec
 from swcnn.train import ModelTemplate, TrainConfig, init_model
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -247,6 +252,25 @@ class TestPipeline:
                     "--word-vocab", vocab_path, "--tv", tv_path,
                     "--output", model_path]) == 0
         assert run(["eval", "--model", model_path, "--input", test_csv]) == 0
+
+    def test_train_with_a_mapped_tv_matches_a_copied_one(self, task_files):
+        tmp_path, train_csv, _, config = task_files
+        vocab_path = tmp_path / "w.vocab"
+        mapped, copied = tmp_path / "tv2.swcn", tmp_path / "tv1.swcn"
+        run(["vocab", "--config", config, "--input", train_csv, "--output", vocab_path])
+        assert run(["tv-train", "--config", config, "--input", train_csv,
+                    "--word-vocab", vocab_path, "--output", mapped]) == 0
+        # a version 1 container loads its W as an in-memory copy
+        copied.write_bytes(v1_embedding_bytes(load_embedding(mapped)))
+        assert not load_embedding(mapped).W.flags.writeable
+        assert load_embedding(copied).W.flags.writeable
+        outputs = []
+        for tv in (mapped, copied):
+            out = tmp_path / f"m-{tv.stem}.swcn"
+            assert run(["train", "--config", config, "--input", train_csv,
+                        "--word-vocab", vocab_path, "--tv", tv, "--output", out]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_select_reports_grid(self, task_files, capsys):
         tmp_path, train_csv, _, config = task_files
@@ -639,6 +663,28 @@ class TestExitCodes:
         assert run(["predict", "--model", path]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "nan.swcn" in captured.err
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["base", "tv"])
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_non_finite_W_is_two(self, tmp_path, capsys, monkeypatch, version, where, value):
+        vocab = word_vocab(4)
+        tv = RegionEmbedding(spec=RegionSpec(BOW_WORD, 2, 4), vocab=vocab,
+                             W=np.zeros((2, 4), order="F"), b=np.zeros(2))
+        template = ModelTemplate(base_vocab=vocab, n_classes=2, region_size=1,
+                                 embed_dim=3, pooling_k=1, tv_embeddings=(tv,))
+        model = init_model(template, TrainConfig(epochs=1, decay_epoch=1),
+                           np.random.default_rng(0))
+        (model.base.W if where == "base" else tv.W)[1, 2] = value
+        path = tmp_path / "nan.swcn"
+        if version == 1:
+            path.write_bytes(v1_model_bytes(model))
+        else:
+            save_model(model, path)
+        monkeypatch.setattr("sys.stdin", io.StringIO("w0 w1\n"))
+        assert run(["predict", "--model", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "nan.swcn: non-finite value" in captured.err
 
     def test_version_mismatch_is_two(self, task_files, capsys):
         tmp_path, train_csv, test_csv, config = task_files

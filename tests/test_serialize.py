@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import word_vocab
+from helpers import v1_embedding_bytes, v1_model_bytes, word_vocab, write_corrupted
 from swcnn.errors import DataError
 from swcnn.model import RegionEmbedding, ShallowModel, forward, prepare_document
 from swcnn.serialize import (
@@ -42,6 +42,36 @@ def fused_model():
     return template, model
 
 
+# In the fused model's container the base W header (7 rows, 75 columns) starts
+# at byte 400: 25 bytes of model header, 10 of block header, then 25
+# vocabulary entries "w0".."w24" of 12 + len(token) bytes each.
+BASE_W_AT = 400
+
+
+def write_model(model, path, version):
+    if version == 1:
+        path.write_bytes(v1_model_bytes(model))
+    else:
+        save_model(model, path)
+
+
+def write_embedding(emb, path, version):
+    if version == 1:
+        path.write_bytes(v1_embedding_bytes(emb))
+    else:
+        save_embedding(emb, path)
+
+
+def weights(model):
+    """Every W of ``model``: the base view's, then each tv's."""
+    return [model.base.W, *(tv.embedding.W for tv in model.tvs)]
+
+
+def tensors(model):
+    return [*weights(model), model.base.b, *(tv.embedding.b for tv in model.tvs),
+            *(tv.fusion for tv in model.tvs), model.top_W, model.top_b]
+
+
 def test_model_round_trip_bitwise(fused_model, tmp_path):
     template, model = fused_model
     path = tmp_path / "m.swcn"
@@ -70,6 +100,52 @@ def test_save_load_save_produces_identical_bytes(fused_model, tmp_path):
     save_model(model, first)
     save_model(load_model(first), second)
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_v2_weights_are_mapped_read_only(fused_model, tmp_path):
+    _, model = fused_model
+    path = tmp_path / "m.swcn"
+    save_model(model, path)
+    assert struct.unpack_from("<I", path.read_bytes(), 4) == (FORMAT_VERSION,) == (2,)
+    emb_path = tmp_path / "tv.swcn"
+    save_embedding(model.tvs[1].embedding, emb_path)
+    loaded = weights(load_model(path)) + [load_embedding(emb_path).W]
+    for got, want in zip(loaded, weights(model) + [model.tvs[1].embedding.W], strict=True):
+        assert type(got) is np.ndarray
+        assert got.tobytes() == want.tobytes()
+        assert got.flags.f_contiguous and not got.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            got[0, 0] = 1.0
+
+
+def test_version_1_loads_through_a_copy(fused_model, tmp_path):
+    _, model = fused_model
+    v1, v2 = tmp_path / "v1.swcn", tmp_path / "v2.swcn"
+    write_model(model, v1, 1)
+    write_model(model, v2, 2)
+    assert v1.stat().st_size == v2.stat().st_size
+    old, new = load_model(v1), load_model(v2)
+    for a, b in zip(tensors(old), tensors(new), strict=True):
+        assert a.tobytes() == b.tobytes()
+    for W in weights(old):
+        assert W.flags.f_contiguous and W.flags.writeable
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        tokens = [f"w{int(rng.integers(30))}" for _ in range(int(rng.integers(0, 15)))]
+        doc = prepare_document(model.views, tokens)
+        assert forward(old, doc)[0].tobytes() == forward(new, doc)[0].tobytes()
+    # saving a version 1 model changes only the version field and W's byte order
+    resaved = tmp_path / "resaved.swcn"
+    save_model(old, resaved)
+    assert resaved.read_bytes() == v2.read_bytes()
+
+    emb = model.tvs[1].embedding
+    write_embedding(emb, v1, 1)
+    write_embedding(emb, v2, 2)
+    old, new = load_embedding(v1), load_embedding(v2)
+    assert v1.stat().st_size == v2.stat().st_size
+    assert old.W.tobytes() == new.W.tobytes() == emb.W.tobytes()
+    assert old.b.tobytes() == new.b.tobytes() and old.vocab == new.vocab == emb.vocab
 
 
 def test_round_trip_preserves_logits(fused_model, tmp_path):
@@ -129,6 +205,23 @@ def test_non_finite_model_weights_rejected(fused_model, tmp_path, value):
     save_model(model, path)
     with pytest.raises(DataError, match=r"m\.swcn: non-finite value"):
         load_model(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["base", "tv"])
+@pytest.mark.parametrize("version", [1, 2])
+def test_non_finite_W_rejected(fused_model, tmp_path, version, where, value):
+    _, model = fused_model
+    emb = model.base if where == "base" else model.tvs[1].embedding
+    emb.W[2, 5] = value
+    path = tmp_path / "m.swcn"
+    write_model(model, path, version)
+    with pytest.raises(DataError, match=r"m\.swcn: non-finite value"):
+        load_model(path)
+    path = tmp_path / "e.swcn"
+    write_embedding(emb, path, version)
+    with pytest.raises(DataError, match=r"e\.swcn: non-finite value"):
+        load_embedding(path)
 
 
 def test_non_finite_embedding_weights_rejected(tmp_path):
@@ -201,24 +294,36 @@ def test_header_disagreeing_with_weights_names_file(fused_model, tmp_path, offse
         load_model(path)
 
 
+@pytest.mark.parametrize("field", ["rows", "cols"])
+@pytest.mark.parametrize("version", [1, 2])
+def test_zero_sized_W_header_is_a_data_error(fused_model, tmp_path, version, field):
+    _, model = fused_model
+    path = tmp_path / "m.swcn"
+    write_model(model, path, version)
+    raw = bytearray(path.read_bytes())
+    assert struct.unpack_from("<II", raw, BASE_W_AT) == (7, 75)
+    struct.pack_into("<I", raw, BASE_W_AT + (0 if field == "rows" else 4), 0)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(DataError, match=r"m\.swcn: "):
+        load_model(path)
+
+
+@pytest.mark.parametrize("version", [1, 2])
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.integers(min_value=0), st.integers(min_value=-1, max_value=255))
 @example(offset=9, byte=0)  # pooling_k 2 -> 0
 @example(offset=26, byte=2)  # base region size 3 -> 2
 @example(offset=30, byte=1)  # base vocabulary kind word -> ngram123
-def test_corrupt_container_is_a_model_or_a_data_error(fused_model, tmp_path, offset, byte):
+@example(offset=BASE_W_AT, byte=0)  # base W rows 7 -> 0
+@example(offset=BASE_W_AT + 4, byte=0)  # base W columns 75 -> 0
+def test_corrupt_container_is_a_model_or_a_data_error(fused_model, tmp_path, version, offset,
+                                                      byte):
     """Cut the container at ``offset``, or (``byte`` >= 0) overwrite one byte."""
     _, model = fused_model
     path = tmp_path / "m.swcn"
-    save_model(model, path)
-    raw = bytearray(path.read_bytes())
-    offset %= len(raw)
-    if byte < 0:
-        del raw[offset:]
-    else:
-        raw[offset] = byte
-    path.write_bytes(bytes(raw))
+    write_model(model, path, version)
+    write_corrupted(path, path.read_bytes(), offset, byte)
     try:
         loaded = load_model(path)
     except DataError as exc:

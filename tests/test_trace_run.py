@@ -54,6 +54,9 @@ def test_traced_train_and_predict_prepare_documents(tmp_path):
     sums, _, out = traced(tmp_path / "predict.json", ["predict", "--model", model], lines)
     assert len(out.split()) == 5
     assert sums["model.prepare_s"] > 0 and sums["model.slots"] > 0
+    # the load is traced, and the whole container counted, though W is mapped
+    assert sums["serialize.load_s"] > 0
+    assert sums["serialize.bytes"] == model.stat().st_size
 
 
 def test_traced_ngram_tv_train_encodes_and_makes_examples(tmp_path):
