@@ -266,7 +266,8 @@ def cmd_select(args, cfg: RunConfig) -> int:
 def _heap_temporaries() -> None:
     """Have glibc serve allocations up to 32 MB from its heap, not from mmap.
 
-    Answering documents one by one allocates R x d temporaries for each.
+    Answering documents one by one allocates R x d temporaries for each,
+    and training and tv training allocate them per document or per batch.
     Above glibc's default 128 KB threshold each one is mapped, faulted in
     page by page and unmapped again; glibc raises the threshold only after
     a larger mapped block is freed.  These are the values its own rule
@@ -282,7 +283,6 @@ def _heap_temporaries() -> None:
 
 
 def cmd_eval(args, cfg: RunConfig) -> int:
-    _heap_temporaries()
     _output(args.table)
     model = load_model(_need(args.model, "--model path"))
     records = load_csv(_need(args.input, "--input CSV"))
@@ -301,7 +301,6 @@ def cmd_eval(args, cfg: RunConfig) -> int:
 
 
 def cmd_predict(args, cfg: RunConfig) -> int:
-    _heap_temporaries()
     model = load_model(_need(args.model, "--model path"))
     views = model.views
     for line in sys.stdin:
@@ -313,7 +312,6 @@ def cmd_predict(args, cfg: RunConfig) -> int:
 
 
 def cmd_bench(args, cfg: RunConfig) -> int:
-    _heap_temporaries()
     if args.model or args.input:
         model = load_model(_need(args.model, "--model path"))
         records = load_csv(_need(args.input, "--input CSV"))
@@ -372,6 +370,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    _heap_temporaries()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -1,4 +1,4 @@
-"""Numeric primitives: a per-region sparse affine map, relu, softmax.
+"""Numeric primitives: a per-region sparse affine map and softmax cross entropy.
 
 ``sparse_affine`` computes y = W x + b for one sparse region vector,
 touching only the columns of W at x's nonzero indices, so its cost is
@@ -25,10 +25,6 @@ def sparse_affine(W: np.ndarray, b: np.ndarray, x: SparseRegionVector) -> np.nda
     if x.nnz == 0:
         return b.astype(np.float64, copy=True)
     return W[:, x.indices] @ x.values + b
-
-
-def relu(v: np.ndarray) -> np.ndarray:
-    return np.maximum(v, 0.0)
 
 
 def softmax_xent(logits: np.ndarray, true_class: int):

@@ -27,17 +27,20 @@ This is version 2, the only version written.  Version 1 differs in the
 version field and in storing each W row-major (as a matrix); the two
 give a model the same byte count.  There is no alignment padding.
 
-A version 2 W is mapped read-only from the open file, with no copy: it
-is a plain F-ordered ndarray over the map that raises on a write.  A
-version 1 W is copied from the same map into column-major memory.
-Round-trips are bitwise exact; files are written atomically
-(``data.atomic_write``), never in place.  Weights that are not finite
-are rejected on load; the scan that checks a mapped W also makes its
-pages resident.
+A load maps the whole file read-only and closes it again; one cursor
+then walks the map, and every size field is checked against the bytes
+left before anything is sliced, viewed or allocated for it.  A version
+2 W is a view of the map, with no copy: a plain F-ordered ndarray that
+raises on a write.  A version 1 W, and every other tensor, is copied
+from the map.  Round-trips are bitwise exact; files are written
+atomically (``data.atomic_write``), never in place.  Weights that are
+not finite are rejected on load; the scan that checks a mapped W also
+makes its pages resident.
 """
 
 from __future__ import annotations
 
+import math
 import mmap
 import os
 import struct
@@ -93,39 +96,29 @@ def _write_embedding(out, emb: RegionEmbedding) -> None:
 
 
 class _Reader:
-    def __init__(self, stream, path):
-        self.stream = stream
+    """One read-only map of a container and a cursor into it."""
+
+    def __init__(self, buf, path):
+        self.buf = buf
         self.path = path
-        self.left = os.fstat(stream.fileno()).st_size
+        self.pos = 0
         self.version = 0
-        self._map = None
 
-    def _reserve(self, n: int) -> None:
-        # a size field is checked against the file before anything is
-        # allocated or mapped for it, so a corrupt header cannot ask for terabytes
-        if n > self.left:
+    def _take(self, n: int) -> int:
+        # a size field is checked against the bytes left before anything is
+        # allocated or viewed for it, so a corrupt header cannot ask for terabytes
+        start = self.pos
+        if n > len(self.buf) - start:
             raise DataError(f"{self.path}: truncated container")
-        self.left -= n
+        self.pos = start + n
+        return start
 
-    def read(self, n: int) -> bytes:
-        self._reserve(n)
-        buf = self.stream.read(n)
-        if len(buf) != n:
-            raise DataError(f"{self.path}: truncated container")
-        return buf
+    def unpack(self, fmt: str):
+        return struct.unpack_from(fmt, self.buf, self._take(struct.calcsize(fmt)))
 
     def mapped(self, count: int) -> np.ndarray:
         """The next ``count`` f64 values as a read-only view of the file."""
-        self._reserve(8 * count)
-        offset = self.stream.tell()
-        self.stream.seek(8 * count, os.SEEK_CUR)
-        if self._map is None:
-            # maps the file already open, not its path, which may have been replaced
-            self._map = mmap.mmap(self.stream.fileno(), 0, access=mmap.ACCESS_READ)
-        return np.frombuffer(self._map, dtype="<f8", count=count, offset=offset)
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.read(struct.calcsize(fmt)))
+        return np.frombuffer(self.buf, dtype="<f8", count=count, offset=self._take(8 * count))
 
 
 def _finite(r: _Reader, arr: np.ndarray) -> np.ndarray:
@@ -136,11 +129,9 @@ def _finite(r: _Reader, arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _read_matrix(r: _Reader) -> np.ndarray:
-    rows, cols = r.unpack("<II")
-    data = np.frombuffer(r.read(8 * rows * cols), dtype="<f8").reshape(rows, cols)
-    # one copy makes the array writable and native
-    return _finite(r, np.array(data, dtype=np.float64))
+def _read_array(r: _Reader, shape: tuple) -> np.ndarray:
+    """A row-major matrix or a vector after its ``shape`` header, as a writable copy."""
+    return _finite(r, np.array(r.mapped(math.prod(shape)).reshape(shape), dtype=np.float64))
 
 
 def _read_weights(r: _Reader) -> np.ndarray:
@@ -152,11 +143,6 @@ def _read_weights(r: _Reader) -> np.ndarray:
     else:
         W = values.reshape(cols, rows).T
     return _finite(r, W)
-
-
-def _read_vector(r: _Reader) -> np.ndarray:
-    (dim,) = r.unpack("<I")
-    return _finite(r, np.frombuffer(r.read(8 * dim), dtype="<f8").astype(np.float64))
 
 
 def _build(r: _Reader, cls, **fields):
@@ -178,39 +164,63 @@ def _read_embedding(r: _Reader) -> RegionEmbedding:
     vocab_code, vocab_size = r.unpack("<BI")
     if vocab_code not in _VOCAB_NAMES:
         raise DataError(f"{r.path}: unknown vocabulary code {vocab_code}")
+    buf, pos, end = r.buf, r.pos, len(r.buf)
     entries = []
     for i in range(vocab_size):
-        (token_len,) = r.unpack("<I")
+        # u32 length, token, u64 frequency: the length is checked before the
+        # token is sliced, so an oversized one reads as truncation
+        if end - pos < 4:
+            raise DataError(f"{r.path}: truncated container")
+        (token_len,) = struct.unpack_from("<I", buf, pos)
+        pos += 4
+        if token_len + 8 > end - pos:
+            raise DataError(f"{r.path}: truncated container")
         try:
-            token = r.read(token_len).decode("utf-8")
+            token = buf[pos : pos + token_len].decode("utf-8")
         except UnicodeDecodeError:
             raise DataError(f"{r.path}: vocabulary entry {i}: not valid UTF-8") from None
-        (freq,) = r.unpack("<Q")
-        entries.append((token, freq))
+        pos += token_len
+        entries.append((token, struct.unpack_from("<Q", buf, pos)[0]))
+        pos += 8
+    r.pos = pos
     vocab = Vocabulary(kind=_VOCAB_NAMES[vocab_code], entries=tuple(entries))
     spec = _build(
         r, RegionSpec,
         representation=_REP_NAMES[rep_code], region_size=region_size, vocab_size=vocab_size,
     )
     W = _read_weights(r)
-    b = _read_vector(r)
+    b = _read_array(r, r.unpack("<I"))
     return _build(r, RegionEmbedding, spec=spec, vocab=vocab, W=W, b=b)
 
 
-def _check_header(r: _Reader, expect_kind: int) -> None:
-    magic = r.read(4)
+def _open(path, kind: int) -> _Reader:
+    """A reader past the header of the ``kind`` container at ``path``.
+
+    The file is mapped and closed again; the map keeps the file's pages
+    even if its path is later replaced or removed.
+    """
+    what = "model" if kind == KIND_MODEL else "embedding"
+    try:
+        with open(path, "rb") as stream:
+            # an empty file cannot be mapped; it is read as a truncated one
+            size = os.fstat(stream.fileno()).st_size
+            buf = mmap.mmap(stream.fileno(), 0, access=mmap.ACCESS_READ) if size else b""
+    except OSError as exc:
+        raise DataError(f"cannot open {what} container: {exc}") from exc
+    r = _Reader(buf, path)
+    (magic,) = r.unpack("<4s")
     if magic != MAGIC:
-        raise DataError(f"{r.path}: not a SWCN container (bad magic {magic!r})")
+        raise DataError(f"{path}: not a SWCN container (bad magic {magic!r})")
     (r.version,) = r.unpack("<I")
     if not 1 <= r.version <= FORMAT_VERSION:
         raise DataError(
-            f"{r.path}: unsupported container version {r.version} (expected 1 to {FORMAT_VERSION})"
+            f"{path}: unsupported container version {r.version} (expected 1 to {FORMAT_VERSION})"
         )
-    (kind,) = r.unpack("<B")
-    if kind != expect_kind:
-        found = "embedding" if kind == KIND_EMBEDDING else f"kind {kind}"
-        want = "model" if expect_kind == KIND_MODEL else "embedding"
-        raise DataError(f"{r.path}: container holds {found}, expected {want}")
+    (found,) = r.unpack("<B")
+    if found != kind:
+        found = "embedding" if found == KIND_EMBEDDING else f"kind {found}"
+        raise DataError(f"{path}: container holds {found}, expected {what}")
+    return r
 
 
 def save_model(model: ShallowModel, path) -> None:
@@ -229,38 +239,29 @@ def save_model(model: ShallowModel, path) -> None:
     atomic_write(path, body, binary=True)
 
 
-def _open(path, what: str):
-    try:
-        return open(path, "rb")
-    except OSError as exc:
-        raise DataError(f"cannot open {what} container: {exc}") from exc
-
-
 def load_model(path) -> ShallowModel:
-    with _open(path, "model") as stream:
-        r = _Reader(stream, path)
-        _check_header(r, KIND_MODEL)
-        pooling_k, n_classes, dropout = r.unpack("<IId")
-        base = _read_embedding(r)
-        (n_tvs,) = r.unpack("<I")
-        tvs = []
-        for _ in range(n_tvs):
-            emb = _read_embedding(r)
-            fusion = _read_matrix(r)
-            tvs.append(_build(r, TvEmbedding, embedding=emb, fusion=fusion))
-        top_W = _read_matrix(r)
-        top_b = _read_vector(r)
-        if top_W.shape[0] != n_classes:
-            raise DataError(f"{path}: inconsistent class count")
-        return _build(
-            r, ShallowModel,
-            base=base,
-            tvs=tuple(tvs),
-            pooling_k=pooling_k,
-            top_W=top_W,
-            top_b=top_b,
-            dropout_rate=dropout,
-        )
+    r = _open(path, KIND_MODEL)
+    pooling_k, n_classes, dropout = r.unpack("<IId")
+    base = _read_embedding(r)
+    (n_tvs,) = r.unpack("<I")
+    tvs = []
+    for _ in range(n_tvs):
+        emb = _read_embedding(r)
+        fusion = _read_array(r, r.unpack("<II"))
+        tvs.append(_build(r, TvEmbedding, embedding=emb, fusion=fusion))
+    top_W = _read_array(r, r.unpack("<II"))
+    top_b = _read_array(r, r.unpack("<I"))
+    if top_W.shape[0] != n_classes:
+        raise DataError(f"{path}: inconsistent class count")
+    return _build(
+        r, ShallowModel,
+        base=base,
+        tvs=tuple(tvs),
+        pooling_k=pooling_k,
+        top_W=top_W,
+        top_b=top_b,
+        dropout_rate=dropout,
+    )
 
 
 def save_embedding(emb: RegionEmbedding, path) -> None:
@@ -273,7 +274,4 @@ def save_embedding(emb: RegionEmbedding, path) -> None:
 
 
 def load_embedding(path) -> RegionEmbedding:
-    with _open(path, "embedding") as stream:
-        r = _Reader(stream, path)
-        _check_header(r, KIND_EMBEDDING)
-        return _read_embedding(r)
+    return _read_embedding(_open(path, KIND_EMBEDDING))

@@ -6,7 +6,7 @@ the binary bag of in-vocabulary words in the union of the region
 immediately to the left and the region immediately to the right (each as
 wide as the region itself, clipped to the document).  A disposable linear
 prediction layer maps the embedding into word-vocabulary space; the
-weighted square loss is evaluated only on the target indices plus a small
+square loss is evaluated only on the target indices plus a small
 sampled set of negative indices, so the per-example cost depends on the
 number of targets and negatives, not on the vocabulary size.  Labels are
 never read.  The prediction layer is discarded; only W, b survive.
@@ -83,16 +83,14 @@ def sample_negatives(target: np.ndarray, vocab_size: int, m: int, rng) -> np.nda
     return np.asarray(out, dtype=np.int64)
 
 
-def weighted_square_loss(pred: np.ndarray, target: np.ndarray, weights: np.ndarray):
-    """Loss and gradient over the weighted output dimensions only.
+def square_loss(pred: np.ndarray, target: np.ndarray):
+    """Loss and gradient over the evaluated output dimensions only.
 
-    Arguments are aligned vectors over the dimensions carrying nonzero
-    weight; everything else contributes nothing and is never computed.
+    Arguments are aligned vectors over the target and negative indices;
+    every other dimension contributes nothing and is never computed.
     """
     diff = pred - target
-    loss = float(np.dot(weights, diff * diff))
-    grad = 2.0 * weights * diff
-    return loss, grad
+    return float(np.dot(diff, diff)), 2.0 * diff
 
 
 @dataclass
@@ -197,7 +195,7 @@ def train_tv(
                 target_vals = np.zeros(len(out_idx))
                 target_vals[: n_targets[idx]] = 1.0
                 pred = head @ h + head_b[out_idx]
-                loss, dpred = weighted_square_loss(pred, target_vals, np.ones(len(out_idx)))
+                loss, dpred = square_loss(pred, target_vals)
                 loss_sum += loss
                 dpred /= len(batch)  # the gradients accumulate as the batch mean
                 dhead_W[out_idx] += np.outer(dpred, h)

@@ -9,7 +9,7 @@ from swcnn.model import (
     RegionEmbedding, backward, embed_regions, forward, max_pool, prepare_document,
     prepare_labeled, zero_grads,
 )
-from swcnn.kernels import relu, softmax_xent
+from swcnn.kernels import softmax_xent
 from swcnn.textpipe import BOW_NGRAM, BOW_WORD, CONCAT, RegionSpec, Vocabulary
 from swcnn.train import (
     ModelTemplate, TrainConfig, init_model, lr_at_epoch, sgd_momentum_step,
@@ -231,7 +231,7 @@ def rectify_then_pool(model, doc, train=False, rng=None):
         tv_outputs.append(hidden)
         Z += hidden @ tv.fusion.T
     Z += model.base.b
-    H = relu(Z)
+    H = np.maximum(Z, 0.0)
     relu_mask = H > 0.0
     pooled, pool_rows = max_pool(H, model.pooling_k)
     v = pooled.ravel()

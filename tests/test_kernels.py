@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from swcnn.kernels import relu, softmax_xent, sparse_affine
+from swcnn.kernels import softmax_xent, sparse_affine
 from swcnn.textpipe import SparseRegionVector
 
 
@@ -60,15 +60,6 @@ class TestSparseAffine:
             x = random_sparse(rng, n, min(n, 6))
             got = sparse_affine(W, b, x)
             assert np.allclose(got, dense_oracle(W, b, x), rtol=1e-6, atol=1e-9)
-
-
-class TestRelu:
-    def test_basic(self):
-        assert np.array_equal(relu(np.array([-1.0, 2.0])), [0.0, 2.0])
-
-    def test_all_negative(self):
-        v = np.array([-3.0, -0.5])
-        assert not relu(v).any()
 
 
 class TestSoftmaxXent:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import fd_max_rel_error, random_tiny_instance, rectify_then_pool, word_vocab
-from swcnn.kernels import relu, softmax_xent, sparse_affine
+from swcnn.kernels import softmax_xent, sparse_affine
 from swcnn.model import (
     ModelGrads,
     RegionEmbedding,
@@ -58,9 +58,9 @@ def naive_logits(model, tokens):
         z = sparse_affine(base.W, base.b, region_vector(enc, pos, base.spec))
         for tv, tv_enc in zip(model.tvs, tv_encs):
             x_tv = _region_vector_unchecked(tv_enc, pos, tv.embedding.spec)
-            hidden = relu(sparse_affine(tv.embedding.W, tv.embedding.b, x_tv))
+            hidden = np.maximum(sparse_affine(tv.embedding.W, tv.embedding.b, x_tv), 0.0)
             z = z + tv.fusion @ hidden
-        rows.append(relu(z))
+        rows.append(np.maximum(z, 0.0))
     H = np.stack(rows)
     pooled = []
     for lo, hi in pooling_bounds(n_regions, model.pooling_k):
@@ -235,7 +235,7 @@ class TestBackward:
         logits, cache = forward(model, doc, train=True, rng=None)
         enc = encode(tokens, model.base.vocab)
         x = region_vector(enc, 0, model.base.spec)
-        hidden = relu(sparse_affine(model.base.W, model.base.b, x))
+        hidden = np.maximum(sparse_affine(model.base.W, model.base.b, x), 0.0)
         assert np.allclose(logits, model.top_W @ hidden + model.top_b)
         _, _, grad_logits = softmax_xent(logits, 1)
         grads = backward(model, cache, grad_logits)

@@ -1,3 +1,4 @@
+import os
 import struct
 
 import numpy as np
@@ -317,6 +318,7 @@ def test_zero_sized_W_header_is_a_data_error(fused_model, tmp_path, version, fie
 @example(offset=30, byte=1)  # base vocabulary kind word -> ngram123
 @example(offset=BASE_W_AT, byte=0)  # base W rows 7 -> 0
 @example(offset=BASE_W_AT + 4, byte=0)  # base W columns 75 -> 0
+@example(offset=0, byte=-1)  # an empty file, which cannot be mapped
 def test_corrupt_container_is_a_model_or_a_data_error(fused_model, tmp_path, version, offset,
                                                       byte):
     """Cut the container at ``offset``, or (``byte`` >= 0) overwrite one byte."""
@@ -330,6 +332,41 @@ def test_corrupt_container_is_a_model_or_a_data_error(fused_model, tmp_path, ver
         assert "m.swcn" in str(exc)
     else:
         assert isinstance(loaded, ShallowModel)
+
+
+@pytest.mark.parametrize("where", ["empty file", "tv vocabulary entry", "top_b"])
+@pytest.mark.parametrize("version", [1, 2])
+def test_cut_container_is_truncated(fused_model, tmp_path, version, where):
+    _, model = fused_model
+    path = tmp_path / "m.swcn"
+    write_model(model, path, version)
+    raw = path.read_bytes()
+    # "g7 x" occurs only in the second tv's vocabulary; top_b ends the file
+    cut = {"empty file": 0, "tv vocabulary entry": raw.index(b"g7 x") + 2,
+           "top_b": len(raw) - 1}[where]
+    path.write_bytes(raw[:cut])
+    with pytest.raises(DataError, match=r"m\.swcn: truncated container"):
+        load_model(path)
+
+
+def test_loaded_model_outlives_its_path(fused_model, tmp_path):
+    """A load maps the file it opened, so replacing or removing its path
+    afterwards leaves the loaded weights as they were."""
+    _, model = fused_model
+    path, other = tmp_path / "m.swcn", tmp_path / "other.swcn"
+    save_model(model, path)
+    loaded = load_model(path)
+    rng = np.random.default_rng(4)
+    docs = [prepare_document(model.views,
+                             [f"w{int(rng.integers(30))}" for _ in range(int(rng.integers(0, 15)))])
+            for _ in range(20)]
+    before = [forward(loaded, doc)[0].tobytes() for doc in docs]
+    for W in weights(model):
+        W *= -2.0
+    save_model(model, other)
+    os.replace(other, path)
+    path.unlink()
+    assert [forward(loaded, doc)[0].tobytes() for doc in docs] == before
 
 
 def test_bad_magic(tmp_path):

@@ -10,8 +10,8 @@ from swcnn.tv import (
     TvTrainConfig,
     make_tv_examples,
     sample_negatives,
+    square_loss,
     train_tv,
-    weighted_square_loss,
 )
 
 VOCAB10 = word_vocab(10)
@@ -85,21 +85,15 @@ class TestSampleNegatives:
 
 class TestWeightedSquareLoss:
     def test_direct_evaluation(self):
-        loss, grad = weighted_square_loss(
-            np.array([0.5]), np.array([1.0]), np.array([2.0])
-        )
-        assert loss == pytest.approx(0.5)
-        assert grad == pytest.approx([-2.0])
-
-    def test_zero_weights(self):
-        loss, grad = weighted_square_loss(np.array([3.0, -1.0]), np.zeros(2), np.zeros(2))
-        assert loss == 0.0
-        assert not grad.any()
+        loss, grad = square_loss(np.array([0.5, 3.0]), np.array([1.0, 0.0]))
+        assert loss == pytest.approx(9.25)
+        assert grad == pytest.approx([-1.0, 6.0])
 
     def test_exact_fit(self):
         pred = np.array([1.0, 0.0, 1.0])
-        loss, _ = weighted_square_loss(pred, pred.copy(), np.ones(3))
+        loss, grad = square_loss(pred, pred.copy())
         assert loss == 0.0
+        assert not grad.any()
 
     def test_grad_matches_finite_differences(self):
         rng = np.random.default_rng(2)
@@ -108,14 +102,13 @@ class TestWeightedSquareLoss:
             n = int(rng.integers(1, 9))
             pred = rng.normal(size=n)
             target = (rng.random(n) < 0.5).astype(float)
-            weights = rng.uniform(0, 2, size=n)
-            _, grad = weighted_square_loss(pred, target, weights)
+            _, grad = square_loss(pred, target)
             for i in range(n):
                 bump = pred.copy()
                 bump[i] += step
-                up, _ = weighted_square_loss(bump, target, weights)
+                up, _ = square_loss(bump, target)
                 bump[i] -= 2 * step
-                down, _ = weighted_square_loss(bump, target, weights)
+                down, _ = square_loss(bump, target)
                 numeric = (up - down) / (2 * step)
                 assert abs(numeric - grad[i]) <= 1e-6 * max(1.0, abs(numeric))
 
@@ -203,7 +196,7 @@ def per_region_train_tv(corpus, spec, tv_vocab, word_vocab, d_tv, config):
                 h = np.maximum(z, 0.0)
                 target = (np.arange(len(out_idx)) < n_target).astype(float)
                 pred = head_W[out_idx] @ h + head_b[out_idx]
-                loss, dpred = weighted_square_loss(pred, target, np.ones(len(out_idx)))
+                loss, dpred = square_loss(pred, target)
                 loss_sum += loss
                 dhead_W[out_idx] += np.outer(dpred, h)
                 dhead_b[out_idx] += dpred
