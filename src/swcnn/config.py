@@ -17,6 +17,7 @@ from dataclasses import dataclass, fields, replace
 
 from swcnn.data import read_lines
 from swcnn.errors import UsageError
+from swcnn.evalbench import BENCH_CODES
 from swcnn.textpipe import BOW_NGRAM, BOW_WORD, CONCAT, NGRAM123, WORD, RegionSpec
 from swcnn.train import SelectionGrid, TrainConfig
 from swcnn.tv import TvTrainConfig
@@ -156,9 +157,14 @@ def validate_config(cfg: RunConfig) -> None:
     for key in ("seed", "n_classes"):
         if getattr(cfg, key) < 0:
             raise UsageError(f"invalid configuration: {key} must be >= 0")
-    for key in ("embed_dim", "pooling_k", "tv_dim", "word_vocab_cap", "ngram_vocab_cap"):
+    for key in ("embed_dim", "pooling_k", "tv_dim", "word_vocab_cap", "ngram_vocab_cap",
+                "bench_d", "bench_p", "bench_repetitions"):
         if getattr(cfg, key) < 1:
             raise UsageError(f"invalid configuration: {key} must be >= 1")
+    for key in ("bench_v_small", "bench_v_large"):
+        if getattr(cfg, key) < BENCH_CODES:
+            raise UsageError(f"invalid configuration: {key} must be >= {BENCH_CODES}, "
+                             "the bench pattern's distinct codes")
     try:
         train_config(cfg)
         tv_config(cfg)

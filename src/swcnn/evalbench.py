@@ -4,11 +4,11 @@ Evaluation and timing take documents already turned into slot incidence
 by ``model.prepare_labeled``, so timing follows a strict protocol: the
 reported seconds cover only model compute (weight gathers, fusion,
 pooling, top layer), never encoding.  Medians over repetitions are
-reported to shrug off scheduler noise.  The independence bench measures
-the same forward at two vocabulary sizes with an identical token pattern
-(hence identical nonzero counts); a naive dense control shows what an
-O(vocabulary) implementation would look like, so the property is not
-vacuously true.
+reported to shrug off scheduler noise.  The independence bench times
+``model.forward``, the pass ``predict`` runs, on a one-view model at two
+vocabulary sizes with an identical token pattern (hence identical
+nonzero counts); a naive dense control shows what an O(vocabulary)
+implementation would look like, so the property is not vacuously true.
 """
 
 from __future__ import annotations
@@ -24,14 +24,16 @@ from swcnn.errors import DataError
 from swcnn.model import (
     PreparedDoc,
     PreparedView,
+    RegionEmbedding,
     ShallowModel,
-    _view_slots,
-    embed_regions,
     forward,
     max_pool,
-    prepare_document,  # noqa: F401  (traced by benchmark/tracer.py)
+    prepare_document,
 )
-from swcnn.textpipe import BOW_WORD, RegionSpec, region_count
+from swcnn.textpipe import BOW_WORD, WORD, RegionSpec, Vocabulary
+
+# distinct codes in the bench pattern: the least vocabulary size it fits
+BENCH_CODES = 48
 
 
 @dataclass
@@ -100,7 +102,7 @@ def time_inference(
     )
 
 
-def make_bench_pattern(length: int = 400, distinct: int = 48, seed: int = 0) -> list[int]:
+def make_bench_pattern(length: int = 400, distinct: int = BENCH_CODES, seed: int = 0) -> list[int]:
     """Token-code pattern for the independence bench.
 
     A bounded set of distinct codes keeps the touched weight columns (the
@@ -111,32 +113,24 @@ def make_bench_pattern(length: int = 400, distinct: int = 48, seed: int = 0) -> 
     return rng.integers(0, distinct, size=length).tolist()
 
 
-def _pattern_ids(pattern: Sequence[int], vocab_size: int) -> np.ndarray:
+def _bench_setup(d: int, p: int, pattern, vocab_size: int, seed: int):
+    """A one-view bow-word model over ``vocab_size`` words, two classes and
+    ``pooling_k=1``, and the pattern as its prepared document."""
     n_codes = max(pattern) + 1
     if vocab_size < n_codes:
         raise ValueError("vocabulary smaller than the code set")
     # spread ids over the full range so locality does not depend on ordering
-    return np.asarray([code * vocab_size // n_codes for code in pattern], dtype=np.int64)
-
-
-def _bench_setup(d: int, p: int, pattern, vocab_size: int, seed: int):
+    tokens = [str(code * vocab_size // n_codes) for code in pattern]
+    vocab = Vocabulary(WORD, tuple((str(i), vocab_size - i) for i in range(vocab_size)))
     spec = RegionSpec(representation=BOW_WORD, region_size=p, vocab_size=vocab_size)
-    ids = _pattern_ids(pattern, vocab_size)
-    n_regions = region_count(len(ids), p)
-    view = _view_slots(ids, spec, np.arange(n_regions), len(ids))
     rng = np.random.default_rng(seed)
     W = np.asfortranarray(rng.normal(0.0, 0.01, size=(d, spec.input_dim)))
     b = rng.normal(0.0, 0.01, size=d)
     top_W = rng.normal(0.0, 0.01, size=(2, d))
     top_b = rng.normal(0.0, 0.01, size=2)
-    return W, b, top_W, top_b, view, n_regions
-
-
-def _sparse_forward(W, b, top_W, top_b, view, n_regions):
-    Z = embed_regions(W, view, n_regions)
-    Z += b
-    pooled, _ = max_pool(Z, 1)
-    return top_W @ np.maximum(pooled, 0.0, out=pooled).ravel() + top_b
+    base = RegionEmbedding(spec=spec, vocab=vocab, W=W, b=b)
+    model = ShallowModel(base=base, tvs=(), pooling_k=1, top_W=top_W, top_b=top_b)
+    return model, prepare_document(model.views, tokens)
 
 
 def _median_seconds(fn, repetitions: int, warmup: int = 5) -> float:
@@ -167,10 +161,8 @@ def vocab_independence_bench(
     """
     times = {}
     for v in (v_small, v_large):
-        W, b, top_W, top_b, view, n_regions = _bench_setup(d, p, pattern, v, seed)
-        times[v] = _median_seconds(
-            lambda: _sparse_forward(W, b, top_W, top_b, view, n_regions), repetitions
-        )
+        model, doc = _bench_setup(d, p, pattern, v, seed)
+        times[v] = _median_seconds(lambda: forward(model, doc), repetitions)
     return times[v_large] / times[v_small]
 
 
@@ -201,13 +193,13 @@ def dense_control_ratio(
     """
     times = {}
     for v in (v_small, v_large):
-        W, b, top_W, top_b, view, n_regions = _bench_setup(d, p, pattern, v, seed)
-        X = _densify(view, n_regions)
+        model, doc = _bench_setup(d, p, pattern, v, seed)
+        X = _densify(doc.views[0], doc.n_regions)
 
         def dense_forward():
-            Z = np.einsum("rv,dv->rd", X, W) + b
+            Z = np.einsum("rv,dv->rd", X, model.base.W) + model.base.b
             pooled, _ = max_pool(Z, 1)
-            return top_W @ np.maximum(pooled, 0.0, out=pooled).ravel() + top_b
+            return model.top_W @ np.maximum(pooled, 0.0, out=pooled).ravel() + model.top_b
 
         times[v] = _median_seconds(dense_forward, repetitions, warmup=2)
     return times[v_large] / times[v_small]

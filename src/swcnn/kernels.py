@@ -1,30 +1,11 @@
-"""Numeric primitives: a per-region sparse affine map and softmax cross entropy.
+"""Softmax cross entropy, the loss at the top of the supervised model.
 
-``sparse_affine`` computes y = W x + b for one sparse region vector,
-touching only the columns of W at x's nonzero indices, so its cost is
-O(d * nnz(x)) and does not depend on the input dimensionality (hence not
-on the vocabulary size).  The slot-incidence sweep in ``model.py`` does
-the same arithmetic for many regions at once; this function is the
-per-region reference it is tested against.
+The region sweep and its gradient live in ``model.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from swcnn.textpipe import SparseRegionVector
-
-
-def sparse_affine(W: np.ndarray, b: np.ndarray, x: SparseRegionVector) -> np.ndarray:
-    """W x + b touching only the columns of W at x's nonzero indices."""
-    d, n = W.shape
-    if b.shape != (d,):
-        raise ValueError(f"bias shape {b.shape} does not match W rows {d}")
-    if x.dim != n:
-        raise ValueError(f"input dim {x.dim} does not match W cols {n}")
-    if x.nnz == 0:
-        return b.astype(np.float64, copy=True)
-    return W[:, x.indices] @ x.values + b
 
 
 def softmax_xent(logits: np.ndarray, true_class: int):

@@ -20,8 +20,6 @@ under one of three representations, each over one vocabulary kind
 
 Documents shorter than the region size are right-padded with OOV markers
 so every document has at least one region; stride is always 1.
-``region_vector`` builds one region's sparse vector explicitly; it is the
-per-region reference the sweep is tested against.
 """
 
 from __future__ import annotations
@@ -34,9 +32,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 OOV = -1
-
-WORD_VOCAB_CAP = 30_000
-NGRAM_VOCAB_CAP = 200_000
 
 CONCAT = "concat-one-hot"
 BOW_WORD = "bow-word"
@@ -167,69 +162,6 @@ class RegionSpec:
         return NGRAM123 if self.representation == BOW_NGRAM else WORD
 
 
-@dataclass(frozen=True, eq=False)
-class SparseRegionVector:
-    """Nonzeros of one region under a RegionSpec.
-
-    ``indices`` are strictly increasing positions below ``dim``;
-    ``values`` are the matching positive coefficients (all 1 for
-    concat-one-hot, integer counts for bow representations).
-    """
-
-    dim: int
-    indices: np.ndarray
-    values: np.ndarray
-
-    @property
-    def nnz(self) -> int:
-        return len(self.indices)
-
-
 def region_count(doc_len: int, region_size: int) -> int:
     """Number of stride-1 region positions after right-padding."""
     return max(1, doc_len - region_size + 1)
-
-
-def region_vector(ids: np.ndarray, pos: int, spec: RegionSpec) -> SparseRegionVector:
-    """Sparse vector of the region covering token positions pos..pos+p-1.
-
-    ``ids`` is the document as ``encode`` returns it against the
-    vocabulary the representation reads.  Positions past the end of the
-    document (present only when the document was right-padded to the
-    region size) act as OOV and contribute nothing.
-    """
-    n_positions = region_count(len(ids), spec.region_size)
-    if not 0 <= pos < n_positions:
-        raise ValueError(f"region position {pos} outside [0, {n_positions})")
-    return _region_vector_unchecked(ids, pos, spec)
-
-
-def _region_vector_unchecked(ids, pos, spec):
-    p = spec.region_size
-    v = spec.vocab_size
-    end = min(pos + p, len(ids))
-    if spec.representation == CONCAT:
-        pairs = [
-            (slot * v + ids[pos + slot], 1.0)
-            for slot in range(end - pos)
-            if ids[pos + slot] != OOV
-        ]
-        return _from_pairs(p * v, pairs)
-    if spec.representation == BOW_WORD:
-        counts = Counter(t for t in ids[pos:end] if t != OOV)
-    else:
-        counts = Counter()
-        for start in range(pos, end):
-            grams = ids[start]
-            for n in (1, 2, 3):
-                if start + n > pos + p:
-                    break
-                if grams[n - 1] != OOV:
-                    counts[grams[n - 1]] += 1
-    return _from_pairs(v, sorted(counts.items()))
-
-
-def _from_pairs(dim, pairs):
-    indices = np.fromiter((i for i, _ in pairs), dtype=np.int64, count=len(pairs))
-    values = np.fromiter((x for _, x in pairs), dtype=np.float64, count=len(pairs))
-    return SparseRegionVector(dim=dim, indices=indices, values=values)

@@ -1,6 +1,9 @@
-"""Shared builders for synthetic corpora, tiny models and gradient checks."""
+"""Shared builders for synthetic corpora, tiny models and gradient checks,
+and the per-region reference the slot-incidence sweep is tested against."""
 
 import struct
+from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -10,10 +13,85 @@ from swcnn.model import (
     prepare_labeled, zero_grads,
 )
 from swcnn.kernels import softmax_xent
-from swcnn.textpipe import BOW_NGRAM, BOW_WORD, CONCAT, RegionSpec, Vocabulary
+from swcnn.textpipe import BOW_NGRAM, BOW_WORD, CONCAT, OOV, RegionSpec, Vocabulary, region_count
 from swcnn.train import (
     ModelTemplate, TrainConfig, init_model, lr_at_epoch, sgd_momentum_step,
 )
+
+
+@dataclass(frozen=True, eq=False)
+class SparseRegionVector:
+    """Nonzeros of one region under a RegionSpec.
+
+    ``indices`` are strictly increasing positions below ``dim``;
+    ``values`` are the matching positive coefficients (all 1 for
+    concat-one-hot, integer counts for bow representations).
+    """
+
+    dim: int
+    indices: np.ndarray
+    values: np.ndarray
+
+    @property
+    def nnz(self) -> int:
+        return len(self.indices)
+
+
+def region_vector(ids: np.ndarray, pos: int, spec: RegionSpec) -> SparseRegionVector:
+    """Sparse vector of the region covering token positions pos..pos+p-1.
+
+    ``ids`` is the document as ``encode`` returns it against the
+    vocabulary the representation reads.  Positions past the end of the
+    document (present only when the document was right-padded to the
+    region size) act as OOV and contribute nothing.
+    """
+    n_positions = region_count(len(ids), spec.region_size)
+    if not 0 <= pos < n_positions:
+        raise ValueError(f"region position {pos} outside [0, {n_positions})")
+    return _region_vector_unchecked(ids, pos, spec)
+
+
+def _region_vector_unchecked(ids, pos, spec):
+    p = spec.region_size
+    v = spec.vocab_size
+    end = min(pos + p, len(ids))
+    if spec.representation == CONCAT:
+        pairs = [
+            (slot * v + ids[pos + slot], 1.0)
+            for slot in range(end - pos)
+            if ids[pos + slot] != OOV
+        ]
+        return _from_pairs(p * v, pairs)
+    if spec.representation == BOW_WORD:
+        counts = Counter(t for t in ids[pos:end] if t != OOV)
+    else:
+        counts = Counter()
+        for start in range(pos, end):
+            grams = ids[start]
+            for n in (1, 2, 3):
+                if start + n > pos + p:
+                    break
+                if grams[n - 1] != OOV:
+                    counts[grams[n - 1]] += 1
+    return _from_pairs(v, sorted(counts.items()))
+
+
+def _from_pairs(dim, pairs):
+    indices = np.fromiter((i for i, _ in pairs), dtype=np.int64, count=len(pairs))
+    values = np.fromiter((x for _, x in pairs), dtype=np.float64, count=len(pairs))
+    return SparseRegionVector(dim=dim, indices=indices, values=values)
+
+
+def sparse_affine(W: np.ndarray, b: np.ndarray, x: SparseRegionVector) -> np.ndarray:
+    """W x + b touching only the columns of W at x's nonzero indices."""
+    d, n = W.shape
+    if b.shape != (d,):
+        raise ValueError(f"bias shape {b.shape} does not match W rows {d}")
+    if x.dim != n:
+        raise ValueError(f"input dim {x.dim} does not match W cols {n}")
+    if x.nnz == 0:
+        return b.astype(np.float64, copy=True)
+    return W[:, x.indices] @ x.values + b
 
 
 def word_vocab(n):

@@ -13,6 +13,7 @@ from helpers import (
     markov_corpus,
     pair_distance_dataset,
     random_tiny_instance,
+    region_vector,
     trigger_bigram_dataset,
 )
 from swcnn.cli import main
@@ -22,10 +23,12 @@ from swcnn.evalbench import (
     make_bench_pattern,
     vocab_independence_bench,
 )
-from swcnn.kernels import sparse_affine
-from swcnn.model import forward, prepare_document, prepare_labeled
+from swcnn.model import _view_slots, embed_regions, forward, prepare_document, prepare_labeled
 from swcnn.serialize import load_model
-from swcnn.textpipe import BOW_WORD, CONCAT, RegionSpec, SparseRegionVector, build_vocab
+from swcnn.textpipe import (
+    BOW_NGRAM, BOW_WORD, CONCAT, NGRAM123, OOV, WORD, RegionSpec, build_vocab, encode,
+    region_count,
+)
 from swcnn.train import ModelTemplate, TrainConfig, holdout_split, train
 from swcnn.tv import TvTrainConfig, train_tv
 
@@ -67,21 +70,43 @@ def test_02_gradient_correctness(capsys):
 
 
 def test_03_sparse_dense_equivalence(capsys):
-    """sparse_affine equals a naive dense oracle on 1,000 random instances."""
+    """The slot sweep equals a dense oracle on 1,000 random instances.
+
+    The sweep is what ``forward`` and tv training run: ``embed_regions``
+    over ``_view_slots``.  The oracle is ``X @ W.T + b``, with row r of X
+    the densified per-region reference vector of region r.
+    """
     rng = np.random.default_rng(2024)
+    words = [f"w{i}" for i in range(6)]  # a small pool, so bow regions repeat words
+    seen_sizes, seen_oov, seen_short, seen_repeat = set(), False, False, False
     worst = 0.0
-    for _ in range(1000):
+    for i in range(1000):
+        representation = (CONCAT, BOW_WORD, BOW_NGRAM)[i % 3]
+        p = int(rng.integers(1, 6))
         d = int(rng.integers(1, 9))
-        n = int(rng.integers(1, 65))
-        W = rng.normal(size=(d, n))
+        tokens = [words[int(j)] if rng.random() < 0.85 else "oov"
+                  for j in rng.integers(0, len(words), size=int(rng.integers(0, 2 * p + 4)))]
+        # a random cap drops some words and n-grams too; "oov" is never kept
+        kind = NGRAM123 if representation == BOW_NGRAM else WORD
+        vocab = build_vocab([[t for t in tokens if t != "oov"], words], kind,
+                            int(rng.integers(1, 40)))
+        ids = encode(tokens, vocab)
+        spec = RegionSpec(representation, p, len(vocab))
+        n_regions = region_count(len(ids), p)
+        W = np.asfortranarray(rng.normal(size=(d, spec.input_dim)))
         b = rng.normal(size=d)
-        nnz = int(rng.integers(0, min(n, 7)))
-        idx = np.sort(rng.choice(n, size=nnz, replace=False)).astype(np.int64)
-        x = SparseRegionVector(dim=n, indices=idx, values=rng.uniform(0.5, 3.0, size=nnz))
-        dense_x = np.zeros(n)
-        dense_x[idx] = x.values
-        diff = np.abs(sparse_affine(W, b, x) - (W @ dense_x + b))
-        worst = max(worst, float(diff.max(initial=0.0)))
+        sweep = embed_regions(W, _view_slots(ids, spec, np.arange(n_regions), len(ids)),
+                              n_regions) + b
+        X = np.zeros((n_regions, spec.input_dim))
+        for pos in range(n_regions):
+            x = region_vector(ids, pos, spec)
+            X[pos, x.indices] = x.values
+            seen_repeat |= representation != CONCAT and bool((x.values >= 2).any())
+        worst = max(worst, float(np.abs(sweep - (X @ W.T + b)).max()))
+        seen_sizes.add(p)
+        seen_oov |= bool((ids == OOV).any())
+        seen_short |= len(tokens) < p
+    assert seen_sizes == {1, 2, 3, 4, 5} and seen_oov and seen_short and seen_repeat
     with capsys.disabled():
         verdict("03-sparse-dense-equivalence", worst < 1e-6, f"max abs diff {worst:.2e}")
 

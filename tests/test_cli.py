@@ -335,6 +335,12 @@ class TestPipeline:
         out = capsys.readouterr().out
         assert "sparse_ratio=" in out and "dense_control_ratio=" in out
 
+    def test_bench_accepts_the_smallest_values(self, capsys):
+        assert run(["bench", "--set", "bench_d=1", "--set", "bench_p=1",
+                    "--set", "bench_v_small=48", "--set", "bench_v_large=48",
+                    "--set", "bench_repetitions=1"]) == 0
+        assert "sparse_ratio=" in capsys.readouterr().out
+
     def test_saved_model_reproduces_logits(self, task_files):
         from swcnn.model import forward, prepare_document
         from swcnn.serialize import load_model
@@ -430,6 +436,14 @@ class TestExitCodes:
         ("train", ["seed=-1"], "seed must be >= 0"),
         ("train", ["n_classes=-1"], "n_classes must be >= 0"),
         ("params", ["n_classes=-1"], "n_classes must be >= 0"),
+        # the bench pattern has 48 distinct codes; each vocabulary must hold them
+        ("bench", ["bench_v_small=10"], "bench_v_small must be >= 48"),
+        ("bench", ["bench_v_small=47"], "bench_v_small must be >= 48"),
+        ("bench", ["bench_v_large=0"], "bench_v_large must be >= 48"),
+        ("bench", ["bench_p=0"], "bench_p must be >= 1"),
+        ("bench", ["bench_repetitions=0"], "bench_repetitions must be >= 1"),
+        ("bench", ["bench_d=0"], "bench_d must be >= 1"),
+        ("bench", ["bench_d=-3"], "bench_d must be >= 1"),
     ])
     def test_invalid_config_value_is_one(self, task_files, capsys, command, settings, message):
         tmp_path, train_csv, _, config = task_files

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from swcnn.kernels import softmax_xent, sparse_affine
-from swcnn.textpipe import SparseRegionVector
+from helpers import SparseRegionVector, sparse_affine
+from swcnn.kernels import softmax_xent
 
 
 def sparse_vec(dim, pairs):

@@ -3,8 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import fd_max_rel_error, random_tiny_instance, rectify_then_pool, word_vocab
-from swcnn.kernels import softmax_xent, sparse_affine
+from helpers import (
+    _region_vector_unchecked, fd_max_rel_error, random_tiny_instance, rectify_then_pool,
+    region_vector, sparse_affine, word_vocab,
+)
+from swcnn.kernels import softmax_xent
 from swcnn.model import (
     ModelGrads,
     RegionEmbedding,
@@ -21,7 +24,7 @@ from swcnn.model import (
     zero_grads,
 )
 from swcnn.textpipe import (
-    BOW_NGRAM, BOW_WORD, CONCAT, RegionSpec, Vocabulary, encode, region_count, region_vector,
+    BOW_NGRAM, BOW_WORD, CONCAT, RegionSpec, Vocabulary, encode, region_count,
 )
 from swcnn.train import ModelTemplate, TrainConfig, init_model
 
@@ -47,8 +50,6 @@ def naive_logits(model, tokens):
     Two-view regions at positions past their own standalone range clip to
     the document, mirroring the sweep (base positions drive the sweep).
     """
-    from swcnn.textpipe import _region_vector_unchecked
-
     base = model.base
     enc = encode(tokens, base.vocab)
     tv_encs = [encode(tokens, tv.embedding.vocab) for tv in model.tvs]

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import region_vector
 from swcnn.textpipe import (
     BOW_NGRAM,
     BOW_WORD,
@@ -16,7 +17,6 @@ from swcnn.textpipe import (
     encode,
     iter_ngrams,
     region_count,
-    region_vector,
     tokenize,
 )
 

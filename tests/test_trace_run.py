@@ -2,7 +2,8 @@
 
 ``benchmark/tracer.py`` rebinds module functions by name when it starts,
 so renaming or bypassing one of them breaks traced benchmark runs; this
-runs it on a tiny corpus for ``train``, ``predict`` and ``tv-train``.
+runs it on a tiny corpus for ``train``, ``predict`` and ``tv-train``, and on a
+small ``bench``.
 """
 
 import json
@@ -79,3 +80,16 @@ def test_traced_ngram_tv_train_encodes_and_makes_examples(tmp_path):
     # the sweep and the scatter run through the model module's names
     for metric in ("model.embed_regions_s", "model.gathered_rows", "model.scatter_grad_s"):
         assert sums.get(metric, 0) > 0, metric
+
+
+def test_traced_bench_times_the_model_forward(tmp_path):
+    argv = ["bench"]
+    for setting in ["bench_d=8", "bench_v_small=100", "bench_v_large=1000",
+                    "bench_repetitions=3"]:
+        argv += ["--set", setting]
+    sums, _, out = traced(tmp_path / "bench.json", argv)
+    assert "sparse_ratio=" in out
+    record = json.loads((tmp_path / "bench.json").read_text(encoding="utf-8"))
+    assert "evalbench.infer_vocab_ratio" in record["value"]
+    # the bench runs the model's own forward, which the tracer wraps
+    assert sums.get("model.forward_self_s", 0) > 0

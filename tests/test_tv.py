@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from helpers import markov_corpus, rel_err, word_vocab
+from helpers import markov_corpus, region_vector, rel_err, sparse_affine, word_vocab
 from swcnn.errors import DataError
-from swcnn.kernels import sparse_affine
-from swcnn.textpipe import BOW_NGRAM, BOW_WORD, OOV, RegionSpec, build_vocab, encode, region_vector
+from swcnn.textpipe import BOW_NGRAM, BOW_WORD, OOV, RegionSpec, build_vocab, encode
 from swcnn.train import sgd_momentum_step
 from swcnn.tv import (
     TvTrainConfig,
