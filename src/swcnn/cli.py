@@ -16,7 +16,6 @@ import os
 import sys
 
 from swcnn import config as cfgmod
-from swcnn import model as modelmod
 from swcnn.config import RunConfig, apply_setting, parse_config, validate_config
 from swcnn.data import atomic_write, load_csv, load_vocab, n_classes_of, save_vocab, to_samples
 from swcnn.errors import DataError, NumericError, UsageError
@@ -172,9 +171,12 @@ def cmd_tv_train(args, cfg: RunConfig) -> int:
             f"{args.input_vocab}: {spec.representation} embeddings need a vocabulary "
             f"of kind {spec.vocab_kind}, found kind={input_vocab.kind}"
         )
-    embedding, losses = train_tv(
-        corpus, spec, input_vocab, word_vocab, cfg.tv_dim, cfgmod.tv_config(cfg)
-    )
+    try:
+        embedding, losses = train_tv(
+            corpus, spec, input_vocab, word_vocab, cfg.tv_dim, cfgmod.tv_config(cfg)
+        )
+    except DataError as exc:
+        raise DataError(f"{args.input}: {exc}") from exc
     save_embedding(embedding, out)
     for epoch, loss in enumerate(losses, start=1):
         print(f"epoch={epoch} tv_loss={loss:.6f}")
@@ -302,12 +304,9 @@ def cmd_eval(args, cfg: RunConfig) -> int:
 
 def cmd_predict(args, cfg: RunConfig) -> int:
     model = load_model(_need(args.model, "--model path"))
-    views = model.views
     for line in sys.stdin:
-        # called through the module, so benchmark/tracer.py times it as in train and eval
-        doc = modelmod.prepare_document(views, tokenize(line.rstrip("\n")))
         # flushed per answer, so a client on a pipe need not close stdin first
-        print(predict(model, doc), flush=True)
+        print(predict(model, tokenize(line.rstrip("\n"))), flush=True)
     return 0
 
 

@@ -124,11 +124,9 @@ def _bench_setup(d: int, p: int, pattern, vocab_size: int, seed: int):
     vocab = Vocabulary(WORD, tuple((str(i), vocab_size - i) for i in range(vocab_size)))
     spec = RegionSpec(representation=BOW_WORD, region_size=p, vocab_size=vocab_size)
     rng = np.random.default_rng(seed)
-    W = np.asfortranarray(rng.normal(0.0, 0.01, size=(d, spec.input_dim)))
-    b = rng.normal(0.0, 0.01, size=d)
+    base = RegionEmbedding.initial(spec, vocab, d, 0.01, rng)
     top_W = rng.normal(0.0, 0.01, size=(2, d))
     top_b = rng.normal(0.0, 0.01, size=2)
-    base = RegionEmbedding(spec=spec, vocab=vocab, W=W, b=b)
     model = ShallowModel(base=base, tvs=(), pooling_k=1, top_W=top_W, top_b=top_b)
     return model, prepare_document(model.views, tokens)
 

@@ -28,8 +28,8 @@ gather-adds instead of a Python loop over positions.
 paper's "input vector generation"): it encodes the tokens against every
 view and returns a ``PreparedDoc``.  ``prepare_labeled`` does the same
 over (tokens, label) pairs and rejects labels outside the model's
-classes.  Training, validation, evaluation, timing and prediction all
-run ``forward`` on ``PreparedDoc``s.
+classes.  Training, validation, evaluation and timing run ``forward``
+on ``PreparedDoc``s; ``predict`` prepares its document's tokens itself.
 """
 
 from __future__ import annotations
@@ -56,6 +56,9 @@ class RegionEmbedding:
     """An affine map over one sparse region view, with its vocabulary.
 
     The vocabulary is of the kind the view's representation reads.
+    ``initial`` draws a fresh one (``W`` column-major, as the sweep reads
+    it), ``features`` maps a view to relu(W x + b), and ``add_grad``
+    back-propagates a gradient of W x + b into W and b.
     """
 
     spec: RegionSpec
@@ -77,6 +80,12 @@ class RegionEmbedding:
                 f"{self.spec.vocab_kind}, got kind {self.vocab.kind}"
             )
 
+    @classmethod
+    def initial(cls, spec: RegionSpec, vocab: Vocabulary, dim: int, std: float, rng) -> RegionEmbedding:
+        """A fresh embedding: W then b drawn Gaussian(0, std^2) from ``rng``."""
+        W = np.asfortranarray(rng.normal(0.0, std, size=(dim, spec.input_dim)))
+        return cls(spec=spec, vocab=vocab, W=W, b=rng.normal(0.0, std, size=dim))
+
     @property
     def dim(self) -> int:
         return self.W.shape[0]
@@ -86,6 +95,11 @@ class RegionEmbedding:
         H = embed_regions(self.W, view, n_regions)
         H += self.b
         return np.maximum(H, 0.0, out=H)
+
+    def add_grad(self, dZ: np.ndarray, view: PreparedView, dW: np.ndarray, db: np.ndarray) -> None:
+        """Add the gradients of W and b, given dZ (R, dim) for W x + b, into dW and db."""
+        _scatter_embedding_grad(dW, dZ, view)
+        db += dZ.sum(axis=0)
 
 
 @dataclass
@@ -338,8 +352,7 @@ def backward(model: ShallowModel, cache: ForwardCache, grad_logits: np.ndarray, 
     dZ = np.zeros((cache.prep.n_regions, model.base.dim))
     # units cover disjoint spans, so no (row, col) repeats; += turns -0.0 into +0.0
     dZ[cache.pool_rows[valid], valid.nonzero()[1]] += dv.reshape(valid.shape)[valid]
-    _scatter_embedding_grad(grads.base_W, dZ, cache.prep.views[0])
-    grads.base_b += dZ.sum(axis=0)
+    model.base.add_grad(dZ, cache.prep.views[0], grads.base_W, grads.base_b)
     for df, tv_out in zip(grads.fusions, cache.tv_outputs):
         df += dZ.T @ tv_out
     return grads
@@ -370,7 +383,7 @@ def count_parameters(model: ShallowModel) -> int:
                            model.n_classes, model.pooling_k)
 
 
-def predict(model: ShallowModel, doc: PreparedDoc) -> int:
-    """Class with the highest score; ties go to the lowest class index."""
-    logits, _ = forward(model, doc, train=False)
+def predict(model: ShallowModel, tokens: Sequence[str]) -> int:
+    """Class of one document's tokens with the highest score; ties go to the lowest index."""
+    logits, _ = forward(model, prepare_document(model.views, tokens), train=False)
     return int(np.argmax(logits))

@@ -64,6 +64,7 @@ MAGIC = b"SWCN"
 FORMAT_VERSION = 2
 KIND_MODEL = 0
 KIND_EMBEDDING = 1
+_KIND_NAMES = {KIND_MODEL: "model", KIND_EMBEDDING: "embedding"}
 
 _REP_CODES = {CONCAT: 0, BOW_WORD: 1, BOW_NGRAM: 2}
 _REP_NAMES = {v: k for k, v in _REP_CODES.items()}
@@ -199,7 +200,7 @@ def _open(path, kind: int) -> _Reader:
     The file is mapped and closed again; the map keeps the file's pages
     even if its path is later replaced or removed.
     """
-    what = "model" if kind == KIND_MODEL else "embedding"
+    what = _KIND_NAMES[kind]
     try:
         with open(path, "rb") as stream:
             # an empty file cannot be mapped; it is read as a truncated one
@@ -218,7 +219,7 @@ def _open(path, kind: int) -> _Reader:
         )
     (found,) = r.unpack("<B")
     if found != kind:
-        found = "embedding" if found == KIND_EMBEDDING else f"kind {found}"
+        found = _KIND_NAMES.get(found, f"kind {found}")
         raise DataError(f"{path}: container holds {found}, expected {what}")
     return r
 

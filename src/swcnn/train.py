@@ -99,12 +99,7 @@ def init_model(template: ModelTemplate, config: TrainConfig, rng) -> ShallowMode
     """Fresh model with every trainable tensor drawn Gaussian(0, init_std^2)."""
     std = config.init_std
     d = template.embed_dim
-    base = RegionEmbedding(
-        spec=template.base_spec,
-        vocab=template.base_vocab,
-        W=np.asfortranarray(rng.normal(0.0, std, size=(d, template.base_spec.input_dim))),
-        b=rng.normal(0.0, std, size=d),
-    )
+    base = RegionEmbedding.initial(template.base_spec, template.base_vocab, d, std, rng)
     tvs = tuple(
         TvEmbedding(embedding=emb, fusion=rng.normal(0.0, std, size=(d, emb.dim)))
         for emb in template.tv_embeddings

@@ -21,8 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from swcnn import model as modelmod
-from swcnn.errors import DataError
+from swcnn.errors import DataError, NumericError
 from swcnn.model import RegionEmbedding, _view_slots
 from swcnn.textpipe import (
     OOV,
@@ -131,16 +130,16 @@ def train_tv(
     W and the prediction layer are stepped lazily, as in ``train``: only
     W's columns the batch's regions read and the head rows of its targets
     and negatives, all brought up to date at each epoch end.  That rounds
-    differently from the dense step, and draws nothing.
+    differently from the dense step, and draws nothing.  A non-finite
+    running loss raises ``NumericError`` before the batch's step.
     """
     if len(corpus) == 0:
         raise DataError("tv training needs a non-empty corpus")
     rng = np.random.default_rng(config.seed)
     n_words = len(word_vocab)
-    W = np.asfortranarray(rng.normal(0.0, config.init_std, size=(d_tv, spec.input_dim)))
-    b = rng.normal(0.0, config.init_std, size=d_tv)
     # checks the input vocabulary against the spec; training updates W, b in place
-    embedding = RegionEmbedding(spec=spec, vocab=tv_vocab, W=W, b=b)
+    embedding = RegionEmbedding.initial(spec, tv_vocab, d_tv, config.init_std, rng)
+    W, b = embedding.W, embedding.b
     head_W = rng.normal(0.0, config.init_std, size=(n_words, d_tv))
     head_b = rng.normal(0.0, config.init_std, size=n_words)
 
@@ -161,7 +160,8 @@ def train_tv(
             n_targets.append(len(ex.target))
         offset += len(tokens)
     if not outputs:
-        raise DataError("no tv examples")
+        raise DataError(f"no tv examples: no region has an in-vocabulary word "
+                        f"within {spec.region_size} tokens on either side")
     ids = np.concatenate(pieces)
     starts = np.asarray(starts, dtype=np.int64)
     ends = np.asarray(ends, dtype=np.int64)
@@ -177,10 +177,10 @@ def train_tv(
                  for p, g in ((head_W, dhead_W), (head_b, dhead_b))]
     velocity = [lazy_W, np.zeros_like(b), *lazy_head]
     epoch_losses = []
-    for _ in range(config.epochs):
+    for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
         loss_sum = 0.0
-        for first in range(0, n, config.batch_size):
+        for batch_index, first in enumerate(range(0, n, config.batch_size)):
             batch = order[first : first + config.batch_size]
             view = _view_slots(ids, spec, starts[batch], ends[batch])
             lazy_W.touch(slot_columns([view]))
@@ -203,10 +203,9 @@ def train_tv(
                 dhead_W[out_idx] += np.outer(dpred, h)
                 dhead_b[out_idx] += dpred
                 dH[row] = head.T @ dpred
-            dZ = np.where(H > 0.0, dH, 0.0)
-            # called through the module, so benchmark/tracer.py times it as in train
-            modelmod._scatter_embedding_grad(dW, dZ, view)
-            db += dZ.sum(axis=0)
+            if not np.isfinite(loss_sum):
+                raise NumericError(f"non-finite tv loss at epoch {epoch}, batch {batch_index}")
+            embedding.add_grad(np.where(H > 0.0, dH, 0.0), view, dW, db)
             sgd_momentum_step(params, grads, velocity, config.lr, config.momentum)
         for lazy in (lazy_W, *lazy_head):
             lazy.flush()

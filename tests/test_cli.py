@@ -723,3 +723,27 @@ class TestExitCodes:
                         "--set", "initial_lr=1e200", "--set", "batch_size=5"])
         assert code == 3
         assert "epoch" in capsys.readouterr().err
+
+    def test_diverging_tv_train_is_three(self, task_files, capsys):
+        tmp_path, train_csv, _, config = task_files
+        vocab_path = tmp_path / "w.vocab"
+        run(["vocab", "--config", config, "--input", train_csv, "--output", vocab_path])
+        out = tmp_path / "tv.swcn"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run(["tv-train", "--config", config, "--input", train_csv,
+                        "--word-vocab", vocab_path, "--output", out, "--set", "tv_lr=1e200"])
+        assert code == 3
+        assert not out.exists()
+        assert "epoch" in capsys.readouterr().err
+
+    def test_no_tv_examples_is_two_and_names_the_csv(self, task_files, capsys):
+        tmp_path, train_csv, _, config = task_files
+        vocab_path = tmp_path / "w.vocab"
+        run(["vocab", "--config", config, "--input", train_csv, "--output", vocab_path])
+        capsys.readouterr()
+        # every document has 12 tokens: a 20-token region has no neighbours
+        code = run(["tv-train", "--config", config, "--input", train_csv,
+                    "--word-vocab", vocab_path, "--output", tmp_path / "tv.swcn",
+                    "--set", "tv_region_size=20"])
+        assert code == 2
+        assert f"{train_csv}: no tv examples" in capsys.readouterr().err

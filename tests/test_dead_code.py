@@ -1,9 +1,10 @@
 """Every module-level definition in ``src/swcnn`` is read somewhere in ``src/``.
 
 A definition is a module-level ``def``, ``class`` or assignment target.
-A read is a loaded name, a loaded attribute, or an ``__all__`` entry; an
-``import`` is not a read.  Code that only the tests call belongs in the
-tests (``tests/helpers.py`` holds the per-region reference).
+A read is a loaded name or a loaded attribute.  Neither an ``import`` nor
+an ``__all__`` entry is a read, so a re-export keeps no name alive.  Code
+that only the tests call belongs in the tests (``tests/helpers.py`` holds
+the per-region reference).
 """
 
 import ast
@@ -36,10 +37,6 @@ def _reads(tree):
             yield node.id
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             yield node.attr
-        elif isinstance(node, ast.Assign) and any(
-            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
-        ):
-            yield from (elt.value for elt in node.value.elts)
 
 
 def test_every_module_level_definition_is_read_in_src():

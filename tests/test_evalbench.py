@@ -6,6 +6,7 @@ import pytest
 from helpers import word_vocab
 from swcnn.errors import DataError
 from swcnn.evalbench import (
+    _bench_setup,
     dense_control_ratio,
     evaluate,
     make_bench_pattern,
@@ -121,3 +122,13 @@ class TestVocabIndependence:
 
     def test_pattern_is_deterministic(self):
         assert make_bench_pattern(seed=3) == make_bench_pattern(seed=3)
+
+
+def test_bench_setup_draw_order():
+    """W (column-major), b, top_W, top_b, all at std 0.01."""
+    model, _ = _bench_setup(6, 3, [0, 1, 2, 1], 10, seed=5)
+    rng = np.random.default_rng(5)
+    want = [rng.normal(0.0, 0.01, size=shape) for shape in [(6, 10), 6, (2, 6), 2]]
+    assert model.base.W.flags.f_contiguous
+    for got, expect in zip(model.trainable_params(), want, strict=True):
+        assert got.shape == expect.shape and np.array_equal(got, expect)

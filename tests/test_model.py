@@ -381,23 +381,21 @@ class TestPredict:
         model.base.W[...] = 0.0
         model.base.b[...] = 0.0
         model.top_b[...] = [0.2, 0.9]
-        doc = prepare_document(model.views, ["w0"])
-        assert predict(model, doc) == 1
+        assert predict(model, ["w0"]) == 1
 
     def test_tie_breaks_low(self):
         template, model = small_model(n_classes=2, pooling_k=1)
         model.base.W[...] = 0.0
         model.base.b[...] = 0.0
         model.top_b[...] = [0.5, 0.5]
-        doc = prepare_document(model.views, ["w0"])
-        assert predict(model, doc) == 0
+        assert predict(model, ["w0"]) == 0
 
     def test_shift_invariance(self):
         template, model = small_model(n_classes=3, pooling_k=1)
-        doc = prepare_document(model.views, ["w0", "w3", "w5"])
-        before = predict(model, doc)
+        tokens = ["w0", "w3", "w5"]
+        before = predict(model, tokens)
         model.top_b += 11.25
-        assert predict(model, doc) == before
+        assert predict(model, tokens) == before
 
 
 class TestFrozenTv:

@@ -391,7 +391,7 @@ def test_kind_mismatch(fused_model, tmp_path):
     _, model = fused_model
     path = tmp_path / "m.swcn"
     save_model(model, path)
-    with pytest.raises(DataError, match="expected embedding"):
+    with pytest.raises(DataError, match="holds model, expected embedding"):
         load_embedding(path)
 
 

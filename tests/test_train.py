@@ -162,6 +162,27 @@ def tiny_template(data, pooling_k=1, region_size=3):
     )
 
 
+def test_init_model_draw_order():
+    """W (column-major), b, one fusion per tv, top_W, top_b, in that order."""
+    from swcnn.model import RegionEmbedding
+    from swcnn.textpipe import BOW_WORD, RegionSpec
+
+    data = tiny_task(20)
+    vocab = tiny_template(data).base_vocab
+    tv = RegionEmbedding(spec=RegionSpec(BOW_WORD, 2, len(vocab)), vocab=vocab,
+                         W=np.zeros((3, len(vocab)), order="F"), b=np.zeros(3))
+    template = ModelTemplate(base_vocab=vocab, n_classes=2, region_size=3, embed_dim=8,
+                             pooling_k=2, tv_embeddings=(tv,))
+    config = TrainConfig(epochs=1, decay_epoch=1, init_std=0.05)
+    rng = np.random.default_rng(5)
+    want = [rng.normal(0.0, 0.05, size=shape)
+            for shape in [(8, 3 * len(vocab)), 8, (8, 3), (2, 16), 2]]
+    model = init_model(template, config, np.random.default_rng(5))
+    assert model.base.W.flags.f_contiguous
+    for got, expect in zip(model.trainable_params(), want, strict=True):
+        assert got.shape == expect.shape and np.array_equal(got, expect)
+
+
 class TestTrain:
     def test_zero_lr_keeps_initialization_bitwise(self):
         data = tiny_task()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import markov_corpus, region_vector, rel_err, sparse_affine, word_vocab
-from swcnn.errors import DataError
+from swcnn.errors import DataError, NumericError
 from swcnn.textpipe import BOW_NGRAM, BOW_WORD, OOV, RegionSpec, build_vocab, encode
 from swcnn.train import sgd_momentum_step
 from swcnn.tv import (
@@ -153,6 +153,14 @@ class TestTrainTv:
         spec = RegionSpec(BOW_WORD, 12, len(vocab))
         with pytest.raises(DataError, match="no tv examples"):
             train_tv([self.corpus[0]], spec, vocab, vocab, 4, TvTrainConfig(epochs=1))
+
+    def test_divergence_aborts_with_location(self):
+        vocab = self.vocab()
+        spec = RegionSpec(BOW_WORD, 3, len(vocab))
+        config = TvTrainConfig(seed=0, epochs=2, lr=1e200, negatives=5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match=r"epoch \d+, batch \d+"):
+                train_tv(self.corpus, spec, vocab, vocab, 4, config)
 
     def test_empty_corpus_raises(self):
         vocab = self.vocab()
