@@ -252,11 +252,13 @@ def cmd_select(args, cfg: RunConfig) -> int:
         print("note: empty validation holdout, selecting on training loss")
     lines = []
     for pt in report.points:
+        point = (f"point region_size={pt.region_size} pooling_k={pt.pooling_k} "
+                 f"initial_lr={pt.initial_lr:g}")
+        if pt.diverged:
+            lines.append(f"{point} diverged: {pt.diverged}")
+            continue
         score = f"{pt.val_error:.4f}" if pt.val_error is not None else "nan"
-        lines.append(
-            f"point region_size={pt.region_size} pooling_k={pt.pooling_k} "
-            f"initial_lr={pt.initial_lr:g} val_error={score} train_loss={pt.train_loss:.6f}"
-        )
+        lines.append(f"{point} val_error={score} train_loss={pt.train_loss:.6f}")
     chosen = report.chosen
     lines.append(
         f"selected region_size={chosen.region_size} pooling_k={chosen.pooling_k} "
@@ -304,7 +306,12 @@ def cmd_eval(args, cfg: RunConfig) -> int:
 
 def cmd_predict(args, cfg: RunConfig) -> int:
     model = load_model(_need(args.model, "--model path"))
-    for line in sys.stdin:
+    # read as bytes and decoded strictly, so the locale cannot change the answer
+    for number, raw in enumerate(sys.stdin.buffer, start=1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise DataError(f"stdin: line {number}: not valid UTF-8") from None
         # flushed per answer, so a client on a pipe need not close stdin first
         print(predict(model, tokenize(line.rstrip("\n"))), flush=True)
     return 0

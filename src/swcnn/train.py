@@ -8,9 +8,10 @@ the configured standard deviation), then per-epoch shuffles and dropout
 masks in loop order.  Given (seed, data, config) the trained model is
 bitwise reproducible on one platform.
 
-A step's cost follows the batch's regions, not the vocabulary: the base
-weight W is stepped lazily (``LazyMomentum``), one column per word slot
-the batch reads, and the other parameters, which are small, densely.
+A step's cost follows the batch's regions, not the vocabulary: every
+trainable tensor steps through its own ``LazyMomentum``.  The base weight
+W is touched one column per word slot the batch reads; the other tensors
+are small and touched in full, so they take the dense step every time.
 """
 
 from __future__ import annotations
@@ -134,6 +135,9 @@ def default_holdout(n_records: int) -> int:
 class LazyMomentum:
     """Classical momentum on one weight, applied only to the rows a step touches.
 
+    Training steps every trainable tensor through one of these: the large
+    weights on the rows a batch reads, the small ones on all their rows.
+
     Row i is the slice ``w.take(i, axis)``; its velocity lives here.  A row
     that gets no gradient for k steps would, under the dense step, see its
     velocity scaled by m^k and the weight moved by (m + ... + m^k) times
@@ -141,7 +145,7 @@ class LazyMomentum:
     touched or flushed, so a step costs O(touched rows), not O(rows).  The
     learning rate does not enter it, so it holds across a decay.  The
     touched rows get the dense step's arithmetic; only the catch-up rounds
-    differently.
+    differently, and a row touched at every step never needs one.
 
     Per step: ``touch(rows)`` before anything reads those rows, then
     ``sgd_momentum_step`` with this object as the weight's velocity once
@@ -211,25 +215,19 @@ def _row_view(a: np.ndarray, axis: int) -> np.ndarray:
     return rows[:, None] if rows.ndim == 1 else rows
 
 
-def sgd_momentum_step(params, grads, velocity, lr: float, momentum: float = 0.9) -> None:
+def sgd_momentum_step(params, grads, velocity, lr: float) -> None:
     """Classical momentum: v <- momentum*v - lr*g; w <- w + v (in place).
 
-    A velocity may instead be the ``LazyMomentum`` of that weight and
-    gradient, which steps only the rows it was last touched with.
+    ``velocity[i]`` is the ``LazyMomentum`` of ``params[i]`` and
+    ``grads[i]``; it steps the rows it was last touched with, at its own
+    momentum.
     """
     if not len(params) == len(grads) == len(velocity):
         raise ValueError("params, grads and velocity must align")
     for w, g, v in zip(params, grads, velocity):
-        if isinstance(v, LazyMomentum):
-            if v.w is not w or v.grad is not g or v.momentum != momentum:
-                raise ValueError("lazy velocity belongs to another weight or momentum")
-            v.step(lr)
-            continue
-        if not (w.shape == g.shape == v.shape):
-            raise ValueError(f"shape mismatch: {w.shape} vs {g.shape} vs {v.shape}")
-        v *= momentum
-        v -= lr * g
-        w += v
+        if v.w is not w or v.grad is not g:
+            raise ValueError("velocity belongs to another weight")
+        v.step(lr)
 
 
 def slot_columns(views) -> np.ndarray:
@@ -274,12 +272,15 @@ def train(
     is a percentage, or None when no validation data was supplied (the
     caller then selects on training loss).
 
-    Only the columns of W that a batch's base-view slots read are caught
-    up before its forward pass and stepped after its backward pass; every
-    column is brought up to date at each epoch end, before validation.
-    This is the dense momentum step in exact arithmetic, but rounds
-    differently (relative differences of order 1e-15).  The catch-up draws
-    nothing, so the draw order is that of the dense step.
+    Every trainable tensor steps through a ``LazyMomentum``.  Only the
+    columns of W that a batch's base-view slots read are caught up before
+    its forward pass and stepped after its backward pass; b, the fusions
+    and the top layer are touched in full, so they take the dense step.
+    Every tensor is brought up to date at each epoch end, before
+    validation.  This is the dense momentum step in exact arithmetic, but
+    W's columns round differently (relative differences of order 1e-15).
+    The catch-up draws nothing, so the draw order is that of the dense
+    step.
     """
     if len(train_data) == 0:
         raise DataError("empty training set")
@@ -290,22 +291,24 @@ def train(
     n = len(train_docs)
     params = model.trainable_params()
     grads = zero_grads(model)
-    # W's columns are stepped lazily; b, the fusions and the top layer are small
-    base = LazyMomentum(model.base.W, grads.base_W, 1, config.momentum,
-                        config.epochs * -(-n // config.batch_size))
-    velocity = [base, *(np.zeros_like(p) for p in params[1:])]
-    small_grads = grads.as_list()[1:]
+    n_steps = config.epochs * -(-n // config.batch_size)
+    # W steps by column; b, the fusions and the top layer are touched in full
+    axes = [1] + [0] * (len(params) - 1)
+    velocity = [LazyMomentum(p, g, axis, config.momentum, n_steps)
+                for p, g, axis in zip(params, grads.as_list(), axes)]
+    base = velocity[0]
+    small = [(lazy, np.arange(len(lazy.w))) for lazy in velocity[1:]]
     metrics: list[EpochMetrics] = []
     for epoch in range(1, config.epochs + 1):
         started = time.perf_counter()
         lr = lr_at_epoch(config, epoch)
         order = rng.permutation(n)
         objective_sum = 0.0
-        for batch_index, start in enumerate(range(0, n, config.batch_size)):
+        for batch_index, start in enumerate(range(0, n, config.batch_size), start=1):
             batch = order[start : start + config.batch_size]
             base.touch(slot_columns(train_docs[idx].views[0] for idx in batch))
-            for g in small_grads:
-                g[...] = 0.0
+            for lazy, rows in small:
+                lazy.touch(rows)
             batch_xent = 0.0
             for idx in batch:
                 doc = train_docs[idx]
@@ -323,8 +326,9 @@ def train(
                     f"non-finite loss at epoch {epoch}, batch {batch_index}"
                 )
             objective_sum += batch_objective * len(batch)
-            sgd_momentum_step(params, grads.as_list(), velocity, lr, config.momentum)
-        base.flush()
+            sgd_momentum_step(params, grads.as_list(), velocity, lr)
+        for lazy in velocity:
+            lazy.flush()
         val_error = _error_percent(model, val_docs) if val_docs else None
         metrics.append(
             EpochMetrics(
@@ -345,6 +349,7 @@ class GridPoint:
     initial_lr: float
     val_error: float | None
     train_loss: float
+    diverged: str = ""  # the NumericError that stopped this point's training
 
     @property
     def score(self) -> float:
@@ -369,7 +374,9 @@ def select_model(
 
     Ties break toward smaller region size, then smaller pooling k, then
     smaller learning rate.  With an empty holdout the final training loss
-    substitutes for validation error (reported as such).
+    substitutes for validation error (reported as such).  A point whose
+    training diverges is reported with its reason and never chosen; if
+    every point diverges, ``NumericError`` is raised.
     """
     if n_holdout is None:
         n_holdout = default_holdout(len(data))
@@ -384,7 +391,12 @@ def select_model(
                     template, region_size=region_size, pooling_k=pooling_k
                 )
                 point_config = replace(config, initial_lr=lr)
-                model, metrics = train(point_template, point_config, train_set, val_set)
+                try:
+                    model, metrics = train(point_template, point_config, train_set, val_set)
+                except NumericError as exc:
+                    report.points.append(GridPoint(region_size, pooling_k, lr, None,
+                                                   float("nan"), diverged=str(exc)))
+                    continue
                 point = GridPoint(
                     region_size=region_size,
                     pooling_k=pooling_k,
@@ -398,4 +410,6 @@ def select_model(
                     best = key
                     best_model = model
                     report.chosen = point
+    if best_model is None:
+        raise NumericError(f"every grid point diverged, the first: {report.points[0].diverged}")
     return best_model, report

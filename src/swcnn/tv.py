@@ -127,11 +127,12 @@ def train_tv(
     Draw order: W, b, prediction weights, prediction bias, then per-region
     negative sets in corpus order, then per-epoch shuffles.  A mini-batch
     gathers W x and scatters dW in one sweep; the head loops over regions.
-    W and the prediction layer are stepped lazily, as in ``train``: only
-    W's columns the batch's regions read and the head rows of its targets
-    and negatives, all brought up to date at each epoch end.  That rounds
-    differently from the dense step, and draws nothing.  A non-finite
-    running loss raises ``NumericError`` before the batch's step.
+    Every tensor steps through a ``LazyMomentum``, as in ``train``: W on
+    the columns the batch's regions read, the prediction layer on the rows
+    of its targets and negatives, and b, which is small, on all its rows.
+    All are brought up to date at each epoch end.  W and the head round
+    differently from the dense step, and the catch-up draws nothing.  A
+    non-finite running loss raises ``NumericError`` before the batch's step.
     """
     if len(corpus) == 0:
         raise DataError("tv training needs a non-empty corpus")
@@ -171,23 +172,23 @@ def train_tv(
     params = [W, b, head_W, head_b]
     grads = [np.zeros_like(p) for p in params]
     dW, db, dhead_W, dhead_b = grads
-    # W's columns and the head's rows are stepped lazily; b is small
-    lazy_W = LazyMomentum(W, dW, 1, config.momentum, n_steps)
-    lazy_head = [LazyMomentum(p, g, 0, config.momentum, n_steps)
-                 for p, g in ((head_W, dhead_W), (head_b, dhead_b))]
-    velocity = [lazy_W, np.zeros_like(b), *lazy_head]
+    # W steps by column, the head by row; b is small and touched in full
+    velocity = [LazyMomentum(p, g, axis, config.momentum, n_steps)
+                for p, g, axis in zip(params, grads, (1, 0, 0, 0))]
+    lazy_W, lazy_b, *lazy_head = velocity
+    b_rows = np.arange(len(b))
     epoch_losses = []
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
         loss_sum = 0.0
-        for batch_index, first in enumerate(range(0, n, config.batch_size)):
+        for batch_index, first in enumerate(range(0, n, config.batch_size), start=1):
             batch = order[first : first + config.batch_size]
             view = _view_slots(ids, spec, starts[batch], ends[batch])
             lazy_W.touch(slot_columns([view]))
+            lazy_b.touch(b_rows)
             head_rows = np.unique(np.concatenate([outputs[idx] for idx in batch]))
             for lazy in lazy_head:
                 lazy.touch(head_rows)
-            db[...] = 0.0
             H = embedding.features(view, len(batch))
             dH = np.empty_like(H)
             for row, idx in enumerate(batch):
@@ -206,8 +207,8 @@ def train_tv(
             if not np.isfinite(loss_sum):
                 raise NumericError(f"non-finite tv loss at epoch {epoch}, batch {batch_index}")
             embedding.add_grad(np.where(H > 0.0, dH, 0.0), view, dW, db)
-            sgd_momentum_step(params, grads, velocity, config.lr, config.momentum)
-        for lazy in (lazy_W, *lazy_head):
+            sgd_momentum_step(params, grads, velocity, config.lr)
+        for lazy in velocity:
             lazy.flush()
         epoch_losses.append(loss_sum / n)
     return embedding, epoch_losses

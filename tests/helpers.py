@@ -14,9 +14,7 @@ from swcnn.model import (
 )
 from swcnn.kernels import softmax_xent
 from swcnn.textpipe import BOW_NGRAM, BOW_WORD, CONCAT, OOV, RegionSpec, Vocabulary, region_count
-from swcnn.train import (
-    ModelTemplate, TrainConfig, init_model, lr_at_epoch, sgd_momentum_step,
-)
+from swcnn.train import ModelTemplate, TrainConfig, init_model, lr_at_epoch
 
 
 @dataclass(frozen=True, eq=False)
@@ -346,6 +344,17 @@ def rectify_then_pool(model, doc, train=False, rng=None):
     return logits, grads
 
 
+def dense_momentum_step(params, grads, velocity, lr, momentum):
+    """The dense momentum step, the reference for ``LazyMomentum``:
+    v <- momentum*v - lr*g; w <- w + v over every element, in place."""
+    for w, g, v in zip(params, grads, velocity, strict=True):
+        if not w.shape == g.shape == v.shape:
+            raise ValueError(f"shape mismatch: {w.shape} vs {g.shape} vs {v.shape}")
+        v *= momentum
+        v -= lr * g
+        w += v
+
+
 def dense_train(template, config, train_data, val_data=()):
     """The reference for ``train``: every step zeroes, scales and steps
     every parameter in full, with the same draws in the same order.
@@ -383,7 +392,7 @@ def dense_train(template, config, train_data, val_data=()):
                 np.sum(model.top_W * model.top_W)
             )
             objective_sum += batch_objective * len(batch)
-            sgd_momentum_step(params, grads.as_list(), velocity, lr, config.momentum)
+            dense_momentum_step(params, grads.as_list(), velocity, lr, config.momentum)
         losses.append(objective_sum / n)
         val_errors.append(evaluate(model, val_docs).error_rate_percent if val_docs else None)
     return model, losses, val_errors

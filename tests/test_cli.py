@@ -65,6 +65,11 @@ def run(argv):
     return main([str(a) for a in argv])
 
 
+def stdin_of(text):
+    """A stand-in for sys.stdin holding ``text``; predict reads its bytes."""
+    return io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8")
+
+
 class TestConfig:
     def test_parse_and_defaults(self, tmp_path):
         path = tmp_path / "c.conf"
@@ -219,7 +224,7 @@ class TestPipeline:
         assert "n_docs=30" in out
         assert "error_rate_percent=" in out
 
-        monkeypatch.setattr("sys.stdin", io.StringIO("w3 w7 w1 w2\nw0 w1 w2 w4\n"))
+        monkeypatch.setattr("sys.stdin", stdin_of("w3 w7 w1 w2\nw0 w1 w2 w4\n"))
         assert run(["predict", "--model", model_path]) == 0
         predictions = capsys.readouterr().out.split()
         assert len(predictions) == 2
@@ -233,7 +238,7 @@ class TestPipeline:
         run(["train", "--config", config, "--input", train_csv,
              "--word-vocab", vocab_path, "--output", model_path])
         capsys.readouterr()
-        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        monkeypatch.setattr("sys.stdin", stdin_of(""))
         assert run(["predict", "--model", model_path]) == 0
         assert capsys.readouterr().out == ""
 
@@ -288,6 +293,41 @@ class TestPipeline:
         assert out.count("point region_size=") == 2
         assert "selected region_size=" in out
         assert model_path.exists()
+
+    def test_select_skips_a_diverged_point(self, task_files, capsys):
+        tmp_path, train_csv, _, config = task_files
+        vocab_path = tmp_path / "w.vocab"
+        model_path = tmp_path / "m.swcn"
+        run(["vocab", "--config", config, "--input", train_csv, "--output", vocab_path])
+        capsys.readouterr()
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run(["select", "--config", config, "--input", train_csv,
+                        "--word-vocab", vocab_path, "--output", model_path,
+                        "--set", "grid_region_sizes=3", "--set", "profile=sentiment",
+                        "--set", "grid_initial_lrs=0.1,1e200"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "point region_size=3 pooling_k=1 initial_lr=0.1 val_error=" in out
+        # one batch per epoch: the first step blows the weights up
+        assert ("point region_size=3 pooling_k=1 initial_lr=1e+200 diverged: "
+                "non-finite loss at epoch 2, batch 1\n") in out
+        assert "selected region_size=3 pooling_k=1 initial_lr=0.1\n" in out
+        assert model_path.exists()
+
+    def test_select_with_every_point_diverged_is_three(self, task_files, capsys):
+        tmp_path, train_csv, _, config = task_files
+        vocab_path = tmp_path / "w.vocab"
+        model_path = tmp_path / "m.swcn"
+        run(["vocab", "--config", config, "--input", train_csv, "--output", vocab_path])
+        capsys.readouterr()
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run(["select", "--config", config, "--input", train_csv,
+                        "--word-vocab", vocab_path, "--output", model_path,
+                        "--set", "grid_region_sizes=3", "--set", "profile=sentiment",
+                        "--set", "grid_initial_lrs=1e200,1e300"])
+        assert code == 3
+        assert "every grid point diverged" in capsys.readouterr().err
+        assert not model_path.exists()
 
     def test_train_is_reproducible_byte_for_byte(self, task_files):
         tmp_path, train_csv, _, config = task_files
@@ -404,6 +444,35 @@ class TestPipeline:
         assert child.returncode == 0
 
 
+@pytest.mark.parametrize("env_change", [{"LC_ALL": "C"}, {"PYTHONIOENCODING": "utf-8"}],
+                         ids=["LC_ALL=C", "PYTHONIOENCODING=utf-8"])
+def test_predict_rejects_invalid_utf8_whatever_the_locale(task_files, env_change):
+    tmp_path, train_csv, _, config = task_files
+    vocab_path = tmp_path / "w.vocab"
+    model_path = tmp_path / "m.swcn"
+    run(["vocab", "--config", config, "--input", train_csv, "--output", vocab_path])
+    run(["train", "--config", config, "--input", train_csv,
+         "--set", "epochs=1", "--set", "decay_epoch=1",
+         "--word-vocab", vocab_path, "--output", model_path])
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("LANG", "LC_ALL", "LC_CTYPE", "PYTHONIOENCODING", "PYTHONUTF8")}
+    env["PYTHONPATH"] = str(Path(swcnn.__file__).resolve().parents[1])
+    env.update(env_change)
+
+    def predict(stdin):
+        return subprocess.run(
+            [sys.executable, "-m", "swcnn", "predict", "--model", str(model_path)],
+            input=stdin, capture_output=True, env=env, timeout=60)
+
+    good = predict("w3 w7 w1 w2\nw0 w1 \u00e9t\u00e9\n".encode("utf-8"))
+    assert good.returncode == 0 and len(good.stdout.split()) == 2
+    bad = predict(b"w3 w7 w1 w2\nw0 \xff\xfe w1\nw3\n")
+    assert bad.returncode == 2
+    # the answer before the bad line stays printed, and none after it
+    assert bad.stdout.split() == good.stdout.split()[:1]
+    assert bad.stderr.decode().strip() == "data error: stdin: line 2: not valid UTF-8"
+
+
 class TestExitCodes:
     def test_usage_error_is_one(self, capsys):
         assert run(["train", "--config", "/nonexistent", "--bogus-flag"]) == 1
@@ -468,7 +537,7 @@ class TestExitCodes:
         raw = bytearray(path.read_bytes())
         raw[35:39] = (0xFFFFFFF0).to_bytes(4, "little")  # first vocabulary entry length
         path.write_bytes(bytes(raw))
-        monkeypatch.setattr("sys.stdin", io.StringIO("w0 w1\n"))
+        monkeypatch.setattr("sys.stdin", stdin_of("w0 w1\n"))
         assert run(["predict", "--model", path]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "huge.swcn: truncated container" in captured.err
@@ -568,7 +637,7 @@ class TestExitCodes:
              "--output", "model.swcn", "--set", "epochs=1", "--set", "decay_epoch=1"])
         before = {p.name: p.stat().st_mtime_ns for p in tmp_path.iterdir()}
         capsys.readouterr()
-        monkeypatch.setattr("sys.stdin", io.StringIO("w3 w7\n"))
+        monkeypatch.setattr("sys.stdin", stdin_of("w3 w7\n"))
         assert run([command, "--config", config, *flags]) == 1
         captured = capsys.readouterr()
         assert f"error: missing {message}" in captured.err and captured.out == ""
@@ -673,7 +742,7 @@ class TestExitCodes:
         model.top_W[0, 0] = np.nan
         path = tmp_path / "nan.swcn"
         save_model(model, path)
-        monkeypatch.setattr("sys.stdin", io.StringIO("w0 w1\n"))
+        monkeypatch.setattr("sys.stdin", stdin_of("w0 w1\n"))
         assert run(["predict", "--model", path]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "nan.swcn" in captured.err
@@ -695,7 +764,7 @@ class TestExitCodes:
             path.write_bytes(v1_model_bytes(model))
         else:
             save_model(model, path)
-        monkeypatch.setattr("sys.stdin", io.StringIO("w0 w1\n"))
+        monkeypatch.setattr("sys.stdin", stdin_of("w0 w1\n"))
         assert run(["predict", "--model", path]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "nan.swcn: non-finite value" in captured.err

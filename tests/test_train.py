@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import dense_train, rel_err, trigger_bigram_dataset
+from helpers import dense_momentum_step, dense_train, rel_err, trigger_bigram_dataset
 from swcnn.errors import DataError, NumericError
 from swcnn.train import (
     GridPoint,
@@ -45,40 +45,56 @@ class TestHoldoutSplit:
         assert default_holdout(2_000) == 200
 
 
+def touched_in_full(w, g, momentum=0.9, n_steps=8):
+    """The LazyMomentum of a weight whose every row a step touches."""
+    return LazyMomentum(w, g, 0, momentum, n_steps), np.arange(len(w))
+
+
 class TestSgdMomentum:
     def test_first_step(self):
-        w = np.array([1.0])
-        v = np.zeros(1)
-        sgd_momentum_step([w], [np.array([1.0])], [v], lr=0.1)
-        assert v == pytest.approx([-0.1])
-        assert w == pytest.approx([0.9])
+        w, g = np.array([1.0]), np.zeros(1)
+        v, rows = touched_in_full(w, g)
+        v.touch(rows)
+        g[...] = 1.0
+        sgd_momentum_step([w], [g], [v], lr=0.1)
+        assert w == pytest.approx([0.9])  # the velocity is -0.1
 
     def test_second_identical_step_builds_velocity(self):
-        w, v = np.array([1.0]), np.zeros(1)
-        g = np.array([1.0])
-        sgd_momentum_step([w], [g], [v], lr=0.1)
-        sgd_momentum_step([w], [g], [v], lr=0.1)
-        assert v == pytest.approx([-0.19])
+        w, g = np.array([1.0]), np.zeros(1)
+        v, rows = touched_in_full(w, g)
+        for _ in range(2):
+            before = w.copy()
+            v.touch(rows)
+            g[...] = 1.0
+            sgd_momentum_step([w], [g], [v], lr=0.1)
+        assert w - before == pytest.approx([-0.19])  # the velocity
         assert w == pytest.approx([1.0 - 0.1 - 0.19])
 
     def test_zero_momentum_is_vanilla_sgd(self):
-        w, v = np.array([2.0, -1.0]), np.zeros(2)
-        g = np.array([0.5, 0.25])
-        sgd_momentum_step([w], [g], [v], lr=0.2, momentum=0.0)
+        w, g = np.array([2.0, -1.0]), np.zeros(2)
+        v, rows = touched_in_full(w, g, momentum=0.0)
+        v.touch(rows)
+        g[...] = [0.5, 0.25]
+        sgd_momentum_step([w], [g], [v], lr=0.2)
         assert np.allclose(w, [2.0 - 0.1, -1.0 - 0.05])
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            sgd_momentum_step([np.zeros(2)], [np.zeros(3)], [np.zeros(2)], lr=0.1)
+            touched_in_full(np.zeros(2), np.zeros(3))
+        w, g = np.zeros(2), np.zeros(2)
+        v, _ = touched_in_full(w, g)
+        with pytest.raises(ValueError):
+            sgd_momentum_step([w], [g], [v, v], lr=0.1)
 
 
 class TestLazyMomentum:
     # 700 rows, more than one chunk, so a step's rows span several chunks;
     # row LAST is touched at one step only and otherwise caught up by flush
     LAST, STEPS = 699, 14
+    SHAPES = [((700, 3), 0), ((3, 700), 1), ((700,), 0)]
 
     @pytest.mark.parametrize("momentum", [0.0, 0.9, 1.0])
-    @pytest.mark.parametrize("shape,axis", [((700, 3), 0), ((3, 700), 1), ((700,), 0)])
+    @pytest.mark.parametrize("shape,axis", SHAPES)
     def test_matches_dense_steps(self, momentum, shape, axis):
         rng = np.random.default_rng(5)
         w = rng.normal(size=shape)
@@ -102,18 +118,41 @@ class TestLazyMomentum:
             rows_of(dense_grad)[rows] = rng.normal(size=rows_of(dense_grad)[rows].shape)
             grad[...] = dense_grad
             lr = 0.3 if step < 8 else 0.03
-            sgd_momentum_step([w], [grad], [lazy], lr, momentum)
-            sgd_momentum_step([w_ref], [dense_grad], [v_ref], lr, momentum)
+            sgd_momentum_step([w], [grad], [lazy], lr)
+            dense_momentum_step([w_ref], [dense_grad], [v_ref], lr, momentum)
         lazy.flush()
         assert rel_err(w, w_ref) <= 1e-12
 
+    @pytest.mark.parametrize("momentum", [0.0, 0.9, 1.0])
+    @pytest.mark.parametrize("shape,axis", SHAPES)
+    def test_touched_in_full_is_the_dense_step_bitwise(self, momentum, shape, axis):
+        # a row touched at every step never needs a catch-up, so the lazy
+        # step does the dense arithmetic element for element
+        rng = np.random.default_rng(6)
+        w = rng.normal(size=shape)
+        w_ref, v_ref = w.copy(), np.zeros(shape)
+        grad = np.zeros(shape)
+        lazy = LazyMomentum(w, grad, axis, momentum, self.STEPS)
+        every_row = np.arange(shape[axis])
+        for step in range(self.STEPS):
+            lazy.touch(every_row)
+            grad[...] = rng.normal(size=shape)
+            lr = 0.3 if step < 8 else 0.03
+            sgd_momentum_step([w], [grad], [lazy], lr)
+            dense_momentum_step([w_ref], [grad], [v_ref], lr, momentum)
+            assert np.array_equal(w, w_ref)
+        lazy.flush()
+        assert np.array_equal(w, w_ref)
+
     def test_belongs_to_one_weight_and_momentum(self):
+        # the momentum is the LazyMomentum's own, so only the weight and
+        # the gradient can be mismatched
         w, grad = np.zeros((4, 2)), np.zeros((4, 2))
         lazy = LazyMomentum(w, grad, 0, 0.9, 3)
         with pytest.raises(ValueError):
-            sgd_momentum_step([w.copy()], [grad], [lazy], lr=0.1, momentum=0.9)
+            sgd_momentum_step([w.copy()], [grad], [lazy], lr=0.1)
         with pytest.raises(ValueError):
-            sgd_momentum_step([w], [grad], [lazy], lr=0.1, momentum=0.5)
+            sgd_momentum_step([w], [grad.copy()], [lazy], lr=0.1)
 
 
 class TestLrSchedule:
@@ -254,6 +293,16 @@ class TestTrain:
             with pytest.raises(NumericError, match=r"epoch \d+, batch \d+"):
                 train(template, config, data)
 
+    def test_divergence_numbers_batches_from_one(self):
+        # two batches per epoch; the first step blows the weights up, so
+        # the second batch's loss is the first non-finite one
+        data = tiny_task(30)
+        template = tiny_template(data)
+        config = TrainConfig(initial_lr=1e200, epochs=2, decay_epoch=2, seed=0, batch_size=15)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match=r"^non-finite loss at epoch 1, batch 2$"):
+                train(template, config, data)
+
     def test_frozen_tv_weights_survive_training_bitwise(self):
         from swcnn.model import RegionEmbedding
         from swcnn.textpipe import BOW_WORD, RegionSpec, build_vocab
@@ -353,6 +402,30 @@ class TestSelectModel:
         assert len(report.points) == 4
         assert all(isinstance(p, GridPoint) for p in report.points)
         assert all(p.val_error is not None for p in report.points)
+
+    def test_diverged_point_is_reported_and_never_chosen(self):
+        data = tiny_task(50)
+        template = tiny_template(data)
+        # 1e200 sorts first among the scores of a diverged run, were it kept
+        grid = SelectionGrid(region_sizes=(3,), pooling_ks=(1,), initial_lrs=(1e200, 0.05))
+        config = TrainConfig(epochs=2, decay_epoch=1, seed=0, batch_size=20)
+        with np.errstate(over="ignore", invalid="ignore"):
+            model, report = select_model(grid, template, config, data, n_holdout=10)
+        diverged, trained = report.points
+        assert diverged.initial_lr == 1e200
+        assert diverged.diverged.startswith("non-finite loss at epoch 1, batch ")
+        assert trained.diverged == "" and trained.val_error is not None
+        assert report.chosen is trained
+        assert all(np.isfinite(p).all() for p in model.trainable_params())
+
+    def test_every_point_diverged_raises(self):
+        data = tiny_task(50)
+        template = tiny_template(data)
+        grid = SelectionGrid(region_sizes=(3,), pooling_ks=(1,), initial_lrs=(1e200, 1e300))
+        config = TrainConfig(epochs=2, decay_epoch=1, seed=0, batch_size=20)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match="every grid point diverged"):
+                select_model(grid, template, config, data, n_holdout=10)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):

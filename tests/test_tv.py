@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from helpers import markov_corpus, region_vector, rel_err, sparse_affine, word_vocab
+from helpers import (
+    dense_momentum_step, markov_corpus, region_vector, rel_err, sparse_affine, word_vocab,
+)
 from swcnn.errors import DataError, NumericError
 from swcnn.textpipe import BOW_NGRAM, BOW_WORD, OOV, RegionSpec, build_vocab, encode
-from swcnn.train import sgd_momentum_step
 from swcnn.tv import (
     TvTrainConfig,
     make_tv_examples,
@@ -162,6 +163,17 @@ class TestTrainTv:
             with pytest.raises(NumericError, match=r"epoch \d+, batch \d+"):
                 train_tv(self.corpus, spec, vocab, vocab, 4, config)
 
+    def test_divergence_numbers_batches_from_one(self):
+        # two batches per epoch; the first step blows the weights up, so
+        # the second batch's loss is the first non-finite one
+        vocab = self.vocab()
+        spec = RegionSpec(BOW_WORD, 3, len(vocab))
+        n = sum(len(make_tv_examples(encode(t, vocab), spec)) for t in self.corpus)
+        config = TvTrainConfig(seed=0, epochs=2, lr=1e200, negatives=5, batch_size=-(-n // 2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match=r"^non-finite tv loss at epoch 1, batch 2$"):
+                train_tv(self.corpus, spec, vocab, vocab, 4, config)
+
     def test_empty_corpus_raises(self):
         vocab = self.vocab()
         with pytest.raises(DataError):
@@ -212,7 +224,7 @@ def per_region_train_tv(corpus, spec, tv_vocab, word_vocab, d_tv, config):
                 db += dz
             for g in grads:
                 g *= 1.0 / len(batch)
-            sgd_momentum_step(params, grads, velocity, config.lr, config.momentum)
+            dense_momentum_step(params, grads, velocity, config.lr, config.momentum)
         losses.append(loss_sum / len(examples))
     return W, b, losses, len(examples)
 
