@@ -359,10 +359,30 @@ def backward(model: ShallowModel, cache: ForwardCache, grad_logits: np.ndarray, 
 
 
 def _scatter_embedding_grad(dW: np.ndarray, dZ: np.ndarray, view: PreparedView) -> None:
+    """Add each slot's gradient dZ[rows] into the columns ``cols`` of dW.
+
+    The cost follows the nonzeros of dZ, not R x d per slot: in supervised
+    training only the k pooled rows carry gradient.  The nonzeros are
+    taken in row-major order, so every (column, feature) cell gets its
+    nonzero addends slot by slot, rows rising, the order in which a
+    row-wise ``np.add.at`` per slot adds them.  Skipping the zeros changes
+    no cell that is not -0.0, and the callers' dW never holds -0.0: it
+    starts at +0.0 and only sums.
+    """
+    # the flat nonzeros of a bool array come several times faster than
+    # dZ.nonzero() on the floats; like it, != keeps NaN and drops -0.0
+    flat = np.flatnonzero(dZ != 0.0)
+    r, j = np.divmod(flat, dZ.shape[1])
+    vals = dZ.ravel()[flat]
     dWt = dW.T
+    col_of_row = np.full(len(dZ), -1, dtype=np.intp)  # -1: the slot skips that row
     for rows, cols in view.slots:
-        # duplicate columns are possible across rows, add.at is unbuffered
-        np.add.at(dWt, cols, dZ[rows])
+        col_of_row[rows] = cols
+        c = col_of_row[r]
+        hit = c >= 0
+        # a column repeats across rows; np.add.at adds each index in turn
+        np.add.at(dWt, (c[hit], j[hit]), vals[hit])
+        col_of_row[rows] = -1
 
 
 def parameter_count(embed_dim, base_input_dim, tv_shapes, n_classes, pooling_k) -> int:

@@ -258,6 +258,9 @@ def _error_percent(model, prepared_docs) -> float:
     return evaluate(model, prepared_docs).error_rate_percent
 
 
+# a diverging run ends in the finite-loss check's NumericError; numpy's
+# overflow and invalid-value warnings would only clutter the report before it
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def train(
     template: ModelTemplate,
     config: TrainConfig,

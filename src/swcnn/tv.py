@@ -111,6 +111,8 @@ class TvTrainConfig:
             raise ValueError("invalid training rates")
 
 
+# as in ``train``: a diverging run ends in NumericError, with no numpy warnings
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def train_tv(
     corpus: Sequence[Sequence[str]],
     spec: RegionSpec,

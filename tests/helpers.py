@@ -335,13 +335,20 @@ def rectify_then_pool(model, doc, train=False, rng=None):
         if valid.any():
             dH[rows[valid], col_range[valid]] += dpool[u][valid]
     dZ = np.where(relu_mask, dH, 0.0)
-    dWt = grads.base_W.T
-    for rows, cols in doc.views[0].slots:
-        np.add.at(dWt, cols, dZ[rows])
+    scatter_reference(grads.base_W, dZ, doc.views[0])
     grads.base_b += dZ.sum(axis=0)
     for df, tv_out in zip(grads.fusions, tv_outputs):
         df += dZ.T @ tv_out
     return logits, grads
+
+
+def scatter_reference(dW, dZ, view):
+    """The row-wise scatter, the reference for ``_scatter_embedding_grad``:
+    one unbuffered ``np.add.at`` per slot adds whole rows dZ[rows], zeros
+    included, into the columns ``cols`` of dW."""
+    dWt = dW.T
+    for rows, cols in view.slots:
+        np.add.at(dWt, cols, dZ[rows])
 
 
 def dense_momentum_step(params, grads, velocity, lr, momentum):

@@ -300,11 +300,10 @@ class TestPipeline:
         model_path = tmp_path / "m.swcn"
         run(["vocab", "--config", config, "--input", train_csv, "--output", vocab_path])
         capsys.readouterr()
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = run(["select", "--config", config, "--input", train_csv,
-                        "--word-vocab", vocab_path, "--output", model_path,
-                        "--set", "grid_region_sizes=3", "--set", "profile=sentiment",
-                        "--set", "grid_initial_lrs=0.1,1e200"])
+        code = run(["select", "--config", config, "--input", train_csv,
+                    "--word-vocab", vocab_path, "--output", model_path,
+                    "--set", "grid_region_sizes=3", "--set", "profile=sentiment",
+                    "--set", "grid_initial_lrs=0.1,1e200"])
         assert code == 0
         out = capsys.readouterr().out
         assert "point region_size=3 pooling_k=1 initial_lr=0.1 val_error=" in out
@@ -320,11 +319,10 @@ class TestPipeline:
         model_path = tmp_path / "m.swcn"
         run(["vocab", "--config", config, "--input", train_csv, "--output", vocab_path])
         capsys.readouterr()
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = run(["select", "--config", config, "--input", train_csv,
-                        "--word-vocab", vocab_path, "--output", model_path,
-                        "--set", "grid_region_sizes=3", "--set", "profile=sentiment",
-                        "--set", "grid_initial_lrs=1e200,1e300"])
+        code = run(["select", "--config", config, "--input", train_csv,
+                    "--word-vocab", vocab_path, "--output", model_path,
+                    "--set", "grid_region_sizes=3", "--set", "profile=sentiment",
+                    "--set", "grid_initial_lrs=1e200,1e300"])
         assert code == 3
         assert "every grid point diverged" in capsys.readouterr().err
         assert not model_path.exists()
@@ -786,10 +784,9 @@ class TestExitCodes:
         tmp_path, train_csv, _, config = task_files
         vocab_path = tmp_path / "w.vocab"
         run(["vocab", "--config", config, "--input", train_csv, "--output", vocab_path])
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = run(["train", "--config", config, "--input", train_csv,
-                        "--word-vocab", vocab_path, "--output", tmp_path / "m.swcn",
-                        "--set", "initial_lr=1e200", "--set", "batch_size=5"])
+        code = run(["train", "--config", config, "--input", train_csv,
+                    "--word-vocab", vocab_path, "--output", tmp_path / "m.swcn",
+                    "--set", "initial_lr=1e200", "--set", "batch_size=5"])
         assert code == 3
         assert "epoch" in capsys.readouterr().err
 
@@ -798,12 +795,35 @@ class TestExitCodes:
         vocab_path = tmp_path / "w.vocab"
         run(["vocab", "--config", config, "--input", train_csv, "--output", vocab_path])
         out = tmp_path / "tv.swcn"
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = run(["tv-train", "--config", config, "--input", train_csv,
-                        "--word-vocab", vocab_path, "--output", out, "--set", "tv_lr=1e200"])
+        code = run(["tv-train", "--config", config, "--input", train_csv,
+                    "--word-vocab", vocab_path, "--output", out, "--set", "tv_lr=1e200"])
         assert code == 3
         assert not out.exists()
         assert "epoch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["train", "--set", "initial_lr=1e200", "--set", "batch_size=40"],
+         "non-finite loss at epoch 1, batch 2"),
+        (["tv-train", "--set", "tv_lr=1e200"],
+         "non-finite tv loss at epoch 1, batch 2"),
+        (["select", "--set", "grid_region_sizes=3", "--set", "profile=sentiment",
+          "--set", "grid_initial_lrs=1e200,1e300"],
+         "every grid point diverged, the first: non-finite loss at epoch 2, batch 1"),
+    ], ids=["train", "tv-train", "select"])
+    def test_divergence_prints_only_the_numeric_failure(self, task_files, argv, message):
+        # a child process, so that numpy's warnings would reach its stderr
+        tmp_path, train_csv, _, config = task_files
+        vocab_path = tmp_path / "w.vocab"
+        run(["vocab", "--config", config, "--input", train_csv, "--output", vocab_path])
+        env = dict(os.environ, PYTHONPATH=str(Path(swcnn.__file__).resolve().parents[1]))
+        child = subprocess.run(
+            [sys.executable, "-m", "swcnn", argv[0], "--config", str(config),
+             "--input", str(train_csv), "--word-vocab", str(vocab_path),
+             "--output", str(tmp_path / "out.swcn"), *argv[1:]],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert child.returncode == 3
+        assert child.stderr == f"numeric failure: {message}\n"
+        assert not (tmp_path / "out.swcn").exists()
 
     def test_no_tv_examples_is_two_and_names_the_csv(self, task_files, capsys):
         tmp_path, train_csv, _, config = task_files

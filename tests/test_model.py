@@ -5,14 +5,16 @@ from hypothesis import strategies as st
 
 from helpers import (
     _region_vector_unchecked, fd_max_rel_error, random_tiny_instance, rectify_then_pool,
-    region_vector, sparse_affine, word_vocab,
+    region_vector, scatter_reference, sparse_affine, word_vocab,
 )
 from swcnn.kernels import softmax_xent
 from swcnn.model import (
     ModelGrads,
+    PreparedView,
     RegionEmbedding,
     ShallowModel,
     TvEmbedding,
+    _scatter_embedding_grad,
     _view_slots,
     backward,
     count_parameters,
@@ -290,6 +292,95 @@ class TestBackward:
         )
         with pytest.raises(ValueError):
             backward(other, cache, np.zeros(3))
+
+
+def scatter_case(seed, representation, n_docs=1, order="F", density=0.3):
+    """A (dW, dZ, view) triple for ``_scatter_embedding_grad``.
+
+    The corpus repeats words (bow counts of 2 and more, columns repeated
+    across rows) and holds "zz", which no vocabulary has.  With several
+    documents the view is tv-style: regions of every document, shuffled,
+    at offsets into the concatenated ids.  dZ holds exact zeros, all-zero
+    rows, -0.0 and NaN; dW is already nonzero, as within a batch.
+    """
+    from swcnn.textpipe import build_vocab
+
+    rng = np.random.default_rng(seed)
+    corpus = [[f"w{int(rng.integers(5))}" if rng.random() < 0.85 else "zz"
+               for _ in range(int(rng.integers(0, 14)))] for _ in range(n_docs)]
+    vocab = build_vocab(corpus + [["w0", "w1", "w2", "w3", "w4"]],
+                        "ngram123" if representation == BOW_NGRAM else "word", 12)
+    spec = RegionSpec(representation, int(rng.integers(1, 5)), len(vocab))
+    docs = [encode(tokens, vocab) for tokens in corpus]
+    starts, ends, offset = [], [], 0
+    for doc in docs:
+        starts += [offset + pos for pos in range(region_count(len(doc), spec.region_size))]
+        ends += [offset + len(doc)] * region_count(len(doc), spec.region_size)
+        offset += len(doc)
+    picked = rng.permutation(len(starts))
+    view = _view_slots(np.concatenate(docs), spec, np.array(starts)[picked], np.array(ends)[picked])
+    d = int(rng.integers(1, 7))
+    dZ = rng.normal(size=(len(picked), d))
+    dZ[rng.random(dZ.shape) > density] = 0.0
+    dZ[rng.random(len(dZ)) < 0.3] = 0.0
+    dZ[rng.random(dZ.shape) < 0.05] = -0.0
+    dZ[rng.random(dZ.shape) < 0.02] = np.nan
+    dW = np.asarray(rng.normal(size=(d, spec.input_dim)), order=order)
+    return dW, dZ, view
+
+
+def assert_scatter_matches_reference(dW, dZ, view):
+    want = dW.copy(order="K")
+    scatter_reference(want, dZ, view)
+    _scatter_embedding_grad(dW, dZ, view)
+    assert dW.flags.f_contiguous == want.flags.f_contiguous
+    assert dW.tobytes(order="A") == want.tobytes(order="A")
+
+
+class TestScatterEmbeddingGrad:
+    """The nonzero-driven scatter adds bitwise what the row-wise one adds."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("representation", [CONCAT, BOW_WORD, BOW_NGRAM])
+    def test_matches_reference(self, representation, order):
+        for seed in range(30):
+            for n_docs in (1, 6):
+                assert_scatter_matches_reference(
+                    *scatter_case(seed, representation, n_docs, order))
+
+    def test_repeated_columns_and_counts(self):
+        # "w1 w1 w1" is a bow count of 3 in one row, and each slot reads
+        # one column in all of its rows
+        vocab = word_vocab(4)
+        for rep in (CONCAT, BOW_WORD):
+            spec = RegionSpec(rep, 3, 4)
+            view = _view_slots(encode(["w1"] * 5 + ["w2", "zz"], vocab), spec, np.arange(5), 7)
+            dZ = np.random.default_rng(1).normal(size=(5, 3))
+            dZ[2] = 0.0
+            assert_scatter_matches_reference(np.zeros((3, spec.input_dim), order="F"), dZ, view)
+
+    def test_all_zero_dZ_and_empty_view_change_nothing(self):
+        dW, dZ, view = scatter_case(3, BOW_WORD, n_docs=4)
+        before = dW.tobytes(order="A")
+        _scatter_embedding_grad(dW, np.zeros_like(dZ), view)
+        _scatter_embedding_grad(dW, dZ, PreparedView(slots=[], input_dim=dW.shape[1]))
+        assert dW.tobytes(order="A") == before
+
+    def test_signed_zero_gradient_keeps_positive_zeros(self):
+        # a -0.0 addend leaves a +0.0 cell at +0.0 on both paths
+        spec = RegionSpec(CONCAT, 2, 3)
+        view = _view_slots(np.array([0, 1, 2]), spec, np.arange(2), 3)
+        dZ = np.array([[-0.0, 1.0], [-0.0, -0.0]])
+        dW = np.zeros((2, spec.input_dim), order="F")
+        assert_scatter_matches_reference(dW, dZ, view)
+        assert not np.signbit(dW).any()
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([CONCAT, BOW_WORD, BOW_NGRAM]),
+           st.integers(1, 5), st.sampled_from(["C", "F"]), st.floats(0.0, 1.0))
+    @settings(max_examples=150, deadline=None)
+    def test_random_instances(self, seed, representation, n_docs, order, density):
+        assert_scatter_matches_reference(
+            *scatter_case(seed, representation, n_docs, order, density))
 
 
 class TestRectifyAfterPooling:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from helpers import dense_momentum_step, dense_train, rel_err, trigger_bigram_dataset
+from helpers import (
+    dense_momentum_step, dense_train, rel_err, scatter_reference, trigger_bigram_dataset,
+)
 from swcnn.errors import DataError, NumericError
 from swcnn.train import (
     GridPoint,
@@ -289,9 +291,8 @@ class TestTrain:
         data = tiny_task(30)
         template = tiny_template(data)
         config = TrainConfig(initial_lr=1e200, epochs=3, decay_epoch=2, seed=0, batch_size=10)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericError, match=r"epoch \d+, batch \d+"):
-                train(template, config, data)
+        with pytest.raises(NumericError, match=r"epoch \d+, batch \d+"):
+            train(template, config, data)
 
     def test_divergence_numbers_batches_from_one(self):
         # two batches per epoch; the first step blows the weights up, so
@@ -299,9 +300,8 @@ class TestTrain:
         data = tiny_task(30)
         template = tiny_template(data)
         config = TrainConfig(initial_lr=1e200, epochs=2, decay_epoch=2, seed=0, batch_size=15)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericError, match=r"^non-finite loss at epoch 1, batch 2$"):
-                train(template, config, data)
+        with pytest.raises(NumericError, match=r"^non-finite loss at epoch 1, batch 2$"):
+            train(template, config, data)
 
     def test_frozen_tv_weights_survive_training_bitwise(self):
         from swcnn.model import RegionEmbedding
@@ -321,6 +321,32 @@ class TestTrain:
         model, _ = train(template, config, data)
         assert np.array_equal(model.tvs[0].embedding.W, w_before)
         assert np.array_equal(model.tvs[0].embedding.b, b_before)
+
+
+def test_train_is_bitwise_equal_with_the_row_wise_scatter(monkeypatch):
+    """Seeded ``train`` gives byte-identical weights through
+    ``helpers.scatter_reference``, at pooling_k=3, with dropout and an
+    n-gram tv."""
+    import swcnn.model
+    from swcnn.model import RegionEmbedding
+    from swcnn.textpipe import BOW_NGRAM, RegionSpec, build_vocab
+
+    data = tiny_task(50, seed=4)
+    vocab = build_vocab([t for t, _ in data], "word", 1000)
+    grams = build_vocab([t for t, _ in data], "ngram123", 1000)
+    tv = RegionEmbedding.initial(RegionSpec(BOW_NGRAM, 3, len(grams)), grams, 4, 0.5,
+                                 np.random.default_rng(2))
+    template = ModelTemplate(base_vocab=vocab, n_classes=2, region_size=3, embed_dim=8,
+                             pooling_k=3, tv_embeddings=(tv,))
+    config = TrainConfig(initial_lr=0.1, epochs=3, decay_epoch=2, batch_size=8,
+                         dropout=0.5, seed=6)
+    tr, val = holdout_split(data, 10, 1)
+    model, metrics = train(template, config, tr, val)
+    monkeypatch.setattr(swcnn.model, "_scatter_embedding_grad", scatter_reference)
+    ref, ref_metrics = train(template, config, tr, val)
+    for got, want in zip(model.trainable_params(), ref.trainable_params(), strict=True):
+        assert got.tobytes(order="A") == want.tobytes(order="A")
+    assert [m.train_loss for m in metrics] == [m.train_loss for m in ref_metrics]
 
 
 class TestLazyTrainMatchesDense:
@@ -409,8 +435,7 @@ class TestSelectModel:
         # 1e200 sorts first among the scores of a diverged run, were it kept
         grid = SelectionGrid(region_sizes=(3,), pooling_ks=(1,), initial_lrs=(1e200, 0.05))
         config = TrainConfig(epochs=2, decay_epoch=1, seed=0, batch_size=20)
-        with np.errstate(over="ignore", invalid="ignore"):
-            model, report = select_model(grid, template, config, data, n_holdout=10)
+        model, report = select_model(grid, template, config, data, n_holdout=10)
         diverged, trained = report.points
         assert diverged.initial_lr == 1e200
         assert diverged.diverged.startswith("non-finite loss at epoch 1, batch ")
@@ -423,9 +448,8 @@ class TestSelectModel:
         template = tiny_template(data)
         grid = SelectionGrid(region_sizes=(3,), pooling_ks=(1,), initial_lrs=(1e200, 1e300))
         config = TrainConfig(epochs=2, decay_epoch=1, seed=0, batch_size=20)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericError, match="every grid point diverged"):
-                select_model(grid, template, config, data, n_holdout=10)
+        with pytest.raises(NumericError, match="every grid point diverged"):
+            select_model(grid, template, config, data, n_holdout=10)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from helpers import (
-    dense_momentum_step, markov_corpus, region_vector, rel_err, sparse_affine, word_vocab,
+    dense_momentum_step, markov_corpus, region_vector, rel_err, scatter_reference,
+    sparse_affine, word_vocab,
 )
 from swcnn.errors import DataError, NumericError
 from swcnn.textpipe import BOW_NGRAM, BOW_WORD, OOV, RegionSpec, build_vocab, encode
@@ -159,9 +160,8 @@ class TestTrainTv:
         vocab = self.vocab()
         spec = RegionSpec(BOW_WORD, 3, len(vocab))
         config = TvTrainConfig(seed=0, epochs=2, lr=1e200, negatives=5)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericError, match=r"epoch \d+, batch \d+"):
-                train_tv(self.corpus, spec, vocab, vocab, 4, config)
+        with pytest.raises(NumericError, match=r"epoch \d+, batch \d+"):
+            train_tv(self.corpus, spec, vocab, vocab, 4, config)
 
     def test_divergence_numbers_batches_from_one(self):
         # two batches per epoch; the first step blows the weights up, so
@@ -170,9 +170,8 @@ class TestTrainTv:
         spec = RegionSpec(BOW_WORD, 3, len(vocab))
         n = sum(len(make_tv_examples(encode(t, vocab), spec)) for t in self.corpus)
         config = TvTrainConfig(seed=0, epochs=2, lr=1e200, negatives=5, batch_size=-(-n // 2))
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericError, match=r"^non-finite tv loss at epoch 1, batch 2$"):
-                train_tv(self.corpus, spec, vocab, vocab, 4, config)
+        with pytest.raises(NumericError, match=r"^non-finite tv loss at epoch 1, batch 2$"):
+            train_tv(self.corpus, spec, vocab, vocab, 4, config)
 
     def test_empty_corpus_raises(self):
         vocab = self.vocab()
@@ -272,3 +271,22 @@ def test_word_occurring_once_matches_per_region(momentum):
     assert rel_err(emb.W, W_ref) <= 1e-12
     assert rel_err(emb.b, b_ref) <= 1e-12
     assert rel_err(losses, losses_ref) <= 1e-12
+
+
+@pytest.mark.parametrize("representation", [BOW_WORD, BOW_NGRAM])
+def test_bitwise_equal_with_the_row_wise_scatter(representation, monkeypatch):
+    """Seeded ``train_tv`` gives byte-identical weights and losses through
+    ``helpers.scatter_reference``."""
+    import swcnn.model
+
+    corpus = markov_corpus(30, doc_len=11, n_states=9, seed=6) + [["w1", "yy"], []]
+    word_vocab_ = build_vocab(corpus, "word", 8)
+    tv_vocab = word_vocab_ if representation == BOW_WORD else build_vocab(corpus, "ngram123", 40)
+    spec = RegionSpec(representation, 3, len(tv_vocab))
+    config = TvTrainConfig(seed=2, epochs=3, lr=0.2, negatives=3, batch_size=9, init_std=0.3)
+    emb, losses = train_tv(corpus, spec, tv_vocab, word_vocab_, 5, config)
+    monkeypatch.setattr(swcnn.model, "_scatter_embedding_grad", scatter_reference)
+    ref, ref_losses = train_tv(corpus, spec, tv_vocab, word_vocab_, 5, config)
+    assert emb.W.tobytes(order="A") == ref.W.tobytes(order="A")
+    assert emb.b.tobytes() == ref.b.tobytes()
+    assert losses == ref_losses
