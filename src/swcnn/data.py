@@ -9,8 +9,8 @@ converted to 0-based at encoding time.
 
 Vocabulary files are plain text: a ``kind=`` header line, then one
 ``token<TAB>frequency`` line per id, in id order.  A vocabulary has at
-least one entry, and each frequency fits the u64 a model container
-stores it in.
+least one entry and no token twice, and each frequency fits the u64 a
+model container stores it in.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ def load_csv(path) -> list[DatasetRecord]:
         raise DataError(f"cannot open dataset: {exc}") from exc
     records = []
     with stream:
-        reader = csv.reader(stream)
+        # strict: a stray or unterminated quote is an error, not text
+        reader = csv.reader(stream, strict=True)
         try:
             for row in reader:
                 if not row:
@@ -137,6 +138,7 @@ def load_vocab(path) -> Vocabulary:
     if kind not in (WORD, NGRAM123):
         raise DataError(f"{path}: unknown vocabulary kind {kind!r}")
     entries = []
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(lines, start=2):
         if not line:
             continue
@@ -150,6 +152,10 @@ def load_vocab(path) -> Vocabulary:
         # a model container stores each frequency as a u64
         if not 0 <= count < 2**64:
             raise DataError(f"{path}: line {lineno}: frequency {count} outside [0, 2**64)")
+        if token in first_line:
+            raise DataError(f"{path}: line {lineno}: duplicate token {token!r} "
+                            f"(first on line {first_line[token]})")
+        first_line[token] = lineno
         entries.append((token, count))
     if not entries:
         raise DataError(f"{path}: no vocabulary entries")

@@ -61,6 +61,9 @@ class RegionEmbedding:
     back-propagates a gradient of W x + b into W and b.
     """
 
+    # rows of W per draw: a whole cache line of each column, and no W-sized temporary
+    DRAW_ROWS = 8
+
     spec: RegionSpec
     vocab: Vocabulary
     W: np.ndarray
@@ -82,8 +85,15 @@ class RegionEmbedding:
 
     @classmethod
     def initial(cls, spec: RegionSpec, vocab: Vocabulary, dim: int, std: float, rng) -> RegionEmbedding:
-        """A fresh embedding: W then b drawn Gaussian(0, std^2) from ``rng``."""
-        W = np.asfortranarray(rng.normal(0.0, std, size=(dim, spec.input_dim)))
+        """A fresh embedding: W then b drawn Gaussian(0, std^2) from ``rng``.
+
+        W's values are drawn row by row, as one (dim, input_dim) draw
+        takes them, straight into column-major storage.
+        """
+        W = np.empty((dim, spec.input_dim), order="F")
+        for lo in range(0, dim, cls.DRAW_ROWS):
+            hi = min(lo + cls.DRAW_ROWS, dim)
+            W[lo:hi] = rng.normal(0.0, std, size=(hi - lo, spec.input_dim))
         return cls(spec=spec, vocab=vocab, W=W, b=rng.normal(0.0, std, size=dim))
 
     @property
@@ -96,9 +106,13 @@ class RegionEmbedding:
         H += self.b
         return np.maximum(H, 0.0, out=H)
 
-    def add_grad(self, dZ: np.ndarray, view: PreparedView, dW: np.ndarray, db: np.ndarray) -> None:
-        """Add the gradients of W and b, given dZ (R, dim) for W x + b, into dW and db."""
-        _scatter_embedding_grad(dW, dZ, view)
+    def add_grad(self, dZ: np.ndarray, view: PreparedView, dW: np.ndarray, db: np.ndarray,
+                 position: np.ndarray) -> None:
+        """Add the gradients of W and b, given dZ (R, dim) for W x + b, into dW and db.
+
+        W's column c accumulates in column ``position[c]`` of dW.
+        """
+        _scatter_embedding_grad(dW, dZ, view, position)
         db += dZ.sum(axis=0)
 
 
@@ -313,11 +327,17 @@ def forward(model: ShallowModel, doc: PreparedDoc, train: bool = False, rng=None
 
 @dataclass
 class ModelGrads:
+    """Gradients of the trainable tensors; W's column c is ``base_W[:, base_W_pos[c]]``.
+
+    ``base_W`` may be compact, holding only the columns a step reads.
+    """
+
     base_W: np.ndarray
     base_b: np.ndarray
     fusions: list[np.ndarray]
     top_W: np.ndarray
     top_b: np.ndarray
+    base_W_pos: np.ndarray
 
     def as_list(self) -> list[np.ndarray]:
         return [self.base_W, self.base_b, *self.fusions, self.top_W, self.top_b]
@@ -330,6 +350,7 @@ def zero_grads(model: ShallowModel) -> ModelGrads:
         fusions=[np.zeros_like(tv.fusion) for tv in model.tvs],
         top_W=np.zeros_like(model.top_W),
         top_b=np.zeros_like(model.top_b),
+        base_W_pos=np.arange(model.base.W.shape[1]),
     )
 
 
@@ -352,14 +373,18 @@ def backward(model: ShallowModel, cache: ForwardCache, grad_logits: np.ndarray, 
     dZ = np.zeros((cache.prep.n_regions, model.base.dim))
     # units cover disjoint spans, so no (row, col) repeats; += turns -0.0 into +0.0
     dZ[cache.pool_rows[valid], valid.nonzero()[1]] += dv.reshape(valid.shape)[valid]
-    model.base.add_grad(dZ, cache.prep.views[0], grads.base_W, grads.base_b)
+    model.base.add_grad(dZ, cache.prep.views[0], grads.base_W, grads.base_b, grads.base_W_pos)
     for df, tv_out in zip(grads.fusions, cache.tv_outputs):
         df += dZ.T @ tv_out
     return grads
 
 
-def _scatter_embedding_grad(dW: np.ndarray, dZ: np.ndarray, view: PreparedView) -> None:
-    """Add each slot's gradient dZ[rows] into the columns ``cols`` of dW.
+def _scatter_embedding_grad(dW: np.ndarray, dZ: np.ndarray, view: PreparedView,
+                            position: np.ndarray) -> None:
+    """Add each slot's gradient dZ[rows] into the columns ``position[cols]`` of dW.
+
+    ``position`` maps each column of W to its column of dW: the identity
+    for a dense dW, a step's lookup table for a compact one.
 
     The cost follows the nonzeros of dZ, not R x d per slot: in supervised
     training only the k pooled rows carry gradient.  The nonzeros are
@@ -377,7 +402,7 @@ def _scatter_embedding_grad(dW: np.ndarray, dZ: np.ndarray, view: PreparedView) 
     dWt = dW.T
     col_of_row = np.full(len(dZ), -1, dtype=np.intp)  # -1: the slot skips that row
     for rows, cols in view.slots:
-        col_of_row[rows] = cols
+        col_of_row[rows] = position[cols]
         c = col_of_row[r]
         hit = c >= 0
         # a column repeats across rows; np.add.at adds each index in turn

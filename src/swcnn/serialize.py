@@ -167,6 +167,7 @@ def _read_embedding(r: _Reader) -> RegionEmbedding:
         raise DataError(f"{r.path}: unknown vocabulary code {vocab_code}")
     buf, pos, end = r.buf, r.pos, len(r.buf)
     entries = []
+    index: dict[str, int] = {}
     for i in range(vocab_size):
         # u32 length, token, u64 frequency: the length is checked before the
         # token is sliced, so an oversized one reads as truncation
@@ -181,10 +182,14 @@ def _read_embedding(r: _Reader) -> RegionEmbedding:
         except UnicodeDecodeError:
             raise DataError(f"{r.path}: vocabulary entry {i}: not valid UTF-8") from None
         pos += token_len
+        if token in index:
+            raise DataError(f"{r.path}: vocabulary entry {i}: duplicate token {token!r} "
+                            f"(first at entry {index[token]})")
+        index[token] = i
         entries.append((token, struct.unpack_from("<Q", buf, pos)[0]))
         pos += 8
     r.pos = pos
-    vocab = Vocabulary(kind=_VOCAB_NAMES[vocab_code], entries=tuple(entries))
+    vocab = Vocabulary(kind=_VOCAB_NAMES[vocab_code], entries=tuple(entries), index=index)
     spec = _build(
         r, RegionSpec,
         representation=_REP_NAMES[rep_code], region_size=region_size, vocab_size=vocab_size,

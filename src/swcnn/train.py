@@ -12,10 +12,15 @@ A step's cost follows the batch's regions, not the vocabulary: every
 trainable tensor steps through its own ``LazyMomentum``.  The base weight
 W is touched one column per word slot the batch reads; the other tensors
 are small and touched in full, so they take the dense step every time.
+A run's memory follows the same columns: W's gradient holds only the
+batch's columns, and W's velocity is committed as columns are first
+touched, so training holds W plus the columns it reads, not three W's.
 """
 
 from __future__ import annotations
 
+import math
+import mmap
 import time
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -26,6 +31,7 @@ from swcnn.errors import DataError, NumericError
 from swcnn.evalbench import evaluate
 from swcnn.kernels import softmax_xent
 from swcnn.model import (
+    ModelGrads,
     RegionEmbedding,
     ShallowModel,
     TvEmbedding,
@@ -33,7 +39,6 @@ from swcnn.model import (
     forward,
     prepare_document,  # noqa: F401  (traced by benchmark/tracer.py)
     prepare_labeled,
-    zero_grads,
 )
 from swcnn.textpipe import CONCAT, RegionSpec, Vocabulary
 
@@ -147,38 +152,55 @@ class LazyMomentum:
     touched rows get the dense step's arithmetic; only the catch-up rounds
     differently, and a row touched at every step never needs one.
 
-    Per step: ``touch(rows)`` before anything reads those rows, then
-    ``sgd_momentum_step`` with this object as the weight's velocity once
-    ``grad`` holds the step's gradient, which must be zero outside the
-    touched rows.  ``touch`` re-zeroes the previous step's gradient rows.
-    ``flush()`` brings every row up to date before the whole weight is read.
+    The gradient is compact: ``grad`` is shaped like ``w`` except that it
+    holds only the step's touched rows, in sorted order, and row r of
+    ``w`` has its gradient at ``grad.take(position[r], axis)``.  Its
+    buffer and the velocity are allocated once, at the weight's size, but
+    commit memory a page at a time as rows are first written, so a run's
+    memory follows the rows it touches, not the weight's size.
+
+    Per step: ``touch(rows)`` before anything reads those rows, which
+    makes ``grad`` their zeroed gradient; then ``sgd_momentum_step`` with
+    this object as the weight's velocity once ``grad`` holds the step's
+    gradient.  ``flush()`` brings every row up to date before the whole
+    weight is read.
     """
 
     CHUNK = 256  # rows per gather, so no temporary grows with the touched count
 
-    def __init__(self, w: np.ndarray, grad: np.ndarray, axis: int, momentum: float,
-                 n_steps: int):
-        if w.shape != grad.shape:
-            raise ValueError(f"shape mismatch: {w.shape} vs {grad.shape}")
-        self.w, self.grad, self.momentum = w, grad, momentum
-        self._w, self._g = _row_view(w, axis), _row_view(grad, axis)
-        self._v = np.zeros_like(self._w)
+    def __init__(self, w: np.ndarray, axis: int, momentum: float, n_steps: int):
+        self.w, self.axis, self.momentum = w, axis, momentum
+        self._w = _row_view(w, axis)
+        n_rows = len(self._w)
+        self._v = _paged_zeros(self._w.shape)
+        self._row_shape = np.moveaxis(w, axis, 0).shape[1:]
+        self._g = _paged_zeros(self._w.shape)  # row i: the gradient of row _rows[i]
+        # n_rows, past the end of any step's gradient, marks a row not touched
+        self.position = np.full(n_rows, n_rows, dtype=np.intp)
         # the step each row is current at; 0 for a row never stepped, whose
         # velocity is still zero
-        self._last = np.zeros(len(self._w), dtype=np.int64)
+        self._last = np.zeros(n_rows, dtype=np.int64)
         self._rows = np.empty(0, dtype=np.int64)
         self._t = 0
+        self.grad = self._compact_grad()
         # cumulative products and sums, so that momentum 0 and 1 stay exact
         powers = np.cumprod(np.full(n_steps, float(momentum)))
         self._decay = np.concatenate([[1.0], powers])  # m^k
         self._drift = np.concatenate([[0.0], np.cumsum(powers)])  # m + ... + m^k
 
-    def _chunks(self, rows: np.ndarray):
-        for lo in range(0, len(rows), self.CHUNK):
-            yield rows[lo : lo + self.CHUNK]
+    def _compact_grad(self) -> np.ndarray:
+        """The first len(_rows) gradient rows, zeroed, in ``w``'s layout."""
+        rows = self._g[: len(self._rows)]
+        rows[...] = 0.0
+        return np.moveaxis(rows.reshape(rows.shape[:1] + self._row_shape), 0, self.axis)
+
+    def _chunks(self, n: int):
+        for lo in range(0, n, self.CHUNK):
+            yield slice(lo, min(lo + self.CHUNK, n))
 
     def _catch_up(self, rows: np.ndarray) -> None:
-        for chunk in self._chunks(rows):
+        for part in self._chunks(len(rows)):
+            chunk = rows[part]
             k = self._t - self._last[chunk]
             chunk, k = chunk[k > 0], k[k > 0]
             v = self._v[chunk]
@@ -189,16 +211,19 @@ class LazyMomentum:
 
     def touch(self, rows: np.ndarray) -> None:
         """Make the sorted distinct ``rows`` current and the next step's rows."""
-        self._g[self._rows] = 0.0
+        self.position[self._rows] = len(self.position)
         self._catch_up(rows)
         self._rows = rows
+        self.position[rows] = np.arange(len(rows))
+        self.grad = self._compact_grad()
 
     def step(self, lr: float) -> None:
         """v <- momentum*v - lr*g; w <- w + v on the touched rows."""
-        for chunk in self._chunks(self._rows):
+        for part in self._chunks(len(self._rows)):
+            chunk = self._rows[part]
             v = self._v[chunk]
             v *= self.momentum
-            v -= lr * self._g[chunk]
+            v -= lr * self._g[part]
             self._v[chunk] = v
             self._w[chunk] += v
         self._t += 1
@@ -207,6 +232,24 @@ class LazyMomentum:
     def flush(self) -> None:
         """Bring every row ever stepped up to date."""
         self._catch_up(np.flatnonzero((self._last > 0) & (self._last < self._t)))
+
+
+def _paged_zeros(shape) -> np.ndarray:
+    """A float64 array of zeros that commits memory 4 KB at a time, on first write.
+
+    numpy asks for transparent huge pages on large buffers, so one row
+    written into an ``np.zeros`` buffer can commit 2 MB.  This maps
+    anonymous memory, which the kernel zero-fills page by page, and asks
+    for no huge pages where the platform has the hint; the hint applies to
+    this mapping only.
+    """
+    nbytes = 8 * math.prod(shape)
+    if nbytes == 0:
+        return np.zeros(shape)
+    buf = mmap.mmap(-1, nbytes)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        buf.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(buf, dtype=np.float64).reshape(shape)
 
 
 def _row_view(a: np.ndarray, axis: int) -> np.ndarray:
@@ -279,11 +322,13 @@ def train(
     columns of W that a batch's base-view slots read are caught up before
     its forward pass and stepped after its backward pass; b, the fusions
     and the top layer are touched in full, so they take the dense step.
-    Every tensor is brought up to date at each epoch end, before
-    validation.  This is the dense momentum step in exact arithmetic, but
-    W's columns round differently (relative differences of order 1e-15).
-    The catch-up draws nothing, so the draw order is that of the dense
-    step.
+    The batch's gradients are the ``LazyMomentum`` compact ones: W's holds
+    just the batch's columns, found through ``ModelGrads.base_W_pos``, and
+    lives in one buffer reused by every batch.  Every tensor is brought up
+    to date at each epoch end, before validation.  This is the dense
+    momentum step in exact arithmetic, but W's columns round differently
+    (relative differences of order 1e-15).  The catch-up draws nothing, so
+    the draw order is that of the dense step.
     """
     if len(train_data) == 0:
         raise DataError("empty training set")
@@ -293,12 +338,11 @@ def train(
     val_docs = list(prepare_labeled(model, val_data))
     n = len(train_docs)
     params = model.trainable_params()
-    grads = zero_grads(model)
     n_steps = config.epochs * -(-n // config.batch_size)
     # W steps by column; b, the fusions and the top layer are touched in full
     axes = [1] + [0] * (len(params) - 1)
-    velocity = [LazyMomentum(p, g, axis, config.momentum, n_steps)
-                for p, g, axis in zip(params, grads.as_list(), axes)]
+    velocity = [LazyMomentum(p, axis, config.momentum, n_steps)
+                for p, axis in zip(params, axes)]
     base = velocity[0]
     small = [(lazy, np.arange(len(lazy.w))) for lazy in velocity[1:]]
     metrics: list[EpochMetrics] = []
@@ -312,6 +356,8 @@ def train(
             base.touch(slot_columns(train_docs[idx].views[0] for idx in batch))
             for lazy, rows in small:
                 lazy.touch(rows)
+            base_W, base_b, *fusions, top_W, top_b = (lazy.grad for lazy in velocity)
+            grads = ModelGrads(base_W, base_b, fusions, top_W, top_b, base_W_pos=base.position)
             batch_xent = 0.0
             for idx in batch:
                 doc = train_docs[idx]

@@ -132,9 +132,12 @@ def train_tv(
     Every tensor steps through a ``LazyMomentum``, as in ``train``: W on
     the columns the batch's regions read, the prediction layer on the rows
     of its targets and negatives, and b, which is small, on all its rows.
-    All are brought up to date at each epoch end.  W and the head round
-    differently from the dense step, and the catch-up draws nothing.  A
-    non-finite running loss raises ``NumericError`` before the batch's step.
+    Each gradient is the compact one of its ``LazyMomentum``, holding only
+    those columns or rows, so W's and the head's gradients and velocities
+    take memory in proportion to what the run touches.  All are brought up
+    to date at each epoch end.  W and the head round differently from the
+    dense step, and the catch-up draws nothing.  A non-finite running loss
+    raises ``NumericError`` before the batch's step.
     """
     if len(corpus) == 0:
         raise DataError("tv training needs a non-empty corpus")
@@ -172,12 +175,11 @@ def train_tv(
     n = len(outputs)
     n_steps = config.epochs * -(-n // config.batch_size)
     params = [W, b, head_W, head_b]
-    grads = [np.zeros_like(p) for p in params]
-    dW, db, dhead_W, dhead_b = grads
     # W steps by column, the head by row; b is small and touched in full
-    velocity = [LazyMomentum(p, g, axis, config.momentum, n_steps)
-                for p, g, axis in zip(params, grads, (1, 0, 0, 0))]
+    velocity = [LazyMomentum(p, axis, config.momentum, n_steps)
+                for p, axis in zip(params, (1, 0, 0, 0))]
     lazy_W, lazy_b, *lazy_head = velocity
+    head_pos = lazy_head[0].position
     b_rows = np.arange(len(b))
     epoch_losses = []
     for epoch in range(1, config.epochs + 1):
@@ -191,6 +193,8 @@ def train_tv(
             head_rows = np.unique(np.concatenate([outputs[idx] for idx in batch]))
             for lazy in lazy_head:
                 lazy.touch(head_rows)
+            grads = [lazy.grad for lazy in velocity]
+            dW, db, dhead_W, dhead_b = grads
             H = embedding.features(view, len(batch))
             dH = np.empty_like(H)
             for row, idx in enumerate(batch):
@@ -203,12 +207,13 @@ def train_tv(
                 loss, dpred = square_loss(pred, target_vals)
                 loss_sum += loss
                 dpred /= len(batch)  # the gradients accumulate as the batch mean
-                dhead_W[out_idx] += np.outer(dpred, h)
-                dhead_b[out_idx] += dpred
+                at = head_pos[out_idx]
+                dhead_W[at] += np.outer(dpred, h)
+                dhead_b[at] += dpred
                 dH[row] = head.T @ dpred
             if not np.isfinite(loss_sum):
                 raise NumericError(f"non-finite tv loss at epoch {epoch}, batch {batch_index}")
-            embedding.add_grad(np.where(H > 0.0, dH, 0.0), view, dW, db)
+            embedding.add_grad(np.where(H > 0.0, dH, 0.0), view, dW, db, lazy_W.position)
             sgd_momentum_step(params, grads, velocity, config.lr)
         for lazy in velocity:
             lazy.flush()

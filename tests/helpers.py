@@ -14,7 +14,7 @@ from swcnn.model import (
 )
 from swcnn.kernels import softmax_xent
 from swcnn.textpipe import BOW_NGRAM, BOW_WORD, CONCAT, OOV, RegionSpec, Vocabulary, region_count
-from swcnn.train import ModelTemplate, TrainConfig, init_model, lr_at_epoch
+from swcnn.train import ModelTemplate, TrainConfig, init_model, lr_at_epoch, slot_columns
 
 
 @dataclass(frozen=True, eq=False)
@@ -349,6 +349,17 @@ def scatter_reference(dW, dZ, view):
     dWt = dW.T
     for rows, cols in view.slots:
         np.add.at(dWt, cols, dZ[rows])
+
+
+def compact_scatter_reference(dW, dZ, view, position):
+    """``scatter_reference`` for a dW whose column ``position[c]`` holds W's
+    column c: the columns the view reads are spread into a dense copy,
+    scattered into row-wise, and gathered back."""
+    cols = slot_columns([view])
+    dense = np.zeros((dW.shape[0], view.input_dim))
+    dense[:, cols] = dW[:, position[cols]]
+    scatter_reference(dense, dZ, view)
+    dW[:, position[cols]] = dense[:, cols]
 
 
 def dense_momentum_step(params, grads, velocity, lr, momentum):

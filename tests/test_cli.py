@@ -593,6 +593,24 @@ class TestExitCodes:
                     "--output", tmp_path / "out.swcn"]) == 2
         assert "empty.vocab: no vocabulary entries" in capsys.readouterr().err
 
+    def test_duplicate_vocabulary_token_is_two(self, task_files, capsys):
+        # a duplicate would leave an id that no token maps to
+        tmp_path, train_csv, _, config = task_files
+        dup = tmp_path / "dup.vocab"
+        dup.write_text("kind=word\na\t3\na\t2\n", encoding="utf-8")
+        assert run(["train", "--config", config, "--input", train_csv, "--word-vocab", dup,
+                    "--output", tmp_path / "out.swcn"]) == 2
+        assert "dup.vocab: line 3: duplicate token 'a' (first on line 2)" in capsys.readouterr().err
+        assert not (tmp_path / "out.swcn").exists()
+
+    @pytest.mark.parametrize("text", ['"1","a b\n', '"1","a"b\n'])
+    def test_csv_with_a_stray_quote_is_two(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text, encoding="utf-8")
+        assert run(["vocab", "--input", bad, "--output", tmp_path / "w.vocab"]) == 2
+        err = capsys.readouterr().err
+        assert "bad.csv: line 1: " in err and "Traceback" not in err
+
     def test_vocab_of_a_corpus_without_tokens_is_two(self, tmp_path, capsys):
         blank = tmp_path / "blank.csv"
         write_csv(blank, [(1, " "), (2, "")])

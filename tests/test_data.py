@@ -66,6 +66,17 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=r"d\.csv: line 2: not valid UTF-8"):
             load_csv(path)
 
+    @pytest.mark.parametrize("bad_line,reason", [
+        ('"2","a b\n', "unexpected end of data"),  # a quote never closed
+        ('"2","a"b\n', "',' expected after '\"'"),  # text after a closing quote
+    ])
+    def test_stray_quote_names_file_and_line(self, tmp_path, bad_line, reason):
+        path = tmp_path / "d.csv"
+        path.write_text('"1","fine"\n' + bad_line, encoding="utf-8")
+        with pytest.raises(DataError) as caught:
+            load_csv(path)
+        assert str(caught.value) == f"{path}: line 2: {reason}"
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             load_csv(tmp_path / "absent.csv")
@@ -166,6 +177,13 @@ class TestVocabFiles:
         path = tmp_path / "w.vocab"
         path.write_text("kind=word\n\n", encoding="utf-8")
         with pytest.raises(DataError, match=r"w\.vocab: no vocabulary entries"):
+            load_vocab(path)
+
+    def test_duplicate_token_names_both_lines(self, tmp_path):
+        path = tmp_path / "w.vocab"
+        path.write_text("kind=word\na\t3\n\na\t2\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r"w\.vocab: line 4: duplicate token 'a' "
+                                             r"\(first on line 2\)"):
             load_vocab(path)
 
     @pytest.mark.parametrize("freq", [-3, 2**64])

@@ -28,6 +28,7 @@ from swcnn.model import (
 from swcnn.textpipe import (
     BOW_NGRAM, BOW_WORD, CONCAT, RegionSpec, Vocabulary, encode, region_count,
 )
+from swcnn.train import slot_columns
 from swcnn.train import ModelTemplate, TrainConfig, init_model
 
 
@@ -69,6 +70,21 @@ def naive_logits(model, tokens):
     for lo, hi in pooling_bounds(n_regions, model.pooling_k):
         pooled.append(H[lo:hi].max(axis=0) if hi > lo else np.zeros(base.dim))
     return model.top_W @ np.concatenate(pooled) + model.top_b
+
+
+@pytest.mark.parametrize("dim", [1, RegionEmbedding.DRAW_ROWS, 2 * RegionEmbedding.DRAW_ROWS + 5])
+def test_initial_draws_what_one_whole_draw_gives(dim):
+    """The block-wise draw into column-major storage is bitwise the whole
+    (dim, n) draw then its copy, and leaves the generator where it did."""
+    spec = RegionSpec(CONCAT, 3, 12)
+    got_rng, want_rng = np.random.default_rng(9), np.random.default_rng(9)
+    emb = RegionEmbedding.initial(spec, word_vocab(12), dim, 0.3, got_rng)
+    W = np.asfortranarray(want_rng.normal(0.0, 0.3, size=(dim, spec.input_dim)))
+    b = want_rng.normal(0.0, 0.3, size=dim)
+    assert emb.W.flags.f_contiguous
+    assert emb.W.tobytes(order="A") == W.tobytes(order="A")
+    assert emb.b.tobytes() == b.tobytes()
+    assert got_rng.random() == want_rng.random()
 
 
 class TestForward:
@@ -330,9 +346,22 @@ def scatter_case(seed, representation, n_docs=1, order="F", density=0.3):
 
 
 def assert_scatter_matches_reference(dW, dZ, view):
+    """The scatter adds bitwise what ``helpers.scatter_reference`` adds.
+
+    Into dW itself, through the identity map, and into a compact copy of
+    dW's touched columns: those the view reads and every third other one,
+    as a batch's gradient holds columns that other documents read.
+    """
+    n = dW.shape[1]
     want = dW.copy(order="K")
     scatter_reference(want, dZ, view)
-    _scatter_embedding_grad(dW, dZ, view)
+    touched = np.union1d(slot_columns([view]), np.arange(0, n, 3))
+    position = np.full(n, n)
+    position[touched] = np.arange(len(touched))
+    compact = dW[:, touched]
+    _scatter_embedding_grad(compact, dZ, view, position)
+    assert compact.tobytes(order="F") == want[:, touched].tobytes(order="F")
+    _scatter_embedding_grad(dW, dZ, view, np.arange(n))
     assert dW.flags.f_contiguous == want.flags.f_contiguous
     assert dW.tobytes(order="A") == want.tobytes(order="A")
 
@@ -362,8 +391,9 @@ class TestScatterEmbeddingGrad:
     def test_all_zero_dZ_and_empty_view_change_nothing(self):
         dW, dZ, view = scatter_case(3, BOW_WORD, n_docs=4)
         before = dW.tobytes(order="A")
-        _scatter_embedding_grad(dW, np.zeros_like(dZ), view)
-        _scatter_embedding_grad(dW, dZ, PreparedView(slots=[], input_dim=dW.shape[1]))
+        identity = np.arange(dW.shape[1])
+        _scatter_embedding_grad(dW, np.zeros_like(dZ), view, identity)
+        _scatter_embedding_grad(dW, dZ, PreparedView(slots=[], input_dim=dW.shape[1]), identity)
         assert dW.tobytes(order="A") == before
 
     def test_signed_zero_gradient_keeps_positive_zeros(self):

@@ -198,6 +198,18 @@ def test_invalid_utf8_token_names_file_and_entry(tmp_path):
         load_embedding(path)
 
 
+def test_duplicate_token_names_file_and_entries(tmp_path):
+    vocab = Vocabulary(kind="word", entries=(("ab", 3), ("cd", 2), ("ef", 1)))
+    emb = RegionEmbedding(spec=RegionSpec(BOW_WORD, 2, 3), vocab=vocab,
+                          W=np.zeros((2, 3)), b=np.zeros(2))
+    path = tmp_path / "tv.swcn"
+    save_embedding(emb, path)
+    path.write_bytes(path.read_bytes().replace(b"ef", b"ab", 1))
+    with pytest.raises(DataError, match=r"tv\.swcn: vocabulary entry 2: duplicate token 'ab' "
+                                         r"\(first at entry 0\)"):
+        load_embedding(path)
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_non_finite_model_weights_rejected(fused_model, tmp_path, value):
     _, model = fused_model

@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import swcnn
 from helpers import (
-    dense_momentum_step, dense_train, rel_err, scatter_reference, trigger_bigram_dataset,
+    compact_scatter_reference, dense_momentum_step, dense_train, rel_err,
+    trigger_bigram_dataset,
 )
 from swcnn.errors import DataError, NumericError
 from swcnn.train import (
@@ -47,46 +54,47 @@ class TestHoldoutSplit:
         assert default_holdout(2_000) == 200
 
 
-def touched_in_full(w, g, momentum=0.9, n_steps=8):
+def touched_in_full(w, momentum=0.9, n_steps=8):
     """The LazyMomentum of a weight whose every row a step touches."""
-    return LazyMomentum(w, g, 0, momentum, n_steps), np.arange(len(w))
+    return LazyMomentum(w, 0, momentum, n_steps), np.arange(len(w))
 
 
 class TestSgdMomentum:
     def test_first_step(self):
-        w, g = np.array([1.0]), np.zeros(1)
-        v, rows = touched_in_full(w, g)
+        w = np.array([1.0])
+        v, rows = touched_in_full(w)
         v.touch(rows)
-        g[...] = 1.0
-        sgd_momentum_step([w], [g], [v], lr=0.1)
+        v.grad[...] = 1.0
+        sgd_momentum_step([w], [v.grad], [v], lr=0.1)
         assert w == pytest.approx([0.9])  # the velocity is -0.1
 
     def test_second_identical_step_builds_velocity(self):
-        w, g = np.array([1.0]), np.zeros(1)
-        v, rows = touched_in_full(w, g)
+        w = np.array([1.0])
+        v, rows = touched_in_full(w)
         for _ in range(2):
             before = w.copy()
             v.touch(rows)
-            g[...] = 1.0
-            sgd_momentum_step([w], [g], [v], lr=0.1)
+            v.grad[...] = 1.0
+            sgd_momentum_step([w], [v.grad], [v], lr=0.1)
         assert w - before == pytest.approx([-0.19])  # the velocity
         assert w == pytest.approx([1.0 - 0.1 - 0.19])
 
     def test_zero_momentum_is_vanilla_sgd(self):
-        w, g = np.array([2.0, -1.0]), np.zeros(2)
-        v, rows = touched_in_full(w, g, momentum=0.0)
+        w = np.array([2.0, -1.0])
+        v, rows = touched_in_full(w, momentum=0.0)
         v.touch(rows)
-        g[...] = [0.5, 0.25]
-        sgd_momentum_step([w], [g], [v], lr=0.2)
+        v.grad[...] = [0.5, 0.25]
+        sgd_momentum_step([w], [v.grad], [v], lr=0.2)
         assert np.allclose(w, [2.0 - 0.1, -1.0 - 0.05])
 
     def test_shape_mismatch(self):
+        w = np.zeros(2)
+        v, rows = touched_in_full(w)
+        v.touch(rows)
         with pytest.raises(ValueError):
-            touched_in_full(np.zeros(2), np.zeros(3))
-        w, g = np.zeros(2), np.zeros(2)
-        v, _ = touched_in_full(w, g)
+            sgd_momentum_step([w], [np.zeros(3)], [v], lr=0.1)
         with pytest.raises(ValueError):
-            sgd_momentum_step([w], [g], [v, v], lr=0.1)
+            sgd_momentum_step([w], [v.grad], [v, v], lr=0.1)
 
 
 class TestLazyMomentum:
@@ -98,32 +106,37 @@ class TestLazyMomentum:
     @pytest.mark.parametrize("momentum", [0.0, 0.9, 1.0])
     @pytest.mark.parametrize("shape,axis", SHAPES)
     def test_matches_dense_steps(self, momentum, shape, axis):
+        # the gradient is compact: the touched rows only, in sorted order
         rng = np.random.default_rng(5)
         w = rng.normal(size=shape)
         w_ref, v_ref = w.copy(), np.zeros(shape)
-        grad = np.zeros(shape)
-        lazy = LazyMomentum(w, grad, axis, momentum, self.STEPS)
+        lazy = LazyMomentum(w, axis, momentum, self.STEPS)
 
         def rows_of(a):
             return np.moveaxis(a, axis, 0)
 
+        buffers = set()
         for step in range(self.STEPS):
             size = 0 if step == 5 else int(rng.integers(1, 500))
             rows = np.sort(rng.choice(self.LAST, size=size, replace=False))
             if step == 3:
                 rows = np.append(rows, self.LAST)
             lazy.touch(rows)
-            assert not grad.any()
+            assert rows_of(lazy.grad).shape == (len(rows), *rows_of(w).shape[1:])
+            assert not lazy.grad.any()
+            assert np.array_equal(lazy.position[rows], np.arange(len(rows)))
             if size:
+                buffers.add(lazy.grad.__array_interface__["data"][0])
                 assert rel_err(rows_of(w)[rows], rows_of(w_ref)[rows]) <= 1e-12
             dense_grad = np.zeros(shape)
             rows_of(dense_grad)[rows] = rng.normal(size=rows_of(dense_grad)[rows].shape)
-            grad[...] = dense_grad
+            rows_of(lazy.grad)[...] = rows_of(dense_grad)[rows]
             lr = 0.3 if step < 8 else 0.03
-            sgd_momentum_step([w], [grad], [lazy], lr)
+            sgd_momentum_step([w], [lazy.grad], [lazy], lr)
             dense_momentum_step([w_ref], [dense_grad], [v_ref], lr, momentum)
         lazy.flush()
         assert rel_err(w, w_ref) <= 1e-12
+        assert len(buffers) == 1  # every step's gradient lives in one buffer
 
     @pytest.mark.parametrize("momentum", [0.0, 0.9, 1.0])
     @pytest.mark.parametrize("shape,axis", SHAPES)
@@ -133,14 +146,14 @@ class TestLazyMomentum:
         rng = np.random.default_rng(6)
         w = rng.normal(size=shape)
         w_ref, v_ref = w.copy(), np.zeros(shape)
-        grad = np.zeros(shape)
-        lazy = LazyMomentum(w, grad, axis, momentum, self.STEPS)
+        lazy = LazyMomentum(w, axis, momentum, self.STEPS)
         every_row = np.arange(shape[axis])
         for step in range(self.STEPS):
             lazy.touch(every_row)
-            grad[...] = rng.normal(size=shape)
+            grad = rng.normal(size=shape)
+            lazy.grad[...] = grad
             lr = 0.3 if step < 8 else 0.03
-            sgd_momentum_step([w], [grad], [lazy], lr)
+            sgd_momentum_step([w], [lazy.grad], [lazy], lr)
             dense_momentum_step([w_ref], [grad], [v_ref], lr, momentum)
             assert np.array_equal(w, w_ref)
         lazy.flush()
@@ -149,12 +162,13 @@ class TestLazyMomentum:
     def test_belongs_to_one_weight_and_momentum(self):
         # the momentum is the LazyMomentum's own, so only the weight and
         # the gradient can be mismatched
-        w, grad = np.zeros((4, 2)), np.zeros((4, 2))
-        lazy = LazyMomentum(w, grad, 0, 0.9, 3)
+        w = np.zeros((4, 2))
+        lazy = LazyMomentum(w, 0, 0.9, 3)
+        lazy.touch(np.arange(4))
         with pytest.raises(ValueError):
-            sgd_momentum_step([w.copy()], [grad], [lazy], lr=0.1)
+            sgd_momentum_step([w.copy()], [lazy.grad], [lazy], lr=0.1)
         with pytest.raises(ValueError):
-            sgd_momentum_step([w], [grad.copy()], [lazy], lr=0.1)
+            sgd_momentum_step([w], [lazy.grad.copy()], [lazy], lr=0.1)
 
 
 class TestLrSchedule:
@@ -325,8 +339,9 @@ class TestTrain:
 
 def test_train_is_bitwise_equal_with_the_row_wise_scatter(monkeypatch):
     """Seeded ``train`` gives byte-identical weights through
-    ``helpers.scatter_reference``, at pooling_k=3, with dropout and an
-    n-gram tv."""
+    ``helpers.scatter_reference``, by way of
+    ``helpers.compact_scatter_reference``, at pooling_k=3, with dropout and
+    an n-gram tv."""
     import swcnn.model
     from swcnn.model import RegionEmbedding
     from swcnn.textpipe import BOW_NGRAM, RegionSpec, build_vocab
@@ -342,7 +357,7 @@ def test_train_is_bitwise_equal_with_the_row_wise_scatter(monkeypatch):
                          dropout=0.5, seed=6)
     tr, val = holdout_split(data, 10, 1)
     model, metrics = train(template, config, tr, val)
-    monkeypatch.setattr(swcnn.model, "_scatter_embedding_grad", scatter_reference)
+    monkeypatch.setattr(swcnn.model, "_scatter_embedding_grad", compact_scatter_reference)
     ref, ref_metrics = train(template, config, tr, val)
     for got, want in zip(model.trainable_params(), ref.trainable_params(), strict=True):
         assert got.tobytes(order="A") == want.tobytes(order="A")
@@ -478,3 +493,38 @@ def test_package_attribute_is_the_train_module():
 
     assert isinstance(module, types.ModuleType)
     assert callable(module.train)
+
+
+def peak_rss_bytes_of_train(tmp_path, data_csv, vocab_size):
+    """Peak RSS of a ``swcnn train`` child on ``data_csv`` with a word
+    vocabulary of ``vocab_size`` words, read with ``os.wait4``."""
+    vocab = tmp_path / f"w{vocab_size}.vocab"
+    vocab.write_text("kind=word\n" + "".join(f"s{j}\t1\n" for j in range(vocab_size)),
+                     encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(swcnn.__file__).resolve().parents[1]))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "swcnn", "train", "--input", str(data_csv),
+         "--word-vocab", str(vocab), "--output", str(tmp_path / f"m{vocab_size}.swcn"),
+         "--set", "embed_dim=32", "--set", "epochs=3", "--set", "decay_epoch=3",
+         "--set", "holdout=0"],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(child.pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    return usage.ru_maxrss * 1024  # KB on Linux
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KB on Linux")
+def test_train_memory_follows_the_touched_columns(tmp_path):
+    """The same 1,000 documents over 1K words, trained with a 1K and a 100K
+    word vocabulary: the larger run may hold its larger W, but not a dense
+    gradient or velocity beside it, so its peak exceeds the smaller run's
+    by less than two W's."""
+    rng = np.random.default_rng(99)
+    data_csv = tmp_path / "step.csv"
+    data_csv.write_text("".join(
+        f'"{1 + i % 2}","{" ".join(f"s{j}" for j in rng.integers(0, 1_000, size=40))}"\n'
+        for i in range(1_000)), encoding="utf-8")
+    small, large = (peak_rss_bytes_of_train(tmp_path, data_csv, size)
+                    for size in (1_000, 100_000))
+    W_bytes = 32 * 3 * 100_000 * 8  # embed_dim x concat input dim, float64: 76.8 MB
+    assert large - small < 2 * W_bytes, f"{(large - small) / 1e6:.1f} MB over the 1K run"

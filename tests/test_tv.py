@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import (
-    dense_momentum_step, markov_corpus, region_vector, rel_err, scatter_reference,
+    compact_scatter_reference, dense_momentum_step, markov_corpus, region_vector, rel_err,
     sparse_affine, word_vocab,
 )
 from swcnn.errors import DataError, NumericError
@@ -276,7 +276,8 @@ def test_word_occurring_once_matches_per_region(momentum):
 @pytest.mark.parametrize("representation", [BOW_WORD, BOW_NGRAM])
 def test_bitwise_equal_with_the_row_wise_scatter(representation, monkeypatch):
     """Seeded ``train_tv`` gives byte-identical weights and losses through
-    ``helpers.scatter_reference``."""
+    ``helpers.scatter_reference``, by way of
+    ``helpers.compact_scatter_reference``."""
     import swcnn.model
 
     corpus = markov_corpus(30, doc_len=11, n_states=9, seed=6) + [["w1", "yy"], []]
@@ -285,7 +286,7 @@ def test_bitwise_equal_with_the_row_wise_scatter(representation, monkeypatch):
     spec = RegionSpec(representation, 3, len(tv_vocab))
     config = TvTrainConfig(seed=2, epochs=3, lr=0.2, negatives=3, batch_size=9, init_std=0.3)
     emb, losses = train_tv(corpus, spec, tv_vocab, word_vocab_, 5, config)
-    monkeypatch.setattr(swcnn.model, "_scatter_embedding_grad", scatter_reference)
+    monkeypatch.setattr(swcnn.model, "_scatter_embedding_grad", compact_scatter_reference)
     ref, ref_losses = train_tv(corpus, spec, tv_vocab, word_vocab_, 5, config)
     assert emb.W.tobytes(order="A") == ref.W.tobytes(order="A")
     assert emb.b.tobytes() == ref.b.tobytes()
