@@ -5,7 +5,7 @@ params.  Every subcommand reads an optional key=value config file of
 hyperparameters plus repeatable ``--set key=value`` overrides.  Each
 file is named by its flag alone; only ``vocab --cap`` overrides a config
 key.  Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric
-failure.
+failure; a closed standard output ends the process by SIGPIPE.
 """
 
 from __future__ import annotations
@@ -13,12 +13,13 @@ from __future__ import annotations
 import argparse
 import ctypes
 import os
+import signal
 import sys
 
 from swcnn import config as cfgmod
 from swcnn.config import RunConfig, apply_setting, parse_config, validate_config
 from swcnn.data import atomic_write, load_csv, load_vocab, n_classes_of, save_vocab, to_samples
-from swcnn.errors import DataError, NumericError, UsageError
+from swcnn.errors import DataError, NonFiniteWeights, NumericError, UsageError
 from swcnn.evalbench import (
     dense_control_ratio,
     evaluate,
@@ -290,7 +291,11 @@ def cmd_eval(args, cfg: RunConfig) -> int:
     _output(args.table)
     model = load_model(_need(args.model, "--model path"))
     records = load_csv(_need(args.input, "--input CSV"))
-    report = evaluate(model, prepare_labeled(model, _samples(args.input, records, model.n_classes)))
+    docs = prepare_labeled(model, _samples(args.input, records, model.n_classes))
+    try:
+        report = evaluate(model, docs)
+    except NonFiniteWeights as exc:
+        raise DataError(f"{args.model}: {args.input}: {exc}") from None
     print(f"n_docs={report.n_docs}")
     print(f"n_errors={report.n_errors}")
     print(f"error_rate_percent={report.error_rate_percent:.4f}")
@@ -312,8 +317,12 @@ def cmd_predict(args, cfg: RunConfig) -> int:
             line = raw.decode("utf-8")
         except UnicodeDecodeError:
             raise DataError(f"stdin: line {number}: not valid UTF-8") from None
+        try:
+            answer = predict(model, tokenize(line.rstrip("\n")))
+        except NonFiniteWeights as exc:
+            raise DataError(f"{args.model}: stdin: line {number}: {exc}") from None
         # flushed per answer, so a client on a pipe need not close stdin first
-        print(predict(model, tokenize(line.rstrip("\n"))), flush=True)
+        print(answer, flush=True)
     return 0
 
 
@@ -322,7 +331,10 @@ def cmd_bench(args, cfg: RunConfig) -> int:
         model = load_model(_need(args.model, "--model path"))
         records = load_csv(_need(args.input, "--input CSV"))
         docs = list(prepare_labeled(model, _samples(args.input, records, model.n_classes)))
-        report = time_inference(model, docs, repetitions=3)
+        try:
+            report = time_inference(model, docs, repetitions=3)
+        except NonFiniteWeights as exc:
+            raise DataError(f"{args.model}: {args.input}: {exc}") from None
         print(
             f"timing n_docs={report.n_docs} total_seconds={report.total_seconds:.6f} "
             f"docs_per_second={report.docs_per_second:.1f}"
@@ -394,6 +406,10 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    # a closed stdout (`swcnn predict ... | head`) ends the process as it
+    # ends a Unix filter: by SIGPIPE, with no BrokenPipeError traceback
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

@@ -14,5 +14,14 @@ class DataError(Exception):
     """Unreadable or malformed input data, or an incompatible container."""
 
 
+class NonFiniteWeights(DataError):
+    """An inference pass gathered a weight that is NaN or infinite.
+
+    A container's embedding ``W`` is checked where a document reads it,
+    not at load; the command answering the document names the container
+    and the document.  Training turns it into a ``NumericError``.
+    """
+
+
 class NumericError(Exception):
     """Training produced a non-finite value and was aborted."""

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from swcnn.errors import DataError
+from swcnn.errors import DataError, NonFiniteWeights
 from swcnn.model import (
     PreparedDoc,
     PreparedView,
@@ -34,6 +34,17 @@ from swcnn.textpipe import BOW_WORD, WORD, RegionSpec, Vocabulary
 
 # distinct codes in the bench pattern: the least vocabulary size it fits
 BENCH_CODES = 48
+
+
+def _infer(model: ShallowModel, number: int, doc: PreparedDoc) -> np.ndarray:
+    """Inference logits of ``doc``, the ``number``-th (from 1) of its set.
+
+    A non-finite gathered weight is reported with the document's number.
+    """
+    try:
+        return forward(model, doc, train=False)[0]
+    except NonFiniteWeights as exc:
+        raise NonFiniteWeights(f"document {number}: {exc}") from None
 
 
 @dataclass
@@ -55,9 +66,8 @@ def evaluate(model: ShallowModel, docs: Iterable[PreparedDoc]) -> EvalReport:
     confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
     n_docs = 0
     for doc in docs:
-        logits, _ = forward(model, doc, train=False)
-        confusion[doc.label, int(np.argmax(logits))] += 1
         n_docs += 1
+        confusion[doc.label, int(np.argmax(_infer(model, n_docs, doc)))] += 1
     if n_docs == 0:
         raise DataError("empty test set")
     n_errors = n_docs - int(np.trace(confusion))
@@ -90,8 +100,8 @@ def time_inference(
         raise DataError("empty timing set")
 
     def one_pass():
-        for doc in docs:
-            forward(model, doc, train=False)
+        for number, doc in enumerate(docs, start=1):
+            _infer(model, number, doc)
 
     total = _median_seconds(one_pass, repetitions, warmup=1)
     return TimingReport(

@@ -39,7 +39,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from swcnn.errors import DataError
+from swcnn.errors import DataError, NonFiniteWeights
 from swcnn.textpipe import (
     BOW_NGRAM,
     CONCAT,
@@ -100,9 +100,16 @@ class RegionEmbedding:
     def dim(self) -> int:
         return self.W.shape[0]
 
-    def features(self, view: PreparedView, n_regions: int) -> np.ndarray:
-        """relu(W x + b) for every region position of ``view``, as (R, dim)."""
+    def features(self, view: PreparedView, n_regions: int, check: str = "") -> np.ndarray:
+        """relu(W x + b) for every region position of ``view``, as (R, dim).
+
+        Given a view name to ``check``, a W x that is not finite raises
+        ``NonFiniteWeights`` naming it; the check comes before the relu,
+        which would turn a -inf into 0.
+        """
         H = embed_regions(self.W, view, n_regions)
+        if check:
+            _require_finite(H, check)
         H += self.b
         return np.maximum(H, 0.0, out=H)
 
@@ -287,19 +294,30 @@ class ForwardCache:
     top_input: np.ndarray          # (k*d,) the vector the top layer saw
 
 
+def _require_finite(Z: np.ndarray, view: str) -> None:
+    # a NaN or infinite weight among the gathered columns makes their sum so
+    if not np.isfinite(Z).all():
+        raise NonFiniteWeights(f"non-finite value in {view}'s gathered weights")
+
+
 def forward(model: ShallowModel, doc: PreparedDoc, train: bool = False, rng=None):
     """Full forward pass over a prepared document; returns (logits, cache).
 
     In train mode a seeded ``rng`` must be supplied whenever the dropout
     rate is nonzero; the dropout mask is the only source of randomness.
-    Inference applies no dropout and no scaling.
+    Inference applies no dropout and no scaling, and raises
+    ``NonFiniteWeights`` when a view's gathered sum W x is not finite:
+    a loaded container's embeddings are checked only where a document
+    reads them.  Training leaves a diverging run to its loss check.
     """
     if len(doc.views) != 1 + len(model.tvs):
         raise ValueError("document views do not match the model")
     Z = embed_regions(model.base.W, doc.views[0], doc.n_regions)
+    if not train:
+        _require_finite(Z, "the base view")
     tv_outputs = []
-    for tv, view in zip(model.tvs, doc.views[1:]):
-        hidden = tv.embedding.features(view, doc.n_regions)
+    for i, (tv, view) in enumerate(zip(model.tvs, doc.views[1:]), start=1):
+        hidden = tv.embedding.features(view, doc.n_regions, check="" if train else f"tv view {i}")
         tv_outputs.append(hidden)
         Z += hidden @ tv.fusion.T
     Z += model.base.b

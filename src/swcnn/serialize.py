@@ -33,9 +33,18 @@ left before anything is sliced, viewed or allocated for it.  A version
 2 W is a view of the map, with no copy: a plain F-ordered ndarray that
 raises on a write.  A version 1 W, and every other tensor, is copied
 from the map.  Round-trips are bitwise exact; files are written
-atomically (``data.atomic_write``), never in place.  Weights that are
-not finite are rejected on load; the scan that checks a mapped W also
-makes its pages resident.
+atomically (``data.atomic_write``), never in place.
+
+``load_model`` checks every tensor but the embeddings' W for NaN and
+infinity, for both versions.  Scanning a mapped W would make all its
+pages resident before the first document, which reads a few of its
+columns; inference (``model.forward``) checks the columns each document
+gathers instead.  ``load_embedding`` checks W in full, since training
+on a tv embedding reads it throughout.
+
+A vocabulary block that repeats an earlier block of the same container
+byte for byte (a tv over the base's word vocabulary) is not parsed
+again: the loaded embeddings share one ``Vocabulary``.
 """
 
 from __future__ import annotations
@@ -104,6 +113,8 @@ class _Reader:
         self.path = path
         self.pos = 0
         self.version = 0
+        # (vocab code, size) -> (start, end, Vocabulary) of the first such block
+        self.vocabs: dict[tuple[int, int], tuple[int, int, Vocabulary]] = {}
 
     def _take(self, n: int) -> int:
         # a size field is checked against the bytes left before anything is
@@ -140,10 +151,8 @@ def _read_weights(r: _Reader) -> np.ndarray:
     rows, cols = r.unpack("<II")
     values = r.mapped(rows * cols)
     if r.version == 1:
-        W = np.array(values.reshape(rows, cols), dtype=np.float64, order="F")
-    else:
-        W = values.reshape(cols, rows).T
-    return _finite(r, W)
+        return np.array(values.reshape(rows, cols), dtype=np.float64, order="F")
+    return values.reshape(cols, rows).T
 
 
 def _build(r: _Reader, cls, **fields):
@@ -158,14 +167,18 @@ def _build(r: _Reader, cls, **fields):
         raise DataError(f"{r.path}: {exc}") from None
 
 
-def _read_embedding(r: _Reader) -> RegionEmbedding:
-    rep_code, region_size = r.unpack("<BI")
-    if rep_code not in _REP_NAMES:
-        raise DataError(f"{r.path}: unknown representation code {rep_code}")
+def _read_vocabulary(r: _Reader) -> Vocabulary:
     vocab_code, vocab_size = r.unpack("<BI")
     if vocab_code not in _VOCAB_NAMES:
         raise DataError(f"{r.path}: unknown vocabulary code {vocab_code}")
     buf, pos, end = r.buf, r.pos, len(r.buf)
+    seen = r.vocabs.get((vocab_code, vocab_size))
+    if seen is not None:
+        first, last, vocab = seen
+        if buf[pos : pos + last - first] == buf[first:last]:  # the same entry bytes
+            r.pos = pos + last - first
+            return vocab
+    start = pos
     entries = []
     index: dict[str, int] = {}
     for i in range(vocab_size):
@@ -190,9 +203,18 @@ def _read_embedding(r: _Reader) -> RegionEmbedding:
         pos += 8
     r.pos = pos
     vocab = Vocabulary(kind=_VOCAB_NAMES[vocab_code], entries=tuple(entries), index=index)
+    r.vocabs.setdefault((vocab_code, vocab_size), (start, pos, vocab))
+    return vocab
+
+
+def _read_embedding(r: _Reader) -> RegionEmbedding:
+    rep_code, region_size = r.unpack("<BI")
+    if rep_code not in _REP_NAMES:
+        raise DataError(f"{r.path}: unknown representation code {rep_code}")
+    vocab = _read_vocabulary(r)
     spec = _build(
         r, RegionSpec,
-        representation=_REP_NAMES[rep_code], region_size=region_size, vocab_size=vocab_size,
+        representation=_REP_NAMES[rep_code], region_size=region_size, vocab_size=len(vocab),
     )
     W = _read_weights(r)
     b = _read_array(r, r.unpack("<I"))
@@ -248,6 +270,7 @@ def save_model(model: ShallowModel, path) -> None:
 def load_model(path) -> ShallowModel:
     r = _open(path, KIND_MODEL)
     pooling_k, n_classes, dropout = r.unpack("<IId")
+    # each W is checked where forward gathers it, not here
     base = _read_embedding(r)
     (n_tvs,) = r.unpack("<I")
     tvs = []
@@ -280,4 +303,8 @@ def save_embedding(emb: RegionEmbedding, path) -> None:
 
 
 def load_embedding(path) -> RegionEmbedding:
-    return _read_embedding(_open(path, KIND_EMBEDDING))
+    r = _open(path, KIND_EMBEDDING)
+    emb = _read_embedding(r)
+    # training on a tv embedding reads its W throughout, so all of it is checked
+    _finite(r, emb.W)
+    return emb

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from swcnn.errors import DataError, NumericError
+from swcnn.errors import DataError, NonFiniteWeights, NumericError
 from swcnn.evalbench import evaluate
 from swcnn.kernels import softmax_xent
 from swcnn.model import (
@@ -297,8 +297,12 @@ class EpochMetrics:
     seconds: float
 
 
-def _error_percent(model, prepared_docs) -> float:
-    return evaluate(model, prepared_docs).error_rate_percent
+def _error_percent(model, prepared_docs, epoch: int) -> float:
+    # weights that diverged in the epoch's last step are a numeric failure
+    try:
+        return evaluate(model, prepared_docs).error_rate_percent
+    except NonFiniteWeights as exc:
+        raise NumericError(f"validation after epoch {epoch}: {exc}") from None
 
 
 # a diverging run ends in the finite-loss check's NumericError; numpy's
@@ -378,7 +382,7 @@ def train(
             sgd_momentum_step(params, grads.as_list(), velocity, lr)
         for lazy in velocity:
             lazy.flush()
-        val_error = _error_percent(model, val_docs) if val_docs else None
+        val_error = _error_percent(model, val_docs, epoch) if val_docs else None
         metrics.append(
             EpochMetrics(
                 epoch=epoch,

@@ -4,6 +4,7 @@ import math
 import os
 import re
 import select
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -23,7 +24,7 @@ from swcnn.cli import main
 from swcnn.config import RunConfig, apply_setting, parse_config, validate_config
 from swcnn.errors import DataError, UsageError
 from swcnn.data import save_vocab
-from swcnn.model import RegionEmbedding
+from swcnn.model import RegionEmbedding, ShallowModel
 from swcnn.serialize import load_embedding, save_model
 from swcnn.textpipe import BOW_WORD, RegionSpec
 from swcnn.train import ModelTemplate, TrainConfig, init_model
@@ -442,6 +443,61 @@ class TestPipeline:
         assert child.returncode == 0
 
 
+def child_env():
+    return dict(os.environ, PYTHONPATH=str(Path(swcnn.__file__).resolve().parents[1]))
+
+
+def blank_model(path, n_words, dim):
+    """A zero-weight model container: a bow-word base view of ``dim`` x
+    ``n_words`` weights, two classes."""
+    vocab = word_vocab(n_words)
+    base = RegionEmbedding(spec=RegionSpec(BOW_WORD, 1, n_words), vocab=vocab,
+                           W=np.zeros((dim, n_words), order="F"), b=np.zeros(dim))
+    save_model(ShallowModel(base=base, tvs=(), pooling_k=1, top_W=np.zeros((2, dim)),
+                            top_b=np.zeros(2)), path)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KB on Linux")
+def test_cold_start_leaves_W_unread(tmp_path):
+    """``predict`` with no documents maps W but reads none of it: against an
+    80 MB W its peak RSS exceeds that of an 80 KB W by much less than W."""
+    def peak_rss(dim):
+        path = tmp_path / f"d{dim}.swcn"
+        blank_model(path, 10_000, dim)
+        child = subprocess.Popen(
+            [sys.executable, "-m", "swcnn", "predict", "--model", str(path)],
+            env=child_env(), stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL)
+        _, status, usage = os.wait4(child.pid, 0)
+        child.returncode = os.waitstatus_to_exitcode(status)
+        assert child.returncode == 0
+        return usage.ru_maxrss * 1024  # KB on Linux
+
+    W_bytes = 1_000 * 10_000 * 8
+    extra = peak_rss(1_000) - peak_rss(1)
+    assert extra < W_bytes / 4, f"{extra / 1e6:.1f} MB over the small W"
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+def test_predict_ends_quietly_when_stdout_closes(tmp_path):
+    """``swcnn predict ... | head -2``: once the reader is gone, the next
+    answer ends the process by SIGPIPE, with nothing on stderr."""
+    path = tmp_path / "m.swcn"
+    blank_model(path, 4, 3)
+    child = subprocess.Popen(
+        [sys.executable, "-m", "swcnn", "predict", "--model", str(path)],
+        env=child_env(), stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    child.stdin.write(b"w0 w1\nw2\n")
+    child.stdin.flush()
+    assert [child.stdout.readline() for _ in range(2)] == [b"0\n", b"0\n"]
+    child.stdout.close()
+    child.stdin.write(b"w3\n")
+    child.stdin.close()
+    assert child.wait(timeout=60) == -signal.SIGPIPE
+    assert child.stderr.read() == b""
+    child.stderr.close()
+
+
 @pytest.mark.parametrize("env_change", [{"LC_ALL": "C"}, {"PYTHONIOENCODING": "utf-8"}],
                          ids=["LC_ALL=C", "PYTHONIOENCODING=utf-8"])
 def test_predict_rejects_invalid_utf8_whatever_the_locale(task_files, env_change):
@@ -763,27 +819,61 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and "nan.swcn" in captured.err
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("where", ["base", "tv"])
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_non_finite_W_is_two(self, tmp_path, capsys, monkeypatch, version, where, value):
+    @staticmethod
+    def non_finite_W_containers(tmp_path, version, where, value):
+        """A clean container and one whose base or tv W column 2 (word w2)
+        holds ``value``: base region size 1, a bow-word tv of region size 2."""
         vocab = word_vocab(4)
         tv = RegionEmbedding(spec=RegionSpec(BOW_WORD, 2, 4), vocab=vocab,
-                             W=np.zeros((2, 4), order="F"), b=np.zeros(2))
+                             W=np.asfortranarray(np.random.default_rng(1).normal(size=(2, 4))),
+                             b=np.zeros(2))
         template = ModelTemplate(base_vocab=vocab, n_classes=2, region_size=1,
                                  embed_dim=3, pooling_k=1, tv_embeddings=(tv,))
         model = init_model(template, TrainConfig(epochs=1, decay_epoch=1),
                            np.random.default_rng(0))
-        (model.base.W if where == "base" else tv.W)[1, 2] = value
-        path = tmp_path / "nan.swcn"
-        if version == 1:
-            path.write_bytes(v1_model_bytes(model))
-        else:
-            save_model(model, path)
-        monkeypatch.setattr("sys.stdin", stdin_of("w0 w1\n"))
+        paths = tmp_path / "clean.swcn", tmp_path / "nan.swcn"
+        for path in paths:  # the value is set once the clean container is written
+            if version == 1:
+                path.write_bytes(v1_model_bytes(model))
+            else:
+                save_model(model, path)
+            (model.base.W if where == "base" else tv.W)[1, 2] = value
+        return paths
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["base", "tv"])
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_non_finite_W_is_two(self, tmp_path, capsys, monkeypatch, version, where, value):
+        """W is checked where a document gathers it: the answers before the
+        first document that reads the bad column are printed, and none after."""
+        clean, path = self.non_finite_W_containers(tmp_path, version, where, value)
+        monkeypatch.setattr("sys.stdin", stdin_of("w0 w1\nw3\n"))
+        assert run(["predict", "--model", clean]) == 0
+        answers = capsys.readouterr().out.split()
+        monkeypatch.setattr("sys.stdin", stdin_of("w0 w1\nw3\nw1 w2\nw0\n"))
         assert run(["predict", "--model", path]) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and "nan.swcn: non-finite value" in captured.err
+        assert captured.out.split() == answers
+        view = "the base view" if where == "base" else "tv view 1"
+        assert captured.err == (f"data error: {path}: stdin: line 3: "
+                                f"non-finite value in {view}'s gathered weights\n")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["base", "tv"])
+    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("command", ["eval", "bench"])
+    def test_non_finite_W_in_eval_and_bench_is_two(self, tmp_path, capsys, command, version,
+                                                   where, value):
+        clean, path = self.non_finite_W_containers(tmp_path, version, where, value)
+        csv = tmp_path / "test.csv"
+        write_csv(csv, [(1, "w0 w1"), (2, "w3"), (1, "w2 w2"), (2, "w0")])
+        assert run(["eval", "--model", clean, "--input", csv]) == 0
+        capsys.readouterr()
+        assert run([command, "--model", path, "--input", csv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"data error: {path}: {csv}: document 3: non-finite value" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_version_mismatch_is_two(self, task_files, capsys):
         tmp_path, train_csv, test_csv, config = task_files

@@ -7,6 +7,7 @@ from helpers import (
     _region_vector_unchecked, fd_max_rel_error, random_tiny_instance, rectify_then_pool,
     region_vector, scatter_reference, sparse_affine, word_vocab,
 )
+from swcnn.errors import NonFiniteWeights
 from swcnn.kernels import softmax_xent
 from swcnn.model import (
     ModelGrads,
@@ -451,12 +452,61 @@ class TestRectifyAfterPooling:
         assert not cache.top_input.reshape(2, -1)[:, :3].any()
 
     def test_nan_reaches_the_logits(self):
-        template, model = small_model(pooling_k=2)
+        # in train mode nothing checks the weights: the loss check sees the NaN
+        template, model = small_model(pooling_k=2, dropout=0.5)
         model.base.W[1, :] = np.nan
         doc = prepare_document(model.views, ["w0", "w1", "w2", "w3"])
-        logits, cache = forward(model, doc)
+        logits, cache = forward(model, doc, train=True, rng=np.random.default_rng(0))
         assert np.isnan(logits).all()
         assert (cache.pool_rows[:, 1] == -1).all()
+
+
+class TestGatheredWeightCheck:
+    """Inference rejects a NaN or infinite weight where a document gathers it."""
+
+    @staticmethod
+    def model_with_tv():
+        vocab = word_vocab(12)
+        tv = RegionEmbedding(spec=RegionSpec(BOW_WORD, 2, 12), vocab=vocab,
+                             W=np.asfortranarray(np.random.default_rng(5).normal(size=(3, 12))),
+                             b=np.zeros(3))
+        return small_model(region_size=1, tvs=[tv])[1]
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["base", "tv"])
+    def test_gathered_column_raises(self, where, value):
+        model = self.model_with_tv()
+        W = model.base.W if where == "base" else model.tvs[0].embedding.W
+        W[0, 4] = value  # word w4
+        name = "the base view" if where == "base" else "tv view 1"
+        with pytest.raises(NonFiniteWeights, match=f"non-finite value in {name}'s gathered"):
+            forward(model, prepare_document(model.views, ["w1", "w4", "w2"]))
+        with pytest.raises(NonFiniteWeights):
+            predict(model, ["w4"])
+
+    def test_minus_inf_before_the_relu_is_caught(self):
+        # relu(-inf) is 0, so only a check before the relu sees it
+        model = self.model_with_tv()
+        model.tvs[0].embedding.W[:, 4] = -np.inf
+        with pytest.raises(NonFiniteWeights, match="tv view 1"):
+            forward(model, prepare_document(model.views, ["w4"]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_columns_not_gathered_answer_as_before(self, value):
+        clean = self.model_with_tv()
+        model = self.model_with_tv()
+        model.base.W[:, 4] = value
+        model.tvs[0].embedding.W[:, 4] = value
+        for tokens in (["w1", "w2", "w3"], ["w0", "w11", "w5", "w0"], []):
+            doc = prepare_document(model.views, tokens)
+            assert forward(model, doc)[0].tobytes() == forward(clean, doc)[0].tobytes()
+
+    def test_train_mode_does_not_check(self):
+        model = self.model_with_tv()
+        model.tvs[0].embedding.W[:, 4] = np.nan
+        logits, _ = forward(model, prepare_document(model.views, ["w4"]), train=True,
+                            rng=np.random.default_rng(0))
+        assert np.isnan(logits).all()
 
 
 class TestCountParameters:

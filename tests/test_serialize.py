@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import v1_embedding_bytes, v1_model_bytes, word_vocab, write_corrupted
-from swcnn.errors import DataError
+from swcnn.errors import DataError, NonFiniteWeights
 from swcnn.model import RegionEmbedding, ShallowModel, forward, prepare_document
 from swcnn.serialize import (
     FORMAT_VERSION,
@@ -224,13 +224,23 @@ def test_non_finite_model_weights_rejected(fused_model, tmp_path, value):
 @pytest.mark.parametrize("where", ["base", "tv"])
 @pytest.mark.parametrize("version", [1, 2])
 def test_non_finite_W_rejected(fused_model, tmp_path, version, where, value):
+    """A model's W loads unchecked and is rejected where a document gathers
+    the bad column; a tv embedding's W is rejected at load."""
     _, model = fused_model
+    clean = tmp_path / "clean.swcn"
+    write_model(model, clean, version)
     emb = model.base if where == "base" else model.tvs[1].embedding
     emb.W[2, 5] = value
     path = tmp_path / "m.swcn"
     write_model(model, path, version)
-    with pytest.raises(DataError, match=r"m\.swcn: non-finite value"):
-        load_model(path)
+    loaded, reference = load_model(path), load_model(clean)
+    # column 5: the word w5 at the base region's first position, the tv's bigram "g5 x"
+    bad = prepare_document(loaded.views, ["w5"] if where == "base" else ["g5", "x"])
+    with pytest.raises(NonFiniteWeights, match="non-finite value"):
+        forward(loaded, bad)
+    for tokens in (["w1", "w6", "w2"], ["g4", "x", "g5"], []):
+        doc = prepare_document(loaded.views, tokens)
+        assert forward(loaded, doc)[0].tobytes() == forward(reference, doc)[0].tobytes()
     path = tmp_path / "e.swcn"
     write_embedding(emb, path, version)
     with pytest.raises(DataError, match=r"e\.swcn: non-finite value"):
@@ -244,6 +254,75 @@ def test_non_finite_embedding_weights_rejected(tmp_path):
     save_embedding(emb, path)
     with pytest.raises(DataError, match=r"tv\.swcn: non-finite value"):
         load_embedding(path)
+
+
+def model_over(vocab, tv_vocab, rep=BOW_WORD):
+    """A two-view model: the base view reads ``vocab``, its tv ``tv_vocab``."""
+    rng = np.random.default_rng(3)
+    spec = RegionSpec(rep, 2, len(tv_vocab))
+    tv = RegionEmbedding(spec=spec, vocab=tv_vocab,
+                         W=np.asfortranarray(rng.normal(size=(3, spec.input_dim))),
+                         b=rng.normal(size=3))
+    template = ModelTemplate(base_vocab=vocab, n_classes=2, region_size=2, embed_dim=4,
+                             pooling_k=1, tv_embeddings=(tv,))
+    return init_model(template, TrainConfig(epochs=1, decay_epoch=1), rng)
+
+
+class TestSharedVocabulary:
+    """A vocabulary block that repeats an earlier one is parsed once."""
+
+    def test_tv_over_the_base_vocabulary_shares_it(self, fused_model, tmp_path):
+        _, model = fused_model
+        first, second = tmp_path / "a.swcn", tmp_path / "b.swcn"
+        save_model(model, first)
+        loaded = load_model(first)
+        assert loaded.tvs[0].embedding.vocab is loaded.base.vocab
+        assert loaded.tvs[1].embedding.vocab is not loaded.base.vocab
+        assert loaded.tvs[1].embedding.vocab == model.tvs[1].embedding.vocab
+        save_model(loaded, second)
+        assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_shared_in_both_versions(self, fused_model, tmp_path, version):
+        _, model = fused_model
+        path = tmp_path / "m.swcn"
+        write_model(model, path, version)
+        loaded = load_model(path)
+        assert loaded.tvs[0].embedding.vocab is loaded.base.vocab
+
+    def test_one_frequency_byte_apart_is_parsed_on_its_own(self, tmp_path):
+        vocab = word_vocab(6)
+        entries = list(vocab.entries)
+        entries[3] = (entries[3][0], entries[3][1] + 1)
+        other = Vocabulary(kind="word", entries=tuple(entries))
+        path = tmp_path / "m.swcn"
+        save_model(model_over(vocab, other), path)
+        loaded = load_model(path)
+        assert loaded.tvs[0].embedding.vocab is not loaded.base.vocab
+        assert loaded.tvs[0].embedding.vocab.entries == tuple(entries)
+        assert loaded.base.vocab.entries == vocab.entries
+
+    def test_another_kind_is_parsed_on_its_own(self, tmp_path):
+        vocab = word_vocab(6)
+        grams = Vocabulary(kind="ngram123", entries=vocab.entries)
+        path = tmp_path / "m.swcn"
+        save_model(model_over(vocab, grams, rep=BOW_NGRAM), path)
+        loaded = load_model(path)
+        assert loaded.tvs[0].embedding.vocab.kind == "ngram123"
+        assert loaded.base.vocab.kind == "word"
+        assert loaded.tvs[0].embedding.vocab.entries == vocab.entries
+
+    def test_second_block_cut_inside_its_entries_is_truncated(self, fused_model, tmp_path):
+        _, model = fused_model
+        path = tmp_path / "m.swcn"
+        save_model(model, path)
+        raw = path.read_bytes()
+        entries = raw[35:BASE_W_AT]  # the base vocabulary's entries
+        second = raw.index(entries, BASE_W_AT)
+        for cut in (second, second + 1, second + len(entries) // 2, second + len(entries) - 1):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(DataError, match=r"m\.swcn: truncated container"):
+                load_model(path)
 
 
 def _oversize(path, header_len, vocab, field):

@@ -287,6 +287,22 @@ class TestTrain:
         # top bias carries no L2 term
         assert np.array_equal(with_l2.top_b, without_l2.top_b)
 
+    def test_weights_diverged_by_the_last_step_are_a_numeric_failure(self, monkeypatch):
+        # validation runs inference, which rejects what a diverged W gathers;
+        # training reports that as its own numeric failure, not a data error
+        step = sgd_momentum_step
+
+        def diverging_step(params, grads, velocity, lr):
+            step(params, grads, velocity, lr)
+            params[0][...] = np.nan
+
+        monkeypatch.setattr("swcnn.train.sgd_momentum_step", diverging_step)
+        data = tiny_task(30)
+        config = TrainConfig(epochs=1, decay_epoch=1, seed=0, batch_size=100)
+        with pytest.raises(NumericError, match=r"^validation after epoch 1: document 1: "
+                                               r"non-finite value in the base view's"):
+            train(tiny_template(data), config, data[:20], data[20:])
+
     def test_validationless_training_reports_none(self):
         data = tiny_task(30)
         template = tiny_template(data)
