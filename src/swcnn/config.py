@@ -157,6 +157,8 @@ def validate_config(cfg: RunConfig) -> None:
     for key in ("seed", "n_classes"):
         if getattr(cfg, key) < 0:
             raise UsageError(f"invalid configuration: {key} must be >= 0")
+    if cfg.holdout < -1:  # -1 is the automatic holdout
+        raise UsageError("invalid configuration: holdout must be >= -1")
     for key in ("embed_dim", "pooling_k", "tv_dim", "word_vocab_cap", "ngram_vocab_cap",
                 "bench_d", "bench_p", "bench_repetitions"):
         if getattr(cfg, key) < 1:

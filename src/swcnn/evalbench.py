@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from statistics import median
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -115,7 +114,7 @@ def time_inference(
 def make_bench_pattern(length: int = 400, distinct: int = BENCH_CODES, seed: int = 0) -> list[int]:
     """Token-code pattern for the independence bench.
 
-    A bounded set of distinct codes keeps the touched weight columns (the
+    A bounded set of distinct codes keeps the touched rows of W (the
     working set) identical at every vocabulary size, so the measurement
     isolates arithmetic cost from cache footprint.
     """
@@ -149,7 +148,7 @@ def _median_seconds(fn, repetitions: int, warmup: int = 5) -> float:
         started = time.perf_counter()
         fn()
         times.append(time.perf_counter() - started)
-    return median(times)
+    return float(np.median(times))
 
 
 def vocab_independence_bench(
@@ -205,7 +204,7 @@ def dense_control_ratio(
         X = _densify(doc.views[0], doc.n_regions)
 
         def dense_forward():
-            Z = np.einsum("rv,dv->rd", X, model.base.W) + model.base.b
+            Z = np.einsum("rv,vd->rd", X, model.base.W) + model.base.b
             pooled, _ = max_pool(Z, 1)
             return model.top_W @ np.maximum(pooled, 0.0, out=pooled).ravel() + model.top_b
 

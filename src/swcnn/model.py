@@ -21,8 +21,8 @@ is empty or its maximum is not positive (the relu passes no gradient).
 For speed the sweep is organized around "slot incidence" lists: per view,
 each slot of the representation (one per region-local position, or one
 per (n-gram-length, offset) pair) stores which region rows receive which
-weight columns, so a document's whole sweep is a handful of vectorized
-gather-adds instead of a Python loop over positions.
+input columns' weights, so a document's whole sweep is a handful of
+vectorized gather-adds instead of a Python loop over positions.
 
 ``prepare_document`` is the one step from tokens to slot incidence (the
 paper's "input vector generation"): it encodes the tokens against every
@@ -55,13 +55,15 @@ from swcnn.textpipe import (
 class RegionEmbedding:
     """An affine map over one sparse region view, with its vocabulary.
 
-    The vocabulary is of the kind the view's representation reads.
-    ``initial`` draws a fresh one (``W`` column-major, as the sweep reads
-    it), ``features`` maps a view to relu(W x + b), and ``add_grad``
-    back-propagates a gradient of W x + b into W and b.
+    ``W`` is stored as the row table the sweep reads: an (input_dim, dim)
+    array whose row c holds the weights of input column c, which is the
+    paper's W transposed.  The vocabulary is of the kind the view's
+    representation reads.  ``initial`` draws a fresh one, ``features``
+    maps a view to relu(W x + b), and ``add_grad`` back-propagates a
+    gradient of W x + b into W and b.
     """
 
-    # rows of W per draw: a whole cache line of each column, and no W-sized temporary
+    # features per draw: a whole cache line of each row of W, and no W-sized temporary
     DRAW_ROWS = 8
 
     spec: RegionSpec
@@ -70,7 +72,7 @@ class RegionEmbedding:
     b: np.ndarray
 
     def __post_init__(self):
-        d, n = self.W.shape
+        n, d = self.W.shape
         if n != self.spec.input_dim:
             raise ValueError(f"W has {n} columns, spec input dim is {self.spec.input_dim}")
         if self.b.shape != (d,):
@@ -87,18 +89,18 @@ class RegionEmbedding:
     def initial(cls, spec: RegionSpec, vocab: Vocabulary, dim: int, std: float, rng) -> RegionEmbedding:
         """A fresh embedding: W then b drawn Gaussian(0, std^2) from ``rng``.
 
-        W's values are drawn row by row, as one (dim, input_dim) draw
-        takes them, straight into column-major storage.
+        W's values are drawn feature by feature, as one (dim, input_dim)
+        draw of the paper's W takes them, straight into the row table.
         """
-        W = np.empty((dim, spec.input_dim), order="F")
+        W = np.empty((spec.input_dim, dim))
         for lo in range(0, dim, cls.DRAW_ROWS):
             hi = min(lo + cls.DRAW_ROWS, dim)
-            W[lo:hi] = rng.normal(0.0, std, size=(hi - lo, spec.input_dim))
+            W[:, lo:hi] = rng.normal(0.0, std, size=(hi - lo, spec.input_dim)).T
         return cls(spec=spec, vocab=vocab, W=W, b=rng.normal(0.0, std, size=dim))
 
     @property
     def dim(self) -> int:
-        return self.W.shape[0]
+        return self.W.shape[1]
 
     def features(self, view: PreparedView, n_regions: int, check: str = "") -> np.ndarray:
         """relu(W x + b) for every region position of ``view``, as (R, dim).
@@ -117,7 +119,7 @@ class RegionEmbedding:
                  position: np.ndarray) -> None:
         """Add the gradients of W and b, given dZ (R, dim) for W x + b, into dW and db.
 
-        W's column c accumulates in column ``position[c]`` of dW.
+        W's row c accumulates in row ``position[c]`` of dW.
         """
         _scatter_embedding_grad(dW, dZ, view, position)
         db += dZ.sum(axis=0)
@@ -176,8 +178,8 @@ class ShallowModel:
 
 @dataclass
 class PreparedView:
-    # one (rows, cols) pair per slot: region row `rows[j]` receives weight
-    # column `cols[j]` with coefficient 1
+    # one (rows, cols) pair per slot: region row `rows[j]` receives the
+    # weights of input column `cols[j]` (row `cols[j]` of W) with coefficient 1
     slots: list[tuple[np.ndarray, np.ndarray]]
     input_dim: int
 
@@ -254,12 +256,11 @@ def prepare_labeled(model: ShallowModel, samples: Iterable) -> Iterator[Prepared
 
 def embed_regions(W: np.ndarray, view: PreparedView, n_regions: int) -> np.ndarray:
     """Accumulate W x for every region position of one view, as (R, d)."""
-    if W.shape[1] != view.input_dim:
+    if len(W) != view.input_dim:
         raise ValueError(f"view input dim {view.input_dim} does not match W")
-    Wt = W.T
-    Z = np.zeros((n_regions, W.shape[0]))
+    Z = np.zeros((n_regions, W.shape[1]))
     for rows, cols in view.slots:
-        Z[rows] += Wt[cols]
+        Z[rows] += W[cols]
     return Z
 
 
@@ -295,7 +296,7 @@ class ForwardCache:
 
 
 def _require_finite(Z: np.ndarray, view: str) -> None:
-    # a NaN or infinite weight among the gathered columns makes their sum so
+    # a NaN or infinite weight among the gathered rows makes their sum so
     if not np.isfinite(Z).all():
         raise NonFiniteWeights(f"non-finite value in {view}'s gathered weights")
 
@@ -345,9 +346,9 @@ def forward(model: ShallowModel, doc: PreparedDoc, train: bool = False, rng=None
 
 @dataclass
 class ModelGrads:
-    """Gradients of the trainable tensors; W's column c is ``base_W[:, base_W_pos[c]]``.
+    """Gradients of the trainable tensors; W's row c is ``base_W[base_W_pos[c]]``.
 
-    ``base_W`` may be compact, holding only the columns a step reads.
+    ``base_W`` may be compact, holding only the rows a step reads.
     """
 
     base_W: np.ndarray
@@ -368,7 +369,7 @@ def zero_grads(model: ShallowModel) -> ModelGrads:
         fusions=[np.zeros_like(tv.fusion) for tv in model.tvs],
         top_W=np.zeros_like(model.top_W),
         top_b=np.zeros_like(model.top_b),
-        base_W_pos=np.arange(model.base.W.shape[1]),
+        base_W_pos=np.arange(len(model.base.W)),
     )
 
 
@@ -399,14 +400,14 @@ def backward(model: ShallowModel, cache: ForwardCache, grad_logits: np.ndarray, 
 
 def _scatter_embedding_grad(dW: np.ndarray, dZ: np.ndarray, view: PreparedView,
                             position: np.ndarray) -> None:
-    """Add each slot's gradient dZ[rows] into the columns ``position[cols]`` of dW.
+    """Add each slot's gradient dZ[rows] into the rows ``position[cols]`` of dW.
 
-    ``position`` maps each column of W to its column of dW: the identity
-    for a dense dW, a step's lookup table for a compact one.
+    ``position`` maps each row of W to its row of dW: the identity for a
+    dense dW, a step's lookup table for a compact one.
 
     The cost follows the nonzeros of dZ, not R x d per slot: in supervised
     training only the k pooled rows carry gradient.  The nonzeros are
-    taken in row-major order, so every (column, feature) cell gets its
+    taken in row-major order, so every (W row, feature) cell gets its
     nonzero addends slot by slot, rows rising, the order in which a
     row-wise ``np.add.at`` per slot adds them.  Skipping the zeros changes
     no cell that is not -0.0, and the callers' dW never holds -0.0: it
@@ -417,14 +418,13 @@ def _scatter_embedding_grad(dW: np.ndarray, dZ: np.ndarray, view: PreparedView,
     flat = np.flatnonzero(dZ != 0.0)
     r, j = np.divmod(flat, dZ.shape[1])
     vals = dZ.ravel()[flat]
-    dWt = dW.T
     col_of_row = np.full(len(dZ), -1, dtype=np.intp)  # -1: the slot skips that row
     for rows, cols in view.slots:
         col_of_row[rows] = position[cols]
         c = col_of_row[r]
         hit = c >= 0
-        # a column repeats across rows; np.add.at adds each index in turn
-        np.add.at(dWt, (c[hit], j[hit]), vals[hit])
+        # a W row repeats across region rows; np.add.at adds each index in turn
+        np.add.at(dW, (c[hit], j[hit]), vals[hit])
         col_of_row[rows] = -1
 
 

@@ -10,8 +10,8 @@ Layout (all integers little-endian):
         per entry: u32 byte length, UTF-8 token, u64 frequency |
         W weights | b vector
 
-    weights := u32 rows | u32 cols | rows*cols f64 column-major
-               (W.T row-major, the order the sweep gathers columns in)
+    weights := u32 d | u32 input_dim | input_dim*d f64, W's rows in turn
+               (the paper's (d, input_dim) W column-major)
     matrix  := u32 rows | u32 cols | rows*cols f64 row-major
     vector  := u32 dim  | dim f64
 
@@ -24,13 +24,13 @@ Layout (all integers little-endian):
     embedding container (kind 1) := embedding block
 
 This is version 2, the only version written.  Version 1 differs in the
-version field and in storing each W row-major (as a matrix); the two
-give a model the same byte count.  There is no alignment padding.
+version field and in storing each W's (d, input_dim) values row-major;
+the two give a model the same byte count.  There is no alignment padding.
 
 A load maps the whole file read-only and closes it again; one cursor
 then walks the map, and every size field is checked against the bytes
 left before anything is sliced, viewed or allocated for it.  A version
-2 W is a view of the map, with no copy: a plain F-ordered ndarray that
+2 W is a view of the map, with no copy: a plain C-ordered ndarray that
 raises on a write.  A version 1 W, and every other tensor, is copied
 from the map.  Round-trips are bitwise exact; files are written
 atomically (``data.atomic_write``), never in place.
@@ -38,7 +38,7 @@ atomically (``data.atomic_write``), never in place.
 ``load_model`` checks every tensor but the embeddings' W for NaN and
 infinity, for both versions.  Scanning a mapped W would make all its
 pages resident before the first document, which reads a few of its
-columns; inference (``model.forward``) checks the columns each document
+rows; inference (``model.forward``) checks the rows each document
 gathers instead.  ``load_embedding`` checks W in full, since training
 on a tv embedding reads it throughout.
 
@@ -81,11 +81,9 @@ _VOCAB_CODES = {WORD: 0, NGRAM123: 1}
 _VOCAB_NAMES = {v: k for k, v in _VOCAB_CODES.items()}
 
 
-def _write_matrix(out, arr: np.ndarray, order: str = "C") -> None:
-    """``arr``'s shape, then its values in ``order`` ("F": ``arr.T`` row-major)."""
-    rows, cols = arr.shape
-    out.write(struct.pack("<II", rows, cols))
-    out.write(np.ascontiguousarray(arr.T if order == "F" else arr, dtype="<f8"))
+def _write_matrix(out, arr: np.ndarray) -> None:
+    out.write(struct.pack("<II", *arr.shape))
+    out.write(np.ascontiguousarray(arr, dtype="<f8"))
 
 
 def _write_vector(out, arr: np.ndarray) -> None:
@@ -101,7 +99,8 @@ def _write_embedding(out, emb: RegionEmbedding) -> None:
         out.write(struct.pack("<I", len(raw)))
         out.write(raw)
         out.write(struct.pack("<Q", freq))
-    _write_matrix(out, emb.W, order="F")
+    out.write(struct.pack("<II", *emb.W.shape[::-1]))  # the paper's (d, input_dim)
+    out.write(np.ascontiguousarray(emb.W, dtype="<f8"))
     _write_vector(out, emb.b)
 
 
@@ -147,12 +146,12 @@ def _read_array(r: _Reader, shape: tuple) -> np.ndarray:
 
 
 def _read_weights(r: _Reader) -> np.ndarray:
-    """An embedding's W, column-major so the sweep's column gathers stay contiguous."""
+    """An embedding's W as its (input_dim, d) row table, after the (d, input_dim) header."""
     rows, cols = r.unpack("<II")
     values = r.mapped(rows * cols)
     if r.version == 1:
-        return np.array(values.reshape(rows, cols), dtype=np.float64, order="F")
-    return values.reshape(cols, rows).T
+        return np.array(values.reshape(rows, cols).T, dtype=np.float64, order="C")
+    return values.reshape(cols, rows)
 
 
 def _build(r: _Reader, cls, **fields):

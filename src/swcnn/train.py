@@ -10,11 +10,11 @@ bitwise reproducible on one platform.
 
 A step's cost follows the batch's regions, not the vocabulary: every
 trainable tensor steps through its own ``LazyMomentum``.  The base weight
-W is touched one column per word slot the batch reads; the other tensors
+W is touched one row per word slot the batch reads; the other tensors
 are small and touched in full, so they take the dense step every time.
-A run's memory follows the same columns: W's gradient holds only the
-batch's columns, and W's velocity is committed as columns are first
-touched, so training holds W plus the columns it reads, not three W's.
+A run's memory follows the same rows: W's gradient holds only the
+batch's rows, and W's velocity is committed as rows are first touched,
+so training holds W plus the rows it reads, not three W's.
 """
 
 from __future__ import annotations
@@ -143,10 +143,10 @@ class LazyMomentum:
     Training steps every trainable tensor through one of these: the large
     weights on the rows a batch reads, the small ones on all their rows.
 
-    Row i is the slice ``w.take(i, axis)``; its velocity lives here.  A row
-    that gets no gradient for k steps would, under the dense step, see its
-    velocity scaled by m^k and the weight moved by (m + ... + m^k) times
-    the velocity.  That catch-up is applied only when the row is next
+    Row i is ``w[i]``; its velocity lives here.  A row that gets no
+    gradient for k steps would, under the dense step, see its velocity
+    scaled by m^k and the weight moved by (m + ... + m^k) times the
+    velocity.  That catch-up is applied only when the row is next
     touched or flushed, so a step costs O(touched rows), not O(rows).  The
     learning rate does not enter it, so it holds across a decay.  The
     touched rows get the dense step's arithmetic; only the catch-up rounds
@@ -154,26 +154,29 @@ class LazyMomentum:
 
     The gradient is compact: ``grad`` is shaped like ``w`` except that it
     holds only the step's touched rows, in sorted order, and row r of
-    ``w`` has its gradient at ``grad.take(position[r], axis)``.  Its
-    buffer and the velocity are allocated once, at the weight's size, but
-    commit memory a page at a time as rows are first written, so a run's
-    memory follows the rows it touches, not the weight's size.
+    ``w`` has its gradient at ``grad[position[r]]``.  Its buffer and the
+    velocity are allocated once, at the weight's size, but commit memory a
+    page at a time as rows are first written, so a run's memory follows
+    the rows it touches, not the weight's size.
 
     Per step: ``touch(rows)`` before anything reads those rows, which
     makes ``grad`` their zeroed gradient; then ``sgd_momentum_step`` with
     this object as the weight's velocity once ``grad`` holds the step's
     gradient.  ``flush()`` brings every row up to date before the whole
-    weight is read.
+    weight is read.  Each row of ``w`` must be contiguous, so that the
+    steps land in ``w`` itself; any other weight raises ``ValueError``.
     """
 
     CHUNK = 256  # rows per gather, so no temporary grows with the touched count
 
-    def __init__(self, w: np.ndarray, axis: int, momentum: float, n_steps: int):
-        self.w, self.axis, self.momentum = w, axis, momentum
-        self._w = _row_view(w, axis)
+    def __init__(self, w: np.ndarray, momentum: float, n_steps: int):
+        if not w[:1].flags.c_contiguous:
+            # reshaping such a weight into rows would copy it, and train the copy
+            raise ValueError(f"the rows of a {w.shape} weight are not contiguous")
+        self.w, self.momentum = w, momentum
+        self._w = w.reshape(len(w), -1)
         n_rows = len(self._w)
         self._v = _paged_zeros(self._w.shape)
-        self._row_shape = np.moveaxis(w, axis, 0).shape[1:]
         self._g = _paged_zeros(self._w.shape)  # row i: the gradient of row _rows[i]
         # n_rows, past the end of any step's gradient, marks a row not touched
         self.position = np.full(n_rows, n_rows, dtype=np.intp)
@@ -189,10 +192,10 @@ class LazyMomentum:
         self._drift = np.concatenate([[0.0], np.cumsum(powers)])  # m + ... + m^k
 
     def _compact_grad(self) -> np.ndarray:
-        """The first len(_rows) gradient rows, zeroed, in ``w``'s layout."""
+        """The first len(_rows) gradient rows, zeroed, shaped like rows of ``w``."""
         rows = self._g[: len(self._rows)]
         rows[...] = 0.0
-        return np.moveaxis(rows.reshape(rows.shape[:1] + self._row_shape), 0, self.axis)
+        return rows.reshape(rows.shape[:1] + self.w.shape[1:])
 
     def _chunks(self, n: int):
         for lo in range(0, n, self.CHUNK):
@@ -252,12 +255,6 @@ def _paged_zeros(shape) -> np.ndarray:
     return np.frombuffer(buf, dtype=np.float64).reshape(shape)
 
 
-def _row_view(a: np.ndarray, axis: int) -> np.ndarray:
-    """``a`` as (rows, row size) without a copy; row i is ``a.take(i, axis)``."""
-    rows = np.moveaxis(a, axis, 0)
-    return rows[:, None] if rows.ndim == 1 else rows
-
-
 def sgd_momentum_step(params, grads, velocity, lr: float) -> None:
     """Classical momentum: v <- momentum*v - lr*g; w <- w + v (in place).
 
@@ -274,7 +271,7 @@ def sgd_momentum_step(params, grads, velocity, lr: float) -> None:
 
 
 def slot_columns(views) -> np.ndarray:
-    """Sorted distinct weight columns that the slots of ``views`` read."""
+    """Sorted distinct input columns (rows of W) that the slots of ``views`` read."""
     cols = [c for view in views for _, c in view.slots]
     return np.unique(np.concatenate(cols)) if cols else np.empty(0, dtype=np.int64)
 
@@ -323,14 +320,14 @@ def train(
     caller then selects on training loss).
 
     Every trainable tensor steps through a ``LazyMomentum``.  Only the
-    columns of W that a batch's base-view slots read are caught up before
+    rows of W that a batch's base-view slots read are caught up before
     its forward pass and stepped after its backward pass; b, the fusions
     and the top layer are touched in full, so they take the dense step.
     The batch's gradients are the ``LazyMomentum`` compact ones: W's holds
-    just the batch's columns, found through ``ModelGrads.base_W_pos``, and
+    just the batch's rows, found through ``ModelGrads.base_W_pos``, and
     lives in one buffer reused by every batch.  Every tensor is brought up
     to date at each epoch end, before validation.  This is the dense
-    momentum step in exact arithmetic, but W's columns round differently
+    momentum step in exact arithmetic, but W's rows round differently
     (relative differences of order 1e-15).  The catch-up draws nothing, so
     the draw order is that of the dense step.
     """
@@ -343,10 +340,8 @@ def train(
     n = len(train_docs)
     params = model.trainable_params()
     n_steps = config.epochs * -(-n // config.batch_size)
-    # W steps by column; b, the fusions and the top layer are touched in full
-    axes = [1] + [0] * (len(params) - 1)
-    velocity = [LazyMomentum(p, axis, config.momentum, n_steps)
-                for p, axis in zip(params, axes)]
+    velocity = [LazyMomentum(p, config.momentum, n_steps) for p in params]
+    # W steps on the rows a batch reads; b, the fusions and the top layer in full
     base = velocity[0]
     small = [(lazy, np.arange(len(lazy.w))) for lazy in velocity[1:]]
     metrics: list[EpochMetrics] = []

@@ -130,13 +130,13 @@ def train_tv(
     negative sets in corpus order, then per-epoch shuffles.  A mini-batch
     gathers W x and scatters dW in one sweep; the head loops over regions.
     Every tensor steps through a ``LazyMomentum``, as in ``train``: W on
-    the columns the batch's regions read, the prediction layer on the rows
-    of its targets and negatives, and b, which is small, on all its rows.
+    the rows the batch's regions read, the prediction layer on the rows of
+    its targets and negatives, and b, which is small, on all its rows.
     Each gradient is the compact one of its ``LazyMomentum``, holding only
-    those columns or rows, so W's and the head's gradients and velocities
-    take memory in proportion to what the run touches.  All are brought up
-    to date at each epoch end.  W and the head round differently from the
-    dense step, and the catch-up draws nothing.  A non-finite running loss
+    those rows, so W's and the head's gradients and velocities take memory
+    in proportion to what the run touches.  All are brought up to date at
+    each epoch end.  W and the head round differently from the dense
+    step, and the catch-up draws nothing.  A non-finite running loss
     raises ``NumericError`` before the batch's step.
     """
     if len(corpus) == 0:
@@ -175,9 +175,8 @@ def train_tv(
     n = len(outputs)
     n_steps = config.epochs * -(-n // config.batch_size)
     params = [W, b, head_W, head_b]
-    # W steps by column, the head by row; b is small and touched in full
-    velocity = [LazyMomentum(p, axis, config.momentum, n_steps)
-                for p, axis in zip(params, (1, 0, 0, 0))]
+    # W and the head step on the rows a batch reads; b is small and touched in full
+    velocity = [LazyMomentum(p, config.momentum, n_steps) for p in params]
     lazy_W, lazy_b, *lazy_head = velocity
     head_pos = lazy_head[0].position
     b_rows = np.arange(len(b))

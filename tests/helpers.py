@@ -81,7 +81,10 @@ def _from_pairs(dim, pairs):
 
 
 def sparse_affine(W: np.ndarray, b: np.ndarray, x: SparseRegionVector) -> np.ndarray:
-    """W x + b touching only the columns of W at x's nonzero indices."""
+    """W x + b touching only the columns of W at x's nonzero indices.
+
+    ``W`` is the paper's (d, input_dim) matrix, a ``RegionEmbedding.W.T``.
+    """
     d, n = W.shape
     if b.shape != (d,):
         raise ValueError(f"bias shape {b.shape} does not match W rows {d}")
@@ -183,7 +186,7 @@ def random_tiny_instance(seed, with_tvs, dropout=0.0):
                 RegionEmbedding(
                     spec=spec,
                     vocab=vocab,
-                    W=np.asfortranarray(rng.normal(0, 0.5, (d_tv, spec.input_dim))),
+                    W=np.ascontiguousarray(rng.normal(0, 0.5, (d_tv, spec.input_dim)).T),
                     b=rng.normal(0, 0.5, d_tv),
                 )
             )
@@ -256,11 +259,16 @@ def _v1_matrix(arr) -> bytes:
     return struct.pack("<II", *arr.shape) + np.ascontiguousarray(arr, dtype="<f8").tobytes()
 
 
+def _v2_weights(W) -> bytes:
+    """The (d, input_dim) matrix ``W``: its shape, then its values column-major."""
+    return struct.pack("<II", *W.shape) + np.asarray(W, dtype="<f8").tobytes(order="F")
+
+
 def _v1_vector(arr) -> bytes:
     return struct.pack("<I", len(arr)) + np.asarray(arr, dtype="<f8").tobytes()
 
 
-def _v1_block(emb) -> bytes:
+def _block(emb, weights) -> bytes:
     reps = {CONCAT: 0, BOW_WORD: 1, BOW_NGRAM: 2}
     kinds = {"word": 0, "ngram123": 1}
     parts = [struct.pack("<BIBI", reps[emb.spec.representation], emb.spec.region_size,
@@ -268,26 +276,41 @@ def _v1_block(emb) -> bytes:
     for token, freq in emb.vocab.entries:
         raw = token.encode("utf-8")
         parts.append(struct.pack("<I", len(raw)) + raw + struct.pack("<Q", freq))
-    parts.append(_v1_matrix(emb.W))  # row-major, unlike version 2
+    parts.append(weights(emb.W.T))  # the paper's (d, input_dim) W
     parts.append(_v1_vector(emb.b))
+    return b"".join(parts)
+
+
+def _model_bytes(model, version, weights) -> bytes:
+    parts = [b"SWCN", struct.pack("<IB", version, 0),
+             struct.pack("<IId", model.pooling_k, model.n_classes, model.dropout_rate),
+             _block(model.base, weights), struct.pack("<I", len(model.tvs))]
+    for tv in model.tvs:
+        parts += [_block(tv.embedding, weights), _v1_matrix(tv.fusion)]
+    parts += [_v1_matrix(model.top_W), _v1_vector(model.top_b)]
     return b"".join(parts)
 
 
 def v1_model_bytes(model) -> bytes:
     """``model`` as a version 1 container, written from the documented layout
-    without ``swcnn.serialize``."""
-    parts = [b"SWCN", struct.pack("<IB", 1, 0),
-             struct.pack("<IId", model.pooling_k, model.n_classes, model.dropout_rate),
-             _v1_block(model.base), struct.pack("<I", len(model.tvs))]
-    for tv in model.tvs:
-        parts += [_v1_block(tv.embedding), _v1_matrix(tv.fusion)]
-    parts += [_v1_matrix(model.top_W), _v1_vector(model.top_b)]
-    return b"".join(parts)
+    without ``swcnn.serialize``: each W is the paper's matrix, row-major."""
+    return _model_bytes(model, 1, _v1_matrix)
 
 
 def v1_embedding_bytes(emb) -> bytes:
     """``emb`` as a version 1 embedding container."""
-    return b"SWCN" + struct.pack("<IB", 1, 1) + _v1_block(emb)
+    return b"SWCN" + struct.pack("<IB", 1, 1) + _block(emb, _v1_matrix)
+
+
+def v2_model_bytes(model) -> bytes:
+    """``model`` as a version 2 container, written from the documented layout
+    without ``swcnn.serialize``: each W is the paper's matrix, column-major."""
+    return _model_bytes(model, 2, _v2_weights)
+
+
+def v2_embedding_bytes(emb) -> bytes:
+    """``emb`` as a version 2 embedding container."""
+    return b"SWCN" + struct.pack("<IB", 2, 1) + _block(emb, _v2_weights)
 
 
 def rectify_then_pool(model, doc, train=False, rng=None):
@@ -345,21 +368,20 @@ def rectify_then_pool(model, doc, train=False, rng=None):
 def scatter_reference(dW, dZ, view):
     """The row-wise scatter, the reference for ``_scatter_embedding_grad``:
     one unbuffered ``np.add.at`` per slot adds whole rows dZ[rows], zeros
-    included, into the columns ``cols`` of dW."""
-    dWt = dW.T
+    included, into the rows ``cols`` of dW."""
     for rows, cols in view.slots:
-        np.add.at(dWt, cols, dZ[rows])
+        np.add.at(dW, cols, dZ[rows])
 
 
 def compact_scatter_reference(dW, dZ, view, position):
-    """``scatter_reference`` for a dW whose column ``position[c]`` holds W's
-    column c: the columns the view reads are spread into a dense copy,
-    scattered into row-wise, and gathered back."""
+    """``scatter_reference`` for a dW whose row ``position[c]`` holds W's
+    row c: the rows the view reads are spread into a dense copy,
+    scattered into, and gathered back."""
     cols = slot_columns([view])
-    dense = np.zeros((dW.shape[0], view.input_dim))
-    dense[:, cols] = dW[:, position[cols]]
+    dense = np.zeros((view.input_dim, dW.shape[1]))
+    dense[cols] = dW[position[cols]]
     scatter_reference(dense, dZ, view)
-    dW[:, position[cols]] = dense[:, cols]
+    dW[position[cols]] = dense[cols]
 
 
 def dense_momentum_step(params, grads, velocity, lr, momentum):

@@ -73,7 +73,7 @@ def test_03_sparse_dense_equivalence(capsys):
     """The slot sweep equals a dense oracle on 1,000 random instances.
 
     The sweep is what ``forward`` and tv training run: ``embed_regions``
-    over ``_view_slots``.  The oracle is ``X @ W.T + b``, with row r of X
+    over ``_view_slots``.  The oracle is ``X @ W + b``, with row r of X
     the densified per-region reference vector of region r.
     """
     rng = np.random.default_rng(2024)
@@ -93,7 +93,7 @@ def test_03_sparse_dense_equivalence(capsys):
         ids = encode(tokens, vocab)
         spec = RegionSpec(representation, p, len(vocab))
         n_regions = region_count(len(ids), p)
-        W = np.asfortranarray(rng.normal(size=(d, spec.input_dim)))
+        W = np.ascontiguousarray(rng.normal(size=(d, spec.input_dim)).T)
         b = rng.normal(size=d)
         sweep = embed_regions(W, _view_slots(ids, spec, np.arange(n_regions), len(ids)),
                               n_regions) + b
@@ -102,7 +102,7 @@ def test_03_sparse_dense_equivalence(capsys):
             x = region_vector(ids, pos, spec)
             X[pos, x.indices] = x.values
             seen_repeat |= representation != CONCAT and bool((x.values >= 2).any())
-        worst = max(worst, float(np.abs(sweep - (X @ W.T + b)).max()))
+        worst = max(worst, float(np.abs(sweep - (X @ W + b)).max()))
         seen_sizes.add(p)
         seen_oov |= bool((ids == OOV).any())
         seen_short |= len(tokens) < p

@@ -447,12 +447,23 @@ def child_env():
     return dict(os.environ, PYTHONPATH=str(Path(swcnn.__file__).resolve().parents[1]))
 
 
+def test_import_leaves_statistics_out():
+    """Every command imports ``swcnn.cli``; ``statistics``, with the
+    ``decimal`` and ``fractions`` it imports, is not among what that costs."""
+    code = ("import sys, swcnn.cli; "
+            "print(sorted({'statistics', 'decimal', 'fractions'} & set(sys.modules)))")
+    child = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                           capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == "[]\n"
+
+
 def blank_model(path, n_words, dim):
     """A zero-weight model container: a bow-word base view of ``dim`` x
     ``n_words`` weights, two classes."""
     vocab = word_vocab(n_words)
     base = RegionEmbedding(spec=RegionSpec(BOW_WORD, 1, n_words), vocab=vocab,
-                           W=np.zeros((dim, n_words), order="F"), b=np.zeros(dim))
+                           W=np.zeros((n_words, dim)), b=np.zeros(dim))
     save_model(ShallowModel(base=base, tvs=(), pooling_k=1, top_W=np.zeros((2, dim)),
                             top_b=np.zeros(2)), path)
 
@@ -567,6 +578,7 @@ class TestExitCodes:
         ("bench", ["bench_repetitions=0"], "bench_repetitions must be >= 1"),
         ("bench", ["bench_d=0"], "bench_d must be >= 1"),
         ("bench", ["bench_d=-3"], "bench_d must be >= 1"),
+        ("train", ["holdout=-7"], "holdout must be >= -1"),  # -1 alone means automatic
     ])
     def test_invalid_config_value_is_one(self, task_files, capsys, command, settings, message):
         tmp_path, train_csv, _, config = task_files
@@ -825,7 +837,7 @@ class TestExitCodes:
         holds ``value``: base region size 1, a bow-word tv of region size 2."""
         vocab = word_vocab(4)
         tv = RegionEmbedding(spec=RegionSpec(BOW_WORD, 2, 4), vocab=vocab,
-                             W=np.asfortranarray(np.random.default_rng(1).normal(size=(2, 4))),
+                             W=np.random.default_rng(1).normal(size=(2, 4)).T.copy(),
                              b=np.zeros(2))
         template = ModelTemplate(base_vocab=vocab, n_classes=2, region_size=1,
                                  embed_dim=3, pooling_k=1, tv_embeddings=(tv,))
@@ -837,7 +849,7 @@ class TestExitCodes:
                 path.write_bytes(v1_model_bytes(model))
             else:
                 save_model(model, path)
-            (model.base.W if where == "base" else tv.W)[1, 2] = value
+            (model.base.W if where == "base" else tv.W)[2, 1] = value
         return paths
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

@@ -206,7 +206,7 @@ def save_in_a_model(vocab, path):
     """A model whose one tv embedding reads ``vocab``, saved and loaded again."""
     representation = BOW_NGRAM if vocab.kind == NGRAM123 else BOW_WORD
     spec = RegionSpec(representation, 2, len(vocab))
-    tv = RegionEmbedding(spec=spec, vocab=vocab, W=np.zeros((2, len(vocab)), order="F"),
+    tv = RegionEmbedding(spec=spec, vocab=vocab, W=np.zeros((len(vocab), 2)),
                          b=np.zeros(2))
     template = ModelTemplate(base_vocab=word_vocab(3), n_classes=2, region_size=1,
                              embed_dim=2, pooling_k=1, tv_embeddings=(tv,))

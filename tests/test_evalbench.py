@@ -1,12 +1,15 @@
 import statistics
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import swcnn.evalbench
 from helpers import word_vocab
 from swcnn.errors import DataError
 from swcnn.evalbench import (
     _bench_setup,
+    _median_seconds,
     dense_control_ratio,
     evaluate,
     make_bench_pattern,
@@ -87,17 +90,24 @@ class TestTimeInference:
         assert report.total_seconds > 0
         assert report.docs_per_second > 0
 
-    def test_total_time_scales_with_document_count(self):
-        # ~25 ms and ~50 ms per pass, median of 9 each: the two sizes
-        # alternate, so a busy spell on the machine slows both alike, and
-        # a single scheduler hiccup does not decide the ratio
-        model, docs = self.make_model_and_docs(400)
-        half, full = [], []
-        for _ in range(9):
-            half.append(time_inference(model, docs[:200], repetitions=1).total_seconds)
-            full.append(time_inference(model, docs, repetitions=1).total_seconds)
-        ratio = statistics.median(full) / statistics.median(half)
-        assert 1.6 <= ratio <= 2.4
+    def test_total_time_scales_with_document_count(self, monkeypatch):
+        # the clock time_inference reads advances one tick per forward
+        # pass, so the timed total counts the passes of one repetition
+        ticks = [0]
+        real_forward = swcnn.evalbench.forward
+
+        def counted_forward(*args, **kwargs):
+            ticks[0] += 1
+            return real_forward(*args, **kwargs)
+
+        monkeypatch.setattr(swcnn.evalbench, "forward", counted_forward)
+        monkeypatch.setattr(swcnn.evalbench, "time",
+                            SimpleNamespace(perf_counter=lambda: float(ticks[0])))
+        model, docs = self.make_model_and_docs(40)
+        half = time_inference(model, docs[:20], repetitions=3).total_seconds
+        full = time_inference(model, docs, repetitions=3).total_seconds
+        assert (half, full) == (20.0, 40.0)
+        assert full / half == 2.0
 
     def test_empty_rejected(self):
         model, _ = self.make_model_and_docs(1)
@@ -124,11 +134,28 @@ class TestVocabIndependence:
         assert make_bench_pattern(seed=3) == make_bench_pattern(seed=3)
 
 
+@pytest.mark.parametrize("durations", [[3.0, 1.0, 4.0], [3.0, 1.0, 4.0, 1.5], [0.75]])
+def test_median_seconds_is_the_median_of_its_timings(monkeypatch, durations):
+    # each timed call reads the clock before and after; the warm-up calls
+    # read it not at all
+    readings = []
+    for i, seconds in enumerate(durations):
+        readings += [10.0 * i, 10.0 * i + seconds]
+    clock = SimpleNamespace(perf_counter=iter(readings).__next__)
+    monkeypatch.setattr(swcnn.evalbench, "time", clock)
+    calls = []
+    got = _median_seconds(lambda: calls.append(1), len(durations), warmup=2)
+    assert len(calls) == len(durations) + 2
+    assert got == statistics.median(durations)
+    assert type(got) is float
+
+
 def test_bench_setup_draw_order():
-    """W (column-major), b, top_W, top_b, all at std 0.01."""
+    """W (stored transposed), b, top_W, top_b, all at std 0.01."""
     model, _ = _bench_setup(6, 3, [0, 1, 2, 1], 10, seed=5)
     rng = np.random.default_rng(5)
     want = [rng.normal(0.0, 0.01, size=shape) for shape in [(6, 10), 6, (2, 6), 2]]
-    assert model.base.W.flags.f_contiguous
+    want[0] = want[0].T
+    assert model.base.W.flags.c_contiguous
     for got, expect in zip(model.trainable_params(), want, strict=True):
         assert got.shape == expect.shape and np.array_equal(got, expect)

@@ -60,10 +60,10 @@ def naive_logits(model, tokens):
     n_regions = region_count(len(enc), base.spec.region_size)
     rows = []
     for pos in range(n_regions):
-        z = sparse_affine(base.W, base.b, region_vector(enc, pos, base.spec))
+        z = sparse_affine(base.W.T, base.b, region_vector(enc, pos, base.spec))
         for tv, tv_enc in zip(model.tvs, tv_encs):
             x_tv = _region_vector_unchecked(tv_enc, pos, tv.embedding.spec)
-            hidden = np.maximum(sparse_affine(tv.embedding.W, tv.embedding.b, x_tv), 0.0)
+            hidden = np.maximum(sparse_affine(tv.embedding.W.T, tv.embedding.b, x_tv), 0.0)
             z = z + tv.fusion @ hidden
         rows.append(np.maximum(z, 0.0))
     H = np.stack(rows)
@@ -75,14 +75,14 @@ def naive_logits(model, tokens):
 
 @pytest.mark.parametrize("dim", [1, RegionEmbedding.DRAW_ROWS, 2 * RegionEmbedding.DRAW_ROWS + 5])
 def test_initial_draws_what_one_whole_draw_gives(dim):
-    """The block-wise draw into column-major storage is bitwise the whole
-    (dim, n) draw then its copy, and leaves the generator where it did."""
+    """The block-wise draw into the row table is bitwise the whole
+    (dim, n) draw then its transposed copy, and leaves the generator where it did."""
     spec = RegionSpec(CONCAT, 3, 12)
     got_rng, want_rng = np.random.default_rng(9), np.random.default_rng(9)
     emb = RegionEmbedding.initial(spec, word_vocab(12), dim, 0.3, got_rng)
-    W = np.asfortranarray(want_rng.normal(0.0, 0.3, size=(dim, spec.input_dim)))
+    W = np.ascontiguousarray(want_rng.normal(0.0, 0.3, size=(dim, spec.input_dim)).T)
     b = want_rng.normal(0.0, 0.3, size=dim)
-    assert emb.W.flags.f_contiguous
+    assert emb.W.flags.c_contiguous
     assert emb.W.tobytes(order="A") == W.tobytes(order="A")
     assert emb.b.tobytes() == b.tobytes()
     assert got_rng.random() == want_rng.random()
@@ -116,7 +116,7 @@ class TestForward:
             spec = RegionSpec(rep, p_tv, 15)
             tvs.append(RegionEmbedding(
                 spec=spec, vocab=vocab,
-                W=np.asfortranarray(rng.normal(0, 0.5, (d_tv, spec.input_dim))),
+                W=np.ascontiguousarray(rng.normal(0, 0.5, (d_tv, spec.input_dim)).T),
                 b=rng.normal(0, 0.5, d_tv)))
         template, model = small_model(seed=3, n_words=15, pooling_k=2, tvs=tvs)
         tokens = [f"w{int(rng.integers(17))}" for _ in range(9)]
@@ -133,7 +133,7 @@ class TestForward:
         spec = RegionSpec(BOW_NGRAM, 3, len(gram_vocab))
         tv = RegionEmbedding(
             spec=spec, vocab=gram_vocab,
-            W=np.asfortranarray(rng.normal(0, 0.5, (4, spec.input_dim))),
+            W=np.ascontiguousarray(rng.normal(0, 0.5, (4, spec.input_dim)).T),
             b=rng.normal(0, 0.5, 4))
         vocab = word_vocab(6)
         template = ModelTemplate(base_vocab=vocab, n_classes=2, region_size=2,
@@ -164,7 +164,7 @@ class TestForward:
         template, model = small_model()
         _, other = small_model(tvs=(RegionEmbedding(
             spec=RegionSpec(BOW_WORD, 2, 12), vocab=word_vocab(12),
-            W=np.zeros((2, 12), order="F"), b=np.zeros(2)),))
+            W=np.zeros((12, 2)), b=np.zeros(2)),))
         doc = prepare_document(other.views, ["w0"])
         with pytest.raises(ValueError):
             forward(model, doc)
@@ -255,14 +255,14 @@ class TestBackward:
         logits, cache = forward(model, doc, train=True, rng=None)
         enc = encode(tokens, model.base.vocab)
         x = region_vector(enc, 0, model.base.spec)
-        hidden = np.maximum(sparse_affine(model.base.W, model.base.b, x), 0.0)
+        hidden = np.maximum(sparse_affine(model.base.W.T, model.base.b, x), 0.0)
         assert np.allclose(logits, model.top_W @ hidden + model.top_b)
         _, _, grad_logits = softmax_xent(logits, 1)
         grads = backward(model, cache, grad_logits)
         dv = model.top_W.T @ grad_logits
         dz = np.where(hidden > 0, dv, 0.0)
         expect_dW = np.zeros_like(model.base.W)
-        expect_dW[:, x.indices] = np.outer(dz, x.values)
+        expect_dW[x.indices] = np.outer(x.values, dz)
         assert np.allclose(grads.base_W, expect_dW)
         assert np.allclose(grads.base_b, dz)
         assert np.allclose(grads.top_W, np.outer(grad_logits, hidden))
@@ -273,7 +273,7 @@ class TestBackward:
         vocab = word_vocab(20)
         spec = RegionSpec(BOW_WORD, 3, 20)
         tv = RegionEmbedding(spec=spec, vocab=vocab,
-                             W=np.asfortranarray(rng.normal(0, 0.5, (4, 20))),
+                             W=np.ascontiguousarray(rng.normal(0, 0.5, (4, 20)).T),
                              b=rng.normal(0, 0.5, 4))
         template = ModelTemplate(base_vocab=vocab, n_classes=3, region_size=3,
                                  embed_dim=6, pooling_k=1, tv_embeddings=(tv,))
@@ -301,7 +301,7 @@ class TestBackward:
             base=model.base,
             tvs=(TvEmbedding(embedding=RegionEmbedding(
                 spec=RegionSpec(BOW_WORD, 2, 12), vocab=vocab,
-                W=np.zeros((2, 12), order="F"), b=np.zeros(2)),
+                W=np.zeros((12, 2)), b=np.zeros(2)),
                 fusion=np.zeros((6, 2))),),
             pooling_k=model.pooling_k,
             top_W=model.top_W,
@@ -311,7 +311,7 @@ class TestBackward:
             backward(other, cache, np.zeros(3))
 
 
-def scatter_case(seed, representation, n_docs=1, order="F", density=0.3):
+def scatter_case(seed, representation, n_docs=1, order="C", density=0.3):
     """A (dW, dZ, view) triple for ``_scatter_embedding_grad``.
 
     The corpus repeats words (bow counts of 2 and more, columns repeated
@@ -342,7 +342,7 @@ def scatter_case(seed, representation, n_docs=1, order="F", density=0.3):
     dZ[rng.random(len(dZ)) < 0.3] = 0.0
     dZ[rng.random(dZ.shape) < 0.05] = -0.0
     dZ[rng.random(dZ.shape) < 0.02] = np.nan
-    dW = np.asarray(rng.normal(size=(d, spec.input_dim)), order=order)
+    dW = np.asarray(rng.normal(size=(d, spec.input_dim)).T, order=order)
     return dW, dZ, view
 
 
@@ -350,20 +350,20 @@ def assert_scatter_matches_reference(dW, dZ, view):
     """The scatter adds bitwise what ``helpers.scatter_reference`` adds.
 
     Into dW itself, through the identity map, and into a compact copy of
-    dW's touched columns: those the view reads and every third other one,
-    as a batch's gradient holds columns that other documents read.
+    dW's touched rows: those the view reads and every third other one,
+    as a batch's gradient holds rows that other documents read.
     """
-    n = dW.shape[1]
+    n = len(dW)
     want = dW.copy(order="K")
     scatter_reference(want, dZ, view)
     touched = np.union1d(slot_columns([view]), np.arange(0, n, 3))
     position = np.full(n, n)
     position[touched] = np.arange(len(touched))
-    compact = dW[:, touched]
+    compact = dW[touched]
     _scatter_embedding_grad(compact, dZ, view, position)
-    assert compact.tobytes(order="F") == want[:, touched].tobytes(order="F")
+    assert compact.tobytes(order="F") == want[touched].tobytes(order="F")
     _scatter_embedding_grad(dW, dZ, view, np.arange(n))
-    assert dW.flags.f_contiguous == want.flags.f_contiguous
+    assert dW.flags.c_contiguous == want.flags.c_contiguous
     assert dW.tobytes(order="A") == want.tobytes(order="A")
 
 
@@ -387,14 +387,14 @@ class TestScatterEmbeddingGrad:
             view = _view_slots(encode(["w1"] * 5 + ["w2", "zz"], vocab), spec, np.arange(5), 7)
             dZ = np.random.default_rng(1).normal(size=(5, 3))
             dZ[2] = 0.0
-            assert_scatter_matches_reference(np.zeros((3, spec.input_dim), order="F"), dZ, view)
+            assert_scatter_matches_reference(np.zeros((spec.input_dim, 3)), dZ, view)
 
     def test_all_zero_dZ_and_empty_view_change_nothing(self):
         dW, dZ, view = scatter_case(3, BOW_WORD, n_docs=4)
         before = dW.tobytes(order="A")
-        identity = np.arange(dW.shape[1])
+        identity = np.arange(len(dW))
         _scatter_embedding_grad(dW, np.zeros_like(dZ), view, identity)
-        _scatter_embedding_grad(dW, dZ, PreparedView(slots=[], input_dim=dW.shape[1]), identity)
+        _scatter_embedding_grad(dW, dZ, PreparedView(slots=[], input_dim=len(dW)), identity)
         assert dW.tobytes(order="A") == before
 
     def test_signed_zero_gradient_keeps_positive_zeros(self):
@@ -402,7 +402,7 @@ class TestScatterEmbeddingGrad:
         spec = RegionSpec(CONCAT, 2, 3)
         view = _view_slots(np.array([0, 1, 2]), spec, np.arange(2), 3)
         dZ = np.array([[-0.0, 1.0], [-0.0, -0.0]])
-        dW = np.zeros((2, spec.input_dim), order="F")
+        dW = np.zeros((spec.input_dim, 2))
         assert_scatter_matches_reference(dW, dZ, view)
         assert not np.signbit(dW).any()
 
@@ -454,7 +454,7 @@ class TestRectifyAfterPooling:
     def test_nan_reaches_the_logits(self):
         # in train mode nothing checks the weights: the loss check sees the NaN
         template, model = small_model(pooling_k=2, dropout=0.5)
-        model.base.W[1, :] = np.nan
+        model.base.W[:, 1] = np.nan
         doc = prepare_document(model.views, ["w0", "w1", "w2", "w3"])
         logits, cache = forward(model, doc, train=True, rng=np.random.default_rng(0))
         assert np.isnan(logits).all()
@@ -468,7 +468,7 @@ class TestGatheredWeightCheck:
     def model_with_tv():
         vocab = word_vocab(12)
         tv = RegionEmbedding(spec=RegionSpec(BOW_WORD, 2, 12), vocab=vocab,
-                             W=np.asfortranarray(np.random.default_rng(5).normal(size=(3, 12))),
+                             W=np.random.default_rng(5).normal(size=(3, 12)).T.copy(),
                              b=np.zeros(3))
         return small_model(region_size=1, tvs=[tv])[1]
 
@@ -477,7 +477,7 @@ class TestGatheredWeightCheck:
     def test_gathered_column_raises(self, where, value):
         model = self.model_with_tv()
         W = model.base.W if where == "base" else model.tvs[0].embedding.W
-        W[0, 4] = value  # word w4
+        W[4, 0] = value  # word w4
         name = "the base view" if where == "base" else "tv view 1"
         with pytest.raises(NonFiniteWeights, match=f"non-finite value in {name}'s gathered"):
             forward(model, prepare_document(model.views, ["w1", "w4", "w2"]))
@@ -487,7 +487,7 @@ class TestGatheredWeightCheck:
     def test_minus_inf_before_the_relu_is_caught(self):
         # relu(-inf) is 0, so only a check before the relu sees it
         model = self.model_with_tv()
-        model.tvs[0].embedding.W[:, 4] = -np.inf
+        model.tvs[0].embedding.W[4] = -np.inf
         with pytest.raises(NonFiniteWeights, match="tv view 1"):
             forward(model, prepare_document(model.views, ["w4"]))
 
@@ -495,15 +495,15 @@ class TestGatheredWeightCheck:
     def test_columns_not_gathered_answer_as_before(self, value):
         clean = self.model_with_tv()
         model = self.model_with_tv()
-        model.base.W[:, 4] = value
-        model.tvs[0].embedding.W[:, 4] = value
+        model.base.W[4] = value
+        model.tvs[0].embedding.W[4] = value
         for tokens in (["w1", "w2", "w3"], ["w0", "w11", "w5", "w0"], []):
             doc = prepare_document(model.views, tokens)
             assert forward(model, doc)[0].tobytes() == forward(clean, doc)[0].tobytes()
 
     def test_train_mode_does_not_check(self):
         model = self.model_with_tv()
-        model.tvs[0].embedding.W[:, 4] = np.nan
+        model.tvs[0].embedding.W[4] = np.nan
         logits, _ = forward(model, prepare_document(model.views, ["w4"]), train=True,
                             rng=np.random.default_rng(0))
         assert np.isnan(logits).all()
@@ -529,7 +529,7 @@ class TestCountParameters:
         base_vocab = Vocabulary(kind="word", entries=tuple((f"w{i}", 1) for i in range(30_000)))
         base_spec = RegionSpec(CONCAT, 3, 30_000)
         base = RegionEmbedding(spec=base_spec, vocab=base_vocab,
-                               W=np.zeros((500, base_spec.input_dim)), b=np.zeros(500))
+                               W=np.zeros((base_spec.input_dim, 500)), b=np.zeros(500))
         tvs = []
         for v in tv_sizes:
             vocab = base_vocab if v == 30_000 else Vocabulary(
@@ -537,7 +537,7 @@ class TestCountParameters:
             spec = RegionSpec(BOW_WORD if v == 30_000 else BOW_NGRAM, 5, v)
             tvs.append(TvEmbedding(
                 embedding=RegionEmbedding(spec=spec, vocab=vocab,
-                                          W=np.zeros((d_tv, v)), b=np.zeros(d_tv)),
+                                          W=np.zeros((v, d_tv)), b=np.zeros(d_tv)),
                 fusion=np.zeros((500, d_tv))))
         model = ShallowModel(base=base, tvs=tuple(tvs), pooling_k=1,
                              top_W=np.zeros((5, 500)), top_b=np.zeros(5))

@@ -6,7 +6,10 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import v1_embedding_bytes, v1_model_bytes, word_vocab, write_corrupted
+from helpers import (
+    v1_embedding_bytes, v1_model_bytes, v2_embedding_bytes, v2_model_bytes, word_vocab,
+    write_corrupted,
+)
 from swcnn.errors import DataError, NonFiniteWeights
 from swcnn.model import RegionEmbedding, ShallowModel, forward, prepare_document
 from swcnn.serialize import (
@@ -35,7 +38,7 @@ def fused_model():
     ):
         tvs.append(RegionEmbedding(
             spec=spec, vocab=v,
-            W=np.asfortranarray(rng.normal(size=(4, spec.input_dim))),
+            W=np.ascontiguousarray(rng.normal(size=(4, spec.input_dim)).T),
             b=rng.normal(size=4)))
     template = ModelTemplate(base_vocab=vocab, n_classes=3, region_size=3,
                              embed_dim=7, pooling_k=2, tv_embeddings=tuple(tvs))
@@ -114,7 +117,7 @@ def test_v2_weights_are_mapped_read_only(fused_model, tmp_path):
     for got, want in zip(loaded, weights(model) + [model.tvs[1].embedding.W], strict=True):
         assert type(got) is np.ndarray
         assert got.tobytes() == want.tobytes()
-        assert got.flags.f_contiguous and not got.flags.writeable
+        assert got.flags.c_contiguous and not got.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             got[0, 0] = 1.0
 
@@ -129,7 +132,7 @@ def test_version_1_loads_through_a_copy(fused_model, tmp_path):
     for a, b in zip(tensors(old), tensors(new), strict=True):
         assert a.tobytes() == b.tobytes()
     for W in weights(old):
-        assert W.flags.f_contiguous and W.flags.writeable
+        assert W.flags.c_contiguous and W.flags.writeable
     rng = np.random.default_rng(5)
     for _ in range(20):
         tokens = [f"w{int(rng.integers(30))}" for _ in range(int(rng.integers(0, 15)))]
@@ -147,6 +150,19 @@ def test_version_1_loads_through_a_copy(fused_model, tmp_path):
     assert v1.stat().st_size == v2.stat().st_size
     assert old.W.tobytes() == new.W.tobytes() == emb.W.tobytes()
     assert old.b.tobytes() == new.b.tobytes() and old.vocab == new.vocab == emb.vocab
+
+
+def test_v2_bytes_follow_the_documented_layout(fused_model, tmp_path):
+    """``save_model`` and ``save_embedding`` write each W as the paper's
+    (d, input_dim) matrix, its values column-major, which a round trip
+    alone would not notice if the layout flipped."""
+    _, model = fused_model
+    path = tmp_path / "m.swcn"
+    save_model(model, path)
+    assert path.read_bytes() == v2_model_bytes(model)
+    for emb in (model.base, *(tv.embedding for tv in model.tvs)):
+        save_embedding(emb, path)
+        assert path.read_bytes() == v2_embedding_bytes(emb)
 
 
 def test_round_trip_preserves_logits(fused_model, tmp_path):
@@ -167,7 +183,7 @@ def test_embedding_round_trip(tmp_path):
     rng = np.random.default_rng(1)
     spec = RegionSpec(BOW_WORD, 5, 10)
     emb = RegionEmbedding(spec=spec, vocab=word_vocab(10),
-                          W=np.asfortranarray(rng.normal(size=(3, 10))),
+                          W=np.ascontiguousarray(rng.normal(size=(3, 10)).T),
                           b=rng.normal(size=3))
     path = tmp_path / "tv.swcn"
     save_embedding(emb, path)
@@ -201,7 +217,7 @@ def test_invalid_utf8_token_names_file_and_entry(tmp_path):
 def test_duplicate_token_names_file_and_entries(tmp_path):
     vocab = Vocabulary(kind="word", entries=(("ab", 3), ("cd", 2), ("ef", 1)))
     emb = RegionEmbedding(spec=RegionSpec(BOW_WORD, 2, 3), vocab=vocab,
-                          W=np.zeros((2, 3)), b=np.zeros(2))
+                          W=np.zeros((3, 2)), b=np.zeros(2))
     path = tmp_path / "tv.swcn"
     save_embedding(emb, path)
     path.write_bytes(path.read_bytes().replace(b"ef", b"ab", 1))
@@ -230,7 +246,7 @@ def test_non_finite_W_rejected(fused_model, tmp_path, version, where, value):
     clean = tmp_path / "clean.swcn"
     write_model(model, clean, version)
     emb = model.base if where == "base" else model.tvs[1].embedding
-    emb.W[2, 5] = value
+    emb.W[5, 2] = value
     path = tmp_path / "m.swcn"
     write_model(model, path, version)
     loaded, reference = load_model(path), load_model(clean)
@@ -249,7 +265,7 @@ def test_non_finite_W_rejected(fused_model, tmp_path, version, where, value):
 
 def test_non_finite_embedding_weights_rejected(tmp_path):
     emb = RegionEmbedding(spec=RegionSpec(BOW_WORD, 2, 3), vocab=word_vocab(3),
-                          W=np.zeros((2, 3)), b=np.array([0.0, np.nan]))
+                          W=np.zeros((3, 2)), b=np.array([0.0, np.nan]))
     path = tmp_path / "tv.swcn"
     save_embedding(emb, path)
     with pytest.raises(DataError, match=r"tv\.swcn: non-finite value"):
@@ -261,7 +277,7 @@ def model_over(vocab, tv_vocab, rep=BOW_WORD):
     rng = np.random.default_rng(3)
     spec = RegionSpec(rep, 2, len(tv_vocab))
     tv = RegionEmbedding(spec=spec, vocab=tv_vocab,
-                         W=np.asfortranarray(rng.normal(size=(3, spec.input_dim))),
+                         W=np.ascontiguousarray(rng.normal(size=(3, spec.input_dim)).T),
                          b=rng.normal(size=3))
     template = ModelTemplate(base_vocab=vocab, n_classes=2, region_size=2, embed_dim=4,
                              pooling_k=1, tv_embeddings=(tv,))
@@ -348,7 +364,7 @@ def _oversize(path, header_len, vocab, field):
 def test_oversized_size_field_is_truncation(tmp_path, kind, field):
     vocab = word_vocab(3)
     emb = RegionEmbedding(spec=RegionSpec(BOW_WORD, 2, 3), vocab=vocab,
-                          W=np.zeros((2, 3)), b=np.zeros(2))
+                          W=np.zeros((3, 2)), b=np.zeros(2))
     path = tmp_path / "big.swcn"
     if kind == "embedding":
         save_embedding(emb, path)

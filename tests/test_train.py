@@ -56,7 +56,7 @@ class TestHoldoutSplit:
 
 def touched_in_full(w, momentum=0.9, n_steps=8):
     """The LazyMomentum of a weight whose every row a step touches."""
-    return LazyMomentum(w, 0, momentum, n_steps), np.arange(len(w))
+    return LazyMomentum(w, momentum, n_steps), np.arange(len(w))
 
 
 class TestSgdMomentum:
@@ -101,20 +101,22 @@ class TestLazyMomentum:
     # 700 rows, more than one chunk, so a step's rows span several chunks;
     # row LAST is touched at one step only and otherwise caught up by flush
     LAST, STEPS = 699, 14
-    SHAPES = [((700, 3), 0), ((3, 700), 1), ((700,), 0)]
+    # (shape, skip): the weight is every (skip + 1)-th row of a larger array
+    SHAPES = [((700, 3), 0), ((700, 3), 1), ((700,), 0)]
+
+    @staticmethod
+    def weight(rng, shape, skip):
+        return rng.normal(size=(shape[0] * (skip + 1), *shape[1:]))[:: skip + 1]
 
     @pytest.mark.parametrize("momentum", [0.0, 0.9, 1.0])
-    @pytest.mark.parametrize("shape,axis", SHAPES)
-    def test_matches_dense_steps(self, momentum, shape, axis):
-        # the gradient is compact: the touched rows only, in sorted order
+    @pytest.mark.parametrize("shape,skip", SHAPES)
+    def test_matches_dense_steps(self, momentum, shape, skip):
+        # the gradient is compact: the touched rows only, in sorted order;
+        # the steps land in w, even when its rows are not adjacent
         rng = np.random.default_rng(5)
-        w = rng.normal(size=shape)
+        w = self.weight(rng, shape, skip)
         w_ref, v_ref = w.copy(), np.zeros(shape)
-        lazy = LazyMomentum(w, axis, momentum, self.STEPS)
-
-        def rows_of(a):
-            return np.moveaxis(a, axis, 0)
-
+        lazy = LazyMomentum(w, momentum, self.STEPS)
         buffers = set()
         for step in range(self.STEPS):
             size = 0 if step == 5 else int(rng.integers(1, 500))
@@ -122,15 +124,15 @@ class TestLazyMomentum:
             if step == 3:
                 rows = np.append(rows, self.LAST)
             lazy.touch(rows)
-            assert rows_of(lazy.grad).shape == (len(rows), *rows_of(w).shape[1:])
+            assert lazy.grad.shape == (len(rows), *w.shape[1:])
             assert not lazy.grad.any()
             assert np.array_equal(lazy.position[rows], np.arange(len(rows)))
             if size:
                 buffers.add(lazy.grad.__array_interface__["data"][0])
-                assert rel_err(rows_of(w)[rows], rows_of(w_ref)[rows]) <= 1e-12
+                assert rel_err(w[rows], w_ref[rows]) <= 1e-12
             dense_grad = np.zeros(shape)
-            rows_of(dense_grad)[rows] = rng.normal(size=rows_of(dense_grad)[rows].shape)
-            rows_of(lazy.grad)[...] = rows_of(dense_grad)[rows]
+            dense_grad[rows] = rng.normal(size=dense_grad[rows].shape)
+            lazy.grad[...] = dense_grad[rows]
             lr = 0.3 if step < 8 else 0.03
             sgd_momentum_step([w], [lazy.grad], [lazy], lr)
             dense_momentum_step([w_ref], [dense_grad], [v_ref], lr, momentum)
@@ -139,15 +141,15 @@ class TestLazyMomentum:
         assert len(buffers) == 1  # every step's gradient lives in one buffer
 
     @pytest.mark.parametrize("momentum", [0.0, 0.9, 1.0])
-    @pytest.mark.parametrize("shape,axis", SHAPES)
-    def test_touched_in_full_is_the_dense_step_bitwise(self, momentum, shape, axis):
+    @pytest.mark.parametrize("shape,skip", SHAPES)
+    def test_touched_in_full_is_the_dense_step_bitwise(self, momentum, shape, skip):
         # a row touched at every step never needs a catch-up, so the lazy
         # step does the dense arithmetic element for element
         rng = np.random.default_rng(6)
-        w = rng.normal(size=shape)
+        w = self.weight(rng, shape, skip)
         w_ref, v_ref = w.copy(), np.zeros(shape)
-        lazy = LazyMomentum(w, axis, momentum, self.STEPS)
-        every_row = np.arange(shape[axis])
+        lazy = LazyMomentum(w, momentum, self.STEPS)
+        every_row = np.arange(shape[0])
         for step in range(self.STEPS):
             lazy.touch(every_row)
             grad = rng.normal(size=shape)
@@ -163,12 +165,22 @@ class TestLazyMomentum:
         # the momentum is the LazyMomentum's own, so only the weight and
         # the gradient can be mismatched
         w = np.zeros((4, 2))
-        lazy = LazyMomentum(w, 0, 0.9, 3)
+        lazy = LazyMomentum(w, 0.9, 3)
         lazy.touch(np.arange(4))
         with pytest.raises(ValueError):
             sgd_momentum_step([w.copy()], [lazy.grad], [lazy], lr=0.1)
         with pytest.raises(ValueError):
             sgd_momentum_step([w], [lazy.grad.copy()], [lazy], lr=0.1)
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda a: a.T, id="transposed"),
+        pytest.param(lambda a: a[:, ::2], id="strided-slice"),
+        pytest.param(lambda a: a.reshape(6, 2, 4)[:, :, :3], id="3-d-slice"),
+    ])
+    def test_rejects_a_weight_whose_rows_are_not_contiguous(self, make):
+        w = make(np.zeros((6, 8)))
+        with pytest.raises(ValueError, match="rows .* are not contiguous"):
+            LazyMomentum(w, 0.9, 3)
 
 
 class TestLrSchedule:
@@ -218,22 +230,23 @@ def tiny_template(data, pooling_k=1, region_size=3):
 
 
 def test_init_model_draw_order():
-    """W (column-major), b, one fusion per tv, top_W, top_b, in that order."""
+    """W (stored transposed), b, one fusion per tv, top_W, top_b, in that order."""
     from swcnn.model import RegionEmbedding
     from swcnn.textpipe import BOW_WORD, RegionSpec
 
     data = tiny_task(20)
     vocab = tiny_template(data).base_vocab
     tv = RegionEmbedding(spec=RegionSpec(BOW_WORD, 2, len(vocab)), vocab=vocab,
-                         W=np.zeros((3, len(vocab)), order="F"), b=np.zeros(3))
+                         W=np.zeros((len(vocab), 3)), b=np.zeros(3))
     template = ModelTemplate(base_vocab=vocab, n_classes=2, region_size=3, embed_dim=8,
                              pooling_k=2, tv_embeddings=(tv,))
     config = TrainConfig(epochs=1, decay_epoch=1, init_std=0.05)
     rng = np.random.default_rng(5)
     want = [rng.normal(0.0, 0.05, size=shape)
             for shape in [(8, 3 * len(vocab)), 8, (8, 3), (2, 16), 2]]
+    want[0] = want[0].T
     model = init_model(template, config, np.random.default_rng(5))
-    assert model.base.W.flags.f_contiguous
+    assert model.base.W.flags.c_contiguous
     for got, expect in zip(model.trainable_params(), want, strict=True):
         assert got.shape == expect.shape and np.array_equal(got, expect)
 
@@ -342,7 +355,7 @@ class TestTrain:
         rng = np.random.default_rng(12)
         spec = RegionSpec(BOW_WORD, 5, len(vocab))
         tv = RegionEmbedding(spec=spec, vocab=vocab,
-                             W=np.asfortranarray(rng.normal(size=(4, len(vocab)))),
+                             W=np.ascontiguousarray(rng.normal(size=(4, len(vocab))).T),
                              b=rng.normal(size=4))
         w_before, b_before = tv.W.copy(), tv.b.copy()
         template = ModelTemplate(base_vocab=vocab, n_classes=2, region_size=3,
@@ -386,7 +399,7 @@ class TestLazyTrainMatchesDense:
     @staticmethod
     def task():
         data = tiny_task(46, seed=3)
-        # a word in one document only: its columns are touched in one batch
+        # a word in one document only: its rows are touched in one batch
         # per epoch and otherwise only caught up; an empty document
         tokens, label = data[0]
         data[0] = (tokens[:6] + ["once"] + tokens[6:], label)
@@ -406,7 +419,7 @@ class TestLazyTrainMatchesDense:
         rng = np.random.default_rng(12)
         spec = RegionSpec(BOW_WORD, 5, len(vocab))
         tv = RegionEmbedding(spec=spec, vocab=vocab,
-                             W=np.asfortranarray(rng.normal(size=(4, len(vocab)))),
+                             W=np.ascontiguousarray(rng.normal(size=(4, len(vocab))).T),
                              b=rng.normal(size=4))
         template = ModelTemplate(base_vocab=vocab, n_classes=2, region_size=3,
                                  representation=representation, embed_dim=8,
@@ -425,7 +438,7 @@ class TestLazyTrainMatchesDense:
         assert rel_err([m.val_error for m in metrics], ref_errors) <= 1e-12
         once = vocab.index["once"]  # slot 0's column for concat-one-hot
         init = init_model(template, config, np.random.default_rng(config.seed))
-        assert not np.array_equal(model.base.W[:, once], init.base.W[:, once])
+        assert not np.array_equal(model.base.W[once], init.base.W[once])
 
 
 class TestSelectModel:

@@ -130,7 +130,7 @@ class TestTrainTv:
         rng = np.random.default_rng(5)
         expect_W = rng.normal(0.0, config.init_std, size=(4, spec.input_dim))
         expect_b = rng.normal(0.0, config.init_std, size=4)
-        assert np.array_equal(emb.W, expect_W)
+        assert np.array_equal(emb.W, expect_W.T)
         assert np.array_equal(emb.b, expect_b)
 
     def test_fixed_seed_reproduces_bitwise(self):
@@ -247,7 +247,7 @@ class TestSharedSweepMatchesPerRegion:
             self.corpus, spec, tv_vocab, word_vocab_, 5, config)
         assert n_examples % config.batch_size != 0
         emb, losses = train_tv(self.corpus, spec, tv_vocab, word_vocab_, 5, config)
-        assert rel_err(emb.W, W_ref) <= 1e-12
+        assert rel_err(emb.W.T, W_ref) <= 1e-12
         assert rel_err(emb.b, b_ref) <= 1e-12
         assert rel_err(losses, losses_ref) <= 1e-12
         again, losses_again = train_tv(self.corpus, spec, tv_vocab, word_vocab_, 5, config)
@@ -268,7 +268,7 @@ def test_word_occurring_once_matches_per_region(momentum):
                            init_std=0.3, momentum=momentum)
     W_ref, b_ref, losses_ref, _ = per_region_train_tv(corpus, spec, vocab, vocab, 5, config)
     emb, losses = train_tv(corpus, spec, vocab, vocab, 5, config)
-    assert rel_err(emb.W, W_ref) <= 1e-12
+    assert rel_err(emb.W.T, W_ref) <= 1e-12
     assert rel_err(emb.b, b_ref) <= 1e-12
     assert rel_err(losses, losses_ref) <= 1e-12
 
