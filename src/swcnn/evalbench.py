@@ -175,8 +175,9 @@ def vocab_independence_bench(
 
 def _densify(view: PreparedView, n_regions: int) -> np.ndarray:
     X = np.zeros((n_regions, view.input_dim))
-    for rows, cols in view.slots:
-        X[rows, cols] += 1.0
+    rows = np.broadcast_to(np.arange(n_regions), view.table.shape)
+    hit = view.table >= 0
+    np.add.at(X, (rows[hit], view.table[hit]), 1.0)
     return X
 
 
@@ -205,7 +206,7 @@ def dense_control_ratio(
 
         def dense_forward():
             Z = np.einsum("rv,vd->rd", X, model.base.W) + model.base.b
-            pooled, _ = max_pool(Z, 1)
+            pooled, _ = max_pool(Z, 1, rows=False)
             return model.top_W @ np.maximum(pooled, 0.0, out=pooled).ravel() + model.top_b
 
         times[v] = _median_seconds(dense_forward, repetitions, warmup=2)

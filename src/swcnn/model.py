@@ -15,16 +15,20 @@ and mapped to class scores by a linear layer.
 
 Pooling runs on the pre-activations and only the k pooled units are
 rectified, which gives the same features since relu is monotone.
-``pool_rows`` holds each pooled value's source row, or -1 where the unit
-is empty or its maximum is not positive (the relu passes no gradient).
+In train mode ``pool_rows`` holds each pooled value's source row, or -1
+where the unit is empty or its maximum is not positive (the relu passes
+no gradient).
 
-For speed the sweep is organized around "slot incidence" lists: per view,
-each slot of the representation (one per region-local position, or one
-per (n-gram-length, offset) pair) stores which region rows receive which
-input columns' weights, so a document's whole sweep is a handful of
-vectorized gather-adds instead of a Python loop over positions.
+For speed the sweep is organized around a "slot table" per view: each
+slot of the representation (one per region-local position, or one per
+(n-gram-length, offset) pair) is one int32 row holding, for every region,
+the input column whose weights that region receives, or -1 for a hole (a
+position outside the document, or an OOV token).  A document's whole
+sweep is then a handful of row-aligned gathers and adds instead of a
+Python loop over positions.  Inference pools by plain maxima; only
+training finds each pooled value's source row.
 
-``prepare_document`` is the one step from tokens to slot incidence (the
+``prepare_document`` is the one step from tokens to slot tables (the
 paper's "input vector generation"): it encodes the tokens against every
 view and returns a ``PreparedDoc``.  ``prepare_labeled`` does the same
 over (tokens, label) pairs and rejects labels outside the model's
@@ -178,10 +182,15 @@ class ShallowModel:
 
 @dataclass
 class PreparedView:
-    # one (rows, cols) pair per slot: region row `rows[j]` receives the
-    # weights of input column `cols[j]` (row `cols[j]` of W) with coefficient 1
-    slots: list[tuple[np.ndarray, np.ndarray]]
+    # (slots, regions) int32: region r receives the weights of input column
+    # table[s, r] (row table[s, r] of W) with coefficient 1, or nothing at -1
+    table: np.ndarray
     input_dim: int
+
+    @property
+    def slots(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The table as one (rows, cols) pair of its non-hole entries per slot."""
+        return [(hit.nonzero()[0], row[hit]) for row, hit in zip(self.table, self.table >= 0)]
 
 
 @dataclass
@@ -192,12 +201,13 @@ class PreparedDoc:
 
 
 def _view_slots(ids: np.ndarray, spec: RegionSpec, starts: np.ndarray, ends) -> PreparedView:
-    """Slot incidence of the regions that start at token offsets ``starts``.
+    """The slot table of the regions that start at token offsets ``starts``.
 
     ``ids`` is laid out as ``encode`` returns it, for one document or a
     concatenated corpus.  Region r becomes row r: it covers positions
     ``starts[r]`` to ``starts[r] + p - 1``, clipped to ``ends[r]`` (the end
-    of its document; a scalar serves all regions).
+    of its document; a scalar serves all regions).  Slots that are holes
+    in every region are left out.
     """
     p = spec.region_size
     if spec.representation == BOW_NGRAM:
@@ -207,25 +217,22 @@ def _view_slots(ids: np.ndarray, spec: RegionSpec, starts: np.ndarray, ends) -> 
         shift, gram = np.arange(p), np.zeros(p, dtype=np.int64)
         ids = ids[:, None]  # a single id column
     if len(ids) == 0:  # an empty document: nothing to gather
-        return PreparedView(slots=[], input_dim=spec.input_dim)
+        return PreparedView(table=np.empty((0, len(starts)), dtype=np.int32),
+                            input_dim=spec.input_dim)
     pos = starts + shift[:, None]  # (slots, regions)
     inside = pos < ends
     cols = ids[np.where(inside, pos, 0), gram[:, None]]
     known = inside & (cols != OOV)
     if spec.representation == CONCAT:
         cols += shift[:, None] * spec.vocab_size
-    slots: list[tuple[np.ndarray, np.ndarray]] = []
-    for slot_known, slot_cols in zip(known, cols):
-        rows = slot_known.nonzero()[0]
-        if len(rows):
-            slots.append((rows, slot_cols[rows]))
-    return PreparedView(slots=slots, input_dim=spec.input_dim)
+    table = np.where(known, cols, -1).astype(np.int32)
+    return PreparedView(table=table[known.any(axis=1)], input_dim=spec.input_dim)
 
 
 def prepare_document(
     views: Sequence[tuple[RegionSpec, Vocabulary]], tokens: Sequence[str], label: int = 0
 ) -> PreparedDoc:
-    """Encode one document against every view and precompute its slot incidence.
+    """Encode one document against every view and precompute its slot tables.
 
     This is the "input vector generation" step: after it, a forward pass
     touches only weight gathers, adds and the top layer.  ``views`` is
@@ -259,8 +266,11 @@ def embed_regions(W: np.ndarray, view: PreparedView, n_regions: int) -> np.ndarr
     if len(W) != view.input_dim:
         raise ValueError(f"view input dim {view.input_dim} does not match W")
     Z = np.zeros((n_regions, W.shape[1]))
-    for rows, cols in view.slots:
-        Z[rows] += W[cols]
+    for cols in view.table:
+        # fancy indexing, not take: take copies a mapped W that is not 8-byte aligned
+        g = W[cols]
+        g[cols < 0] = 0.0  # a hole adds +0.0: no bit of a sum begun at +0.0 changes
+        Z += g
     return Z
 
 
@@ -268,29 +278,35 @@ def pooling_bounds(n_regions: int, k: int) -> list[tuple[int, int]]:
     return [(u * n_regions // k, (u + 1) * n_regions // k) for u in range(k)]
 
 
-def max_pool(H: np.ndarray, k: int):
-    """k-unit max pooling; returns (pooled (k, d), source rows (k, d)).
+def max_pool(H: np.ndarray, k: int, rows: bool = True):
+    """k-unit max pooling; returns (pooled (k, d), source rows (k, d) or None).
 
     Empty units emit zeros and row index -1.  Ties go to the earliest
-    position so gradient routing is deterministic.
+    position so gradient routing is deterministic.  Without ``rows`` the
+    units are plain maxima and no source row is found: the same values,
+    except that a tie of -0.0 and +0.0 may give either zero.
     """
     n_regions, d = H.shape
     pooled = np.zeros((k, d))
-    rows = np.full((k, d), -1, dtype=np.int64)
+    src = np.full((k, d), -1, dtype=np.int64) if rows else None
     for u, (lo, hi) in enumerate(pooling_bounds(n_regions, k)):
         if hi > lo:
             block = H[lo:hi]
-            arg = block.argmax(axis=0)
-            pooled[u] = block[arg, np.arange(d)]
-            rows[u] = lo + arg
-    return pooled, rows
+            if src is None:
+                np.max(block, axis=0, out=pooled[u])
+            else:
+                arg = block.argmax(axis=0)
+                pooled[u] = block[arg, np.arange(d)]
+                src[u] = lo + arg
+    return pooled, src
 
 
 @dataclass
 class ForwardCache:
     prep: PreparedDoc
     tv_outputs: list[np.ndarray]
-    pool_rows: np.ndarray          # (k, d) source row per pooled unit, -1 where the relu is 0
+    pool_rows: np.ndarray | None   # (k, d) source row per pooled unit, -1 where the relu is 0;
+                                   # None in infer mode
     dropout_scale: np.ndarray | None  # (k*d,) 0 or 1/(1-rate), None in infer mode
     top_input: np.ndarray          # (k*d,) the vector the top layer saw
 
@@ -322,9 +338,11 @@ def forward(model: ShallowModel, doc: PreparedDoc, train: bool = False, rng=None
         tv_outputs.append(hidden)
         Z += hidden @ tv.fusion.T
     Z += model.base.b
-    pooled, pool_rows = max_pool(Z, model.pooling_k)
-    # `not > 0` also catches NaN, which still reaches the loss through `pooled`
-    pool_rows[~(pooled > 0.0)] = -1
+    # only training routes gradients, so only training looks for source rows
+    pooled, pool_rows = max_pool(Z, model.pooling_k, rows=train)
+    if train:
+        # `not > 0` also catches NaN, which still reaches the loss through `pooled`
+        pool_rows[~(pooled > 0.0)] = -1
     v = np.maximum(pooled, 0.0, out=pooled).ravel()
     dropout_scale = None
     if train and model.dropout_rate > 0.0:
@@ -418,14 +436,11 @@ def _scatter_embedding_grad(dW: np.ndarray, dZ: np.ndarray, view: PreparedView,
     flat = np.flatnonzero(dZ != 0.0)
     r, j = np.divmod(flat, dZ.shape[1])
     vals = dZ.ravel()[flat]
-    col_of_row = np.full(len(dZ), -1, dtype=np.intp)  # -1: the slot skips that row
-    for rows, cols in view.slots:
-        col_of_row[rows] = position[cols]
-        c = col_of_row[r]
-        hit = c >= 0
+    for cols in view.table:
+        c = cols[r]
+        hit = c >= 0  # -1: the slot skips that row
         # a W row repeats across region rows; np.add.at adds each index in turn
-        np.add.at(dW, (c[hit], j[hit]), vals[hit])
-        col_of_row[rows] = -1
+        np.add.at(dW, (position[c[hit]], j[hit]), vals[hit])
 
 
 def parameter_count(embed_dim, base_input_dim, tv_shapes, n_classes, pooling_k) -> int:

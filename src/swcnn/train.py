@@ -271,9 +271,9 @@ def sgd_momentum_step(params, grads, velocity, lr: float) -> None:
 
 
 def slot_columns(views) -> np.ndarray:
-    """Sorted distinct input columns (rows of W) that the slots of ``views`` read."""
-    cols = [c for view in views for _, c in view.slots]
-    return np.unique(np.concatenate(cols)) if cols else np.empty(0, dtype=np.int64)
+    """Sorted distinct input columns (rows of W) that the slot tables of ``views`` read."""
+    cols = np.unique(np.concatenate([view.table.ravel() for view in views]))
+    return cols[np.searchsorted(cols, 0):]  # past the holes' -1
 
 
 def lr_at_epoch(config: TrainConfig, epoch: int) -> float:

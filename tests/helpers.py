@@ -365,6 +365,32 @@ def rectify_then_pool(model, doc, train=False, rng=None):
     return logits, grads
 
 
+def slots_reference(ids, spec, starts, ends):
+    """The slot lists ``model._view_slots`` built before its slot table, the
+    reference for ``PreparedView.slots``: per slot that some region reads,
+    the rows of those regions and the input columns they read."""
+    p = spec.region_size
+    if spec.representation == BOW_NGRAM:
+        shift, gram = np.array([(s, n - 1) for n in (1, 2, 3) for s in range(p - n + 1)]).T
+    else:
+        shift, gram = np.arange(p), np.zeros(p, dtype=np.int64)
+        ids = ids[:, None]
+    if len(ids) == 0:
+        return []
+    pos = starts + shift[:, None]
+    inside = pos < ends
+    cols = ids[np.where(inside, pos, 0), gram[:, None]]
+    known = inside & (cols != OOV)
+    if spec.representation == CONCAT:
+        cols += shift[:, None] * spec.vocab_size
+    slots = []
+    for slot_known, slot_cols in zip(known, cols):
+        rows = slot_known.nonzero()[0]
+        if len(rows):
+            slots.append((rows, slot_cols[rows]))
+    return slots
+
+
 def scatter_reference(dW, dZ, view):
     """The row-wise scatter, the reference for ``_scatter_embedding_grad``:
     one unbuffered ``np.add.at`` per slot adds whole rows dZ[rows], zeros

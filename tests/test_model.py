@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     _region_vector_unchecked, fd_max_rel_error, random_tiny_instance, rectify_then_pool,
-    region_vector, scatter_reference, sparse_affine, word_vocab,
+    region_vector, scatter_reference, slots_reference, sparse_affine, word_vocab,
 )
 from swcnn.errors import NonFiniteWeights
 from swcnn.kernels import softmax_xent
@@ -19,15 +19,17 @@ from swcnn.model import (
     _view_slots,
     backward,
     count_parameters,
+    embed_regions,
     forward,
     max_pool,
     pooling_bounds,
     predict,
     prepare_document,
+    prepare_labeled,
     zero_grads,
 )
 from swcnn.textpipe import (
-    BOW_NGRAM, BOW_WORD, CONCAT, RegionSpec, Vocabulary, encode, region_count,
+    BOW_NGRAM, BOW_WORD, CONCAT, RegionSpec, Vocabulary, build_vocab, encode, region_count,
 )
 from swcnn.train import slot_columns
 from swcnn.train import ModelTemplate, TrainConfig, init_model
@@ -202,6 +204,95 @@ class TestViewSlots:
             assert np.array_equal(got[row], want)
 
 
+class TestSlotTable:
+    """``PreparedView.slots``, read off the table, is the slot lists built before it."""
+
+    @staticmethod
+    def case(representation, layout, seed):
+        """(ids, spec, starts, ends): one document's regions, a tv-style
+        batch of regions at shuffled offsets into a concatenated corpus
+        and clipped to their documents, or an empty document."""
+        rng = np.random.default_rng(seed)
+        corpus = [[f"w{int(rng.integers(9))}" for _ in range(int(rng.integers(0, 12)))]
+                  for _ in range(8)]
+        # a cap below the 9 words (and their n-grams) leaves OOV ids
+        vocab = build_vocab(corpus, "ngram123" if representation == BOW_NGRAM else "word", 6)
+        p = 3 if layout == "document" else 5
+        spec = RegionSpec(representation, p, len(vocab))
+        if layout == "empty":
+            return encode([], vocab), spec, np.arange(1), 0
+        if layout == "document":
+            ids = encode([t for doc in corpus for t in doc], vocab)
+            return ids, spec, np.arange(region_count(len(ids), p)), len(ids)
+        docs = [encode(tokens, vocab) for tokens in corpus]
+        starts, ends, offset = [], [], 0
+        for doc in docs:
+            # a tv example at every token, its region clipped to the document
+            starts += [offset + pos for pos in range(len(doc))]
+            ends += [offset + len(doc)] * len(doc)
+            offset += len(doc)
+        picked = rng.permutation(len(starts))
+        return np.concatenate(docs), spec, np.array(starts)[picked], np.array(ends)[picked]
+
+    @pytest.mark.parametrize("layout", ["document", "tv-batch", "empty"])
+    @pytest.mark.parametrize("representation", [CONCAT, BOW_WORD, BOW_NGRAM])
+    def test_slots_equal_the_reference_lists(self, representation, layout):
+        for seed in range(10):
+            ids, spec, starts, ends = self.case(representation, layout, seed)
+            view = _view_slots(ids, spec, starts, ends)
+            assert view.table.dtype == np.int32 and view.table.shape[1] == len(starts)
+            want = slots_reference(ids, spec, starts, ends)
+            assert len(view.slots) == len(want)
+            for (rows, cols), (want_rows, want_cols) in zip(view.slots, want):
+                assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
+
+    def test_concat_holes_are_oov_ids_and_the_document_end(self):
+        vocab = word_vocab(4)
+        view = _view_slots(encode(["w1", "zz", "w2"], vocab), RegionSpec(CONCAT, 2, 4),
+                           np.arange(3), 3)
+        assert view.table.tolist() == [[1, -1, 2], [-1, 6, -1]]
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([CONCAT, BOW_WORD, BOW_NGRAM]),
+           st.sampled_from(["document", "tv-batch"]))
+    @settings(max_examples=40, deadline=None)
+    def test_sweep_holds_no_negative_zero(self, seed, representation, layout):
+        # a W of -0.0 sums to +0.0: Z starts at +0.0 and +0.0 + -0.0 is +0.0,
+        # so forward's Z never holds the -0.0 on which max and argmax may differ
+        ids, spec, starts, ends = self.case(representation, layout, seed)
+        view = _view_slots(ids, spec, starts, ends)
+        Z = embed_regions(np.full((spec.input_dim, 3), -0.0), view, len(starts))
+        assert not np.signbit(Z).any()
+
+
+def test_prepared_bytes_per_token_are_bounded():
+    import tracemalloc
+
+    # 200-token documents, a concat p=3 base view and a bow-ngram123 p=5 tv
+    # view, at a vocabulary that covers nearly every word, as on long documents
+    rng = np.random.default_rng(11)
+    ranks = 1.0 / np.arange(1, 301)
+    corpus = [[f"w{int(i)}" for i in rng.choice(300, size=200, p=ranks / ranks.sum())]
+              for _ in range(30)]
+    words = build_vocab(corpus, "word", 280)
+    grams = build_vocab(corpus, "ngram123", 5_000)
+    tv = RegionEmbedding.initial(RegionSpec(BOW_NGRAM, 5, len(grams)), grams, 4, 0.1,
+                                 np.random.default_rng(0))
+    template = ModelTemplate(base_vocab=words, n_classes=2, region_size=3, embed_dim=4,
+                             pooling_k=10, tv_embeddings=(tv,))
+    model = init_model(template, TrainConfig(epochs=1, decay_epoch=1), np.random.default_rng(1))
+    samples = [(tokens, 0) for tokens in corpus]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        docs = list(prepare_labeled(model, samples))
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(docs) == len(corpus)
+    per_token = held / sum(map(len, corpus))
+    assert per_token <= 100, f"{per_token:.0f} bytes per token"
+
+
 class TestPooling:
     def test_single_unit_max(self):
         pooled, rows = max_pool(np.array([[1.0, 3.0], [2.0, 0.0], [0.0, 5.0]]), 1)
@@ -231,6 +322,40 @@ class TestPooling:
         pooled, _ = max_pool(H, k)
         scaled, _ = max_pool(scale * H, k)
         assert np.allclose(scale * pooled, scaled)
+
+    # -0.0 is left out: forward's Z never holds it (see
+    # TestSlotTable.test_sweep_holds_no_negative_zero), and on a tie of
+    # -0.0 and +0.0 a plain maximum may give either zero
+    POOL_VALUES = (st.sampled_from([-np.inf, np.inf, np.nan, -1.5, 0.0, 2.0])
+                   | st.floats(-4.0, 4.0).map(lambda x: x + 0.0))
+
+    @given(st.data(), st.integers(1, 9), st.integers(1, 4), st.integers(1, 12), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_inference_maxima_are_the_pooled_values(self, data, n_regions, d, k, negative):
+        values = data.draw(st.lists(self.POOL_VALUES, min_size=n_regions * d,
+                                    max_size=n_regions * d))
+        H = np.array(values).reshape(n_regions, d)
+        if negative:
+            H[:, 0] = -np.abs(H[:, 0]) - 1.0  # an all-negative column
+        want, _ = max_pool(H, k)
+        got, rows = max_pool(H, k, rows=False)
+        assert rows is None
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+
+    @pytest.mark.parametrize("with_tvs", [False, True])
+    def test_inference_logits_equal_train_mode_without_dropout(self, with_tvs):
+        for seed in range(40):
+            model, doc = random_tiny_instance(seed, with_tvs)
+            logits, cache = forward(model, doc)
+            train_logits, train_cache = forward(model, doc, train=True)
+            assert cache.pool_rows is None and train_cache.pool_rows is not None
+            assert logits.tobytes() == train_logits.tobytes()
+        _, model = small_model(pooling_k=10)
+        for length in (0, 4, 9, 40, 131):
+            doc = prepare_document(model.views, [f"w{i * 7 % 13}" for i in range(length)])
+            assert forward(model, doc)[0].tobytes() == forward(model, doc, train=True)[0].tobytes()
 
     def test_output_dimension(self):
         template, model = small_model(dim=6, pooling_k=3)
@@ -394,7 +519,7 @@ class TestScatterEmbeddingGrad:
         before = dW.tobytes(order="A")
         identity = np.arange(len(dW))
         _scatter_embedding_grad(dW, np.zeros_like(dZ), view, identity)
-        _scatter_embedding_grad(dW, dZ, PreparedView(slots=[], input_dim=len(dW)), identity)
+        _scatter_embedding_grad(dW, dZ, PreparedView(table=np.empty((0, len(dZ)), dtype=np.int32), input_dim=len(dW)), identity)
         assert dW.tobytes(order="A") == before
 
     def test_signed_zero_gradient_keeps_positive_zeros(self):

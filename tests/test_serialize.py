@@ -522,3 +522,34 @@ def test_magic_bytes_value(fused_model, tmp_path):
     path = tmp_path / "m.swcn"
     save_model(model, path)
     assert path.read_bytes()[:4] == MAGIC == b"SWCN"
+
+
+def test_inference_on_a_mapped_W_copies_no_W(tmp_path):
+    """Answering from a loaded container reads W's rows, not a copy of W.
+
+    The container puts W at a byte offset that is not a multiple of 8, as
+    vocabularies of real words do, where ``W.take`` would copy all of W.
+    """
+    import tracemalloc
+
+    n_words, d = 4000, 100
+    vocab = Vocabulary(kind="word", entries=tuple((f"w{i}", n_words - i) for i in range(n_words)))
+    template = ModelTemplate(base_vocab=vocab, n_classes=2, region_size=3, embed_dim=d,
+                             pooling_k=2)
+    model = init_model(template, TrainConfig(epochs=1, decay_epoch=1), np.random.default_rng(2))
+    path = tmp_path / "wide.swcn"
+    save_model(model, path)
+    W_bytes = model.base.W.nbytes
+    assert W_bytes >= 8 << 20
+    rng = np.random.default_rng(3)
+    docs = [[f"w{int(i)}" for i in rng.integers(0, n_words + 50, size=60)] for _ in range(5)]
+    tracemalloc.start()
+    try:
+        loaded = load_model(path)
+        assert loaded.base.W.ctypes.data % 8 != 0
+        for tokens in docs:
+            forward(loaded, prepare_document(loaded.views, tokens))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < W_bytes / 4, f"peak {peak} bytes for a {W_bytes}-byte W"
