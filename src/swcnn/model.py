@@ -380,29 +380,17 @@ class ModelGrads:
         return [self.base_W, self.base_b, *self.fusions, self.top_W, self.top_b]
 
 
-def zero_grads(model: ShallowModel) -> ModelGrads:
-    return ModelGrads(
-        base_W=np.zeros_like(model.base.W),
-        base_b=np.zeros_like(model.base.b),
-        fusions=[np.zeros_like(tv.fusion) for tv in model.tvs],
-        top_W=np.zeros_like(model.top_W),
-        top_b=np.zeros_like(model.top_b),
-        base_W_pos=np.arange(len(model.base.W)),
-    )
-
-
-def backward(model: ShallowModel, cache: ForwardCache, grad_logits: np.ndarray, out: ModelGrads | None = None) -> ModelGrads:
+def backward(model: ShallowModel, cache: ForwardCache, grad_logits: np.ndarray, out: ModelGrads) -> ModelGrads:
     """Exact gradients of the forward pass for all trainable parameters.
 
     Two-view embedding internals receive no gradient by construction.
-    When ``out`` is given, gradients are accumulated into it in place.
+    The gradients are accumulated into ``out`` in place, which is returned.
     """
     if len(cache.prep.views) != 1 + len(model.tvs):
         raise ValueError("cache does not match the model")
-    grads = out if out is not None else zero_grads(model)
     v = cache.top_input
-    grads.top_W += np.outer(grad_logits, v)
-    grads.top_b += grad_logits
+    out.top_W += np.outer(grad_logits, v)
+    out.top_b += grad_logits
     dv = model.top_W.T @ grad_logits
     if cache.dropout_scale is not None:
         dv = dv * cache.dropout_scale
@@ -410,10 +398,10 @@ def backward(model: ShallowModel, cache: ForwardCache, grad_logits: np.ndarray, 
     dZ = np.zeros((cache.prep.n_regions, model.base.dim))
     # units cover disjoint spans, so no (row, col) repeats; += turns -0.0 into +0.0
     dZ[cache.pool_rows[valid], valid.nonzero()[1]] += dv.reshape(valid.shape)[valid]
-    model.base.add_grad(dZ, cache.prep.views[0], grads.base_W, grads.base_b, grads.base_W_pos)
-    for df, tv_out in zip(grads.fusions, cache.tv_outputs):
+    model.base.add_grad(dZ, cache.prep.views[0], out.base_W, out.base_b, out.base_W_pos)
+    for df, tv_out in zip(out.fusions, cache.tv_outputs):
         df += dZ.T @ tv_out
-    return grads
+    return out
 
 
 def _scatter_embedding_grad(dW: np.ndarray, dZ: np.ndarray, view: PreparedView,

@@ -270,6 +270,36 @@ def sgd_momentum_step(params, grads, velocity, lr: float) -> None:
         v.step(lr)
 
 
+def sgd_epochs(params, n: int, config, rng, step_batch, what: str):
+    """Mini-batch SGD with momentum over ``n`` examples; yields (epoch, mean loss).
+
+    ``config`` is a ``TrainConfig`` or a ``TvTrainConfig``.  Each tensor in
+    ``params`` steps through its own ``LazyMomentum``.  Each epoch draws
+    one ``rng.permutation(n)`` and cuts it into batches, numbered from 1.
+    ``step_batch(velocity, epoch, batch)`` touches the rows the batch
+    reads, fills each ``grad``, calls ``sgd_momentum_step`` and returns
+    the batch's summed loss.  A running total that is not finite after a
+    step raises ``NumericError`` naming ``what``, the epoch and the batch.
+    Every tensor is flushed before its epoch is yielded.  This is the
+    dense step in exact arithmetic; only rows that need a catch-up round
+    differently (by about 1e-15), and the catch-up draws nothing.
+    Callers hold their own ``np.errstate``: on a generator, the decorator
+    would exit before the first batch.
+    """
+    n_steps = config.epochs * -(-n // config.batch_size)
+    velocity = [LazyMomentum(p, config.momentum, n_steps) for p in params]
+    for epoch in range(1, config.epochs + 1):
+        order = rng.permutation(n)
+        loss_sum = 0.0
+        for number, first in enumerate(range(0, n, config.batch_size), start=1):
+            loss_sum += step_batch(velocity, epoch, order[first : first + config.batch_size])
+            if not np.isfinite(loss_sum):
+                raise NumericError(f"non-finite {what} at epoch {epoch}, batch {number}")
+        for lazy in velocity:
+            lazy.flush()
+        yield epoch, loss_sum / n
+
+
 def slot_columns(views) -> np.ndarray:
     """Sorted distinct input columns (rows of W) that the slot tables of ``views`` read."""
     cols = np.unique(np.concatenate([view.table.ravel() for view in views]))
@@ -302,8 +332,8 @@ def _error_percent(model, prepared_docs, epoch: int) -> float:
         raise NumericError(f"validation after epoch {epoch}: {exc}") from None
 
 
-# a diverging run ends in the finite-loss check's NumericError; numpy's
-# overflow and invalid-value warnings would only clutter the report before it
+# a diverging run ends in the driver's NumericError; numpy's overflow
+# and invalid-value warnings would only clutter the report before it
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def train(
     template: ModelTemplate,
@@ -319,17 +349,12 @@ def train(
     is a percentage, or None when no validation data was supplied (the
     caller then selects on training loss).
 
-    Every trainable tensor steps through a ``LazyMomentum``.  Only the
-    rows of W that a batch's base-view slots read are caught up before
-    its forward pass and stepped after its backward pass; b, the fusions
-    and the top layer are touched in full, so they take the dense step.
-    The batch's gradients are the ``LazyMomentum`` compact ones: W's holds
-    just the batch's rows, found through ``ModelGrads.base_W_pos``, and
-    lives in one buffer reused by every batch.  Every tensor is brought up
-    to date at each epoch end, before validation.  This is the dense
-    momentum step in exact arithmetic, but W's rows round differently
-    (relative differences of order 1e-15).  The catch-up draws nothing, so
-    the draw order is that of the dense step.
+    ``sgd_epochs`` runs the batches.  Only the rows of W that a batch's
+    base-view slots read are touched; b, the fusions and the top layer
+    are touched in full, so they take the dense step.  W's gradient holds
+    just the batch's rows, found through ``ModelGrads.base_W_pos``.
+    Validation reads the weights the driver brought up to date at the
+    epoch's end.
     """
     if len(train_data) == 0:
         raise DataError("empty training set")
@@ -337,56 +362,46 @@ def train(
     model = init_model(template, config, rng)
     train_docs = list(prepare_labeled(model, train_data))
     val_docs = list(prepare_labeled(model, val_data))
-    n = len(train_docs)
     params = model.trainable_params()
-    n_steps = config.epochs * -(-n // config.batch_size)
-    velocity = [LazyMomentum(p, config.momentum, n_steps) for p in params]
     # W steps on the rows a batch reads; b, the fusions and the top layer in full
-    base = velocity[0]
-    small = [(lazy, np.arange(len(lazy.w))) for lazy in velocity[1:]]
+    all_rows = [np.arange(len(p)) for p in params[1:]]
+
+    def step_batch(velocity, epoch, batch):
+        base = velocity[0]
+        base.touch(slot_columns(train_docs[idx].views[0] for idx in batch))
+        for lazy, rows in zip(velocity[1:], all_rows):
+            lazy.touch(rows)
+        base_W, base_b, *fusions, top_W, top_b = (lazy.grad for lazy in velocity)
+        grads = ModelGrads(base_W, base_b, fusions, top_W, top_b, base_W_pos=base.position)
+        batch_xent = 0.0
+        for idx in batch:
+            doc = train_docs[idx]
+            logits, cache = forward(model, doc, train=True, rng=rng)
+            loss, _, grad_logits = softmax_xent(logits, doc.label)
+            batch_xent += loss
+            # scaled here, the gradients accumulate as the batch mean
+            backward(model, cache, grad_logits / len(batch), grads)
+        grads.top_W += 2.0 * config.top_l2 * model.top_W
+        batch_objective = batch_xent / len(batch) + config.top_l2 * float(
+            np.sum(model.top_W * model.top_W)
+        )
+        sgd_momentum_step(params, grads.as_list(), velocity, lr_at_epoch(config, epoch))
+        return batch_objective * len(batch)
+
     metrics: list[EpochMetrics] = []
-    for epoch in range(1, config.epochs + 1):
-        started = time.perf_counter()
-        lr = lr_at_epoch(config, epoch)
-        order = rng.permutation(n)
-        objective_sum = 0.0
-        for batch_index, start in enumerate(range(0, n, config.batch_size), start=1):
-            batch = order[start : start + config.batch_size]
-            base.touch(slot_columns(train_docs[idx].views[0] for idx in batch))
-            for lazy, rows in small:
-                lazy.touch(rows)
-            base_W, base_b, *fusions, top_W, top_b = (lazy.grad for lazy in velocity)
-            grads = ModelGrads(base_W, base_b, fusions, top_W, top_b, base_W_pos=base.position)
-            batch_xent = 0.0
-            for idx in batch:
-                doc = train_docs[idx]
-                logits, cache = forward(model, doc, train=True, rng=rng)
-                loss, _, grad_logits = softmax_xent(logits, doc.label)
-                batch_xent += loss
-                # scaled here, the gradients accumulate as the batch mean
-                backward(model, cache, grad_logits / len(batch), out=grads)
-            grads.top_W += 2.0 * config.top_l2 * model.top_W
-            batch_objective = batch_xent / len(batch) + config.top_l2 * float(
-                np.sum(model.top_W * model.top_W)
-            )
-            if not np.isfinite(batch_objective):
-                raise NumericError(
-                    f"non-finite loss at epoch {epoch}, batch {batch_index}"
-                )
-            objective_sum += batch_objective * len(batch)
-            sgd_momentum_step(params, grads.as_list(), velocity, lr)
-        for lazy in velocity:
-            lazy.flush()
+    started = time.perf_counter()
+    for epoch, train_loss in sgd_epochs(params, len(train_docs), config, rng, step_batch, "loss"):
         val_error = _error_percent(model, val_docs, epoch) if val_docs else None
         metrics.append(
             EpochMetrics(
                 epoch=epoch,
-                lr=lr,
-                train_loss=objective_sum / n,
+                lr=lr_at_epoch(config, epoch),
+                train_loss=train_loss,
                 val_error=val_error,
                 seconds=time.perf_counter() - started,
             )
         )
+        started = time.perf_counter()
     return model, metrics
 
 
@@ -416,7 +431,7 @@ def select_model(
     template: ModelTemplate,
     config: TrainConfig,
     data: Sequence,
-    n_holdout: int | None = None,
+    n_holdout: int,
 ):
     """Train one model per grid point and keep the validation winner.
 
@@ -426,8 +441,6 @@ def select_model(
     training diverges is reported with its reason and never chosen; if
     every point diverges, ``NumericError`` is raised.
     """
-    if n_holdout is None:
-        n_holdout = default_holdout(len(data))
     train_set, val_set = holdout_split(data, n_holdout, config.seed)
     report = SelectionReport(used_validation=bool(val_set))
     best = None

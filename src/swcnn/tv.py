@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from swcnn.errors import DataError, NumericError
+from swcnn.errors import DataError
 from swcnn.model import RegionEmbedding, _view_slots
 from swcnn.textpipe import (
     OOV,
@@ -30,7 +30,7 @@ from swcnn.textpipe import (
     encode,
     region_count,
 )
-from swcnn.train import LazyMomentum, sgd_momentum_step, slot_columns
+from swcnn.train import sgd_epochs, sgd_momentum_step, slot_columns
 
 # benchmark/tracer.py still wraps these two names, so they must resolve;
 # nothing calls them.  ROADMAP item 1 deletes this line.
@@ -129,15 +129,11 @@ def train_tv(
     Draw order: W, b, prediction weights, prediction bias, then per-region
     negative sets in corpus order, then per-epoch shuffles.  A mini-batch
     gathers W x and scatters dW in one sweep; the head loops over regions.
-    Every tensor steps through a ``LazyMomentum``, as in ``train``: W on
-    the rows the batch's regions read, the prediction layer on the rows of
-    its targets and negatives, and b, which is small, on all its rows.
-    Each gradient is the compact one of its ``LazyMomentum``, holding only
-    those rows, so W's and the head's gradients and velocities take memory
-    in proportion to what the run touches.  All are brought up to date at
-    each epoch end.  W and the head round differently from the dense
-    step, and the catch-up draws nothing.  A non-finite running loss
-    raises ``NumericError`` before the batch's step.
+    ``sgd_epochs`` runs the batches, as in ``train``: W is touched on the
+    rows the batch's regions read, the prediction layer on the rows of its
+    targets and negatives, and b, which is small, on all its rows, so W's
+    and the head's gradients and velocities take memory in proportion to
+    what the run touches.
     """
     if len(corpus) == 0:
         raise DataError("tv training needs a non-empty corpus")
@@ -172,49 +168,41 @@ def train_tv(
     starts = np.asarray(starts, dtype=np.int64)
     ends = np.asarray(ends, dtype=np.int64)
 
-    n = len(outputs)
-    n_steps = config.epochs * -(-n // config.batch_size)
     params = [W, b, head_W, head_b]
     # W and the head step on the rows a batch reads; b is small and touched in full
-    velocity = [LazyMomentum(p, config.momentum, n_steps) for p in params]
-    lazy_W, lazy_b, *lazy_head = velocity
-    head_pos = lazy_head[0].position
     b_rows = np.arange(len(b))
-    epoch_losses = []
-    for epoch in range(1, config.epochs + 1):
-        order = rng.permutation(n)
-        loss_sum = 0.0
-        for batch_index, first in enumerate(range(0, n, config.batch_size), start=1):
-            batch = order[first : first + config.batch_size]
-            view = _view_slots(ids, spec, starts[batch], ends[batch])
-            lazy_W.touch(slot_columns([view]))
-            lazy_b.touch(b_rows)
-            head_rows = np.unique(np.concatenate([outputs[idx] for idx in batch]))
-            for lazy in lazy_head:
-                lazy.touch(head_rows)
-            grads = [lazy.grad for lazy in velocity]
-            dW, db, dhead_W, dhead_b = grads
-            H = embedding.features(view, len(batch))
-            dH = np.empty_like(H)
-            for row, idx in enumerate(batch):
-                out_idx = outputs[idx]
-                h = H[row]
-                head = head_W[out_idx]
-                target_vals = np.zeros(len(out_idx))
-                target_vals[: n_targets[idx]] = 1.0
-                pred = head @ h + head_b[out_idx]
-                loss, dpred = square_loss(pred, target_vals)
-                loss_sum += loss
-                dpred /= len(batch)  # the gradients accumulate as the batch mean
-                at = head_pos[out_idx]
-                dhead_W[at] += np.outer(dpred, h)
-                dhead_b[at] += dpred
-                dH[row] = head.T @ dpred
-            if not np.isfinite(loss_sum):
-                raise NumericError(f"non-finite tv loss at epoch {epoch}, batch {batch_index}")
-            embedding.add_grad(np.where(H > 0.0, dH, 0.0), view, dW, db, lazy_W.position)
-            sgd_momentum_step(params, grads, velocity, config.lr)
-        for lazy in velocity:
-            lazy.flush()
-        epoch_losses.append(loss_sum / n)
-    return embedding, epoch_losses
+
+    def step_batch(velocity, epoch, batch):
+        lazy_W, lazy_b, *lazy_head = velocity
+        view = _view_slots(ids, spec, starts[batch], ends[batch])
+        lazy_W.touch(slot_columns([view]))
+        lazy_b.touch(b_rows)
+        head_rows = np.unique(np.concatenate([outputs[idx] for idx in batch]))
+        for lazy in lazy_head:
+            lazy.touch(head_rows)
+        grads = [lazy.grad for lazy in velocity]
+        dW, db, dhead_W, dhead_b = grads
+        head_pos = lazy_head[0].position
+        H = embedding.features(view, len(batch))
+        dH = np.empty_like(H)
+        batch_loss = 0.0
+        for row, idx in enumerate(batch):
+            out_idx = outputs[idx]
+            h = H[row]
+            head = head_W[out_idx]
+            target_vals = np.zeros(len(out_idx))
+            target_vals[: n_targets[idx]] = 1.0
+            pred = head @ h + head_b[out_idx]
+            loss, dpred = square_loss(pred, target_vals)
+            batch_loss += loss
+            dpred /= len(batch)  # the gradients accumulate as the batch mean
+            at = head_pos[out_idx]
+            dhead_W[at] += np.outer(dpred, h)
+            dhead_b[at] += dpred
+            dH[row] = head.T @ dpred
+        embedding.add_grad(np.where(H > 0.0, dH, 0.0), view, dW, db, lazy_W.position)
+        sgd_momentum_step(params, grads, velocity, config.lr)
+        return batch_loss
+
+    epochs = sgd_epochs(params, len(outputs), config, rng, step_batch, "tv loss")
+    return embedding, [loss for _, loss in epochs]

@@ -9,8 +9,8 @@ import numpy as np
 
 from swcnn.evalbench import evaluate
 from swcnn.model import (
-    RegionEmbedding, backward, embed_regions, forward, max_pool, prepare_document,
-    prepare_labeled, zero_grads,
+    ModelGrads, RegionEmbedding, backward, embed_regions, forward, max_pool,
+    prepare_document, prepare_labeled,
 )
 from swcnn.kernels import softmax_xent
 from swcnn.textpipe import BOW_NGRAM, BOW_WORD, CONCAT, OOV, RegionSpec, Vocabulary, region_count
@@ -208,6 +208,18 @@ def random_tiny_instance(seed, with_tvs, dropout=0.0):
     return model, doc
 
 
+def zero_grads(model) -> ModelGrads:
+    """Dense zero gradients for every trainable tensor of ``model``."""
+    return ModelGrads(
+        base_W=np.zeros_like(model.base.W),
+        base_b=np.zeros_like(model.base.b),
+        fusions=[np.zeros_like(tv.fusion) for tv in model.tvs],
+        top_W=np.zeros_like(model.top_W),
+        top_b=np.zeros_like(model.top_b),
+        base_W_pos=np.arange(len(model.base.W)),
+    )
+
+
 def fd_max_rel_error(model, doc, step=1e-5):
     """Worst relative disagreement between backward() and central differences."""
     from swcnn.model import backward
@@ -218,7 +230,7 @@ def fd_max_rel_error(model, doc, step=1e-5):
         return loss, cache, grad_logits
 
     _, cache, grad_logits = loss_and_grad()
-    grads = backward(model, cache, grad_logits)
+    grads = backward(model, cache, grad_logits, zero_grads(model))
     worst = 0.0
     for w, g in zip(model.trainable_params(), grads.as_list()):
         for flat in range(w.size):

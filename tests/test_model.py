@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     _region_vector_unchecked, fd_max_rel_error, random_tiny_instance, rectify_then_pool,
-    region_vector, scatter_reference, slots_reference, sparse_affine, word_vocab,
+    region_vector, scatter_reference, slots_reference, sparse_affine, word_vocab, zero_grads,
 )
 from swcnn.errors import NonFiniteWeights
 from swcnn.kernels import softmax_xent
@@ -26,7 +26,6 @@ from swcnn.model import (
     predict,
     prepare_document,
     prepare_labeled,
-    zero_grads,
 )
 from swcnn.textpipe import (
     BOW_NGRAM, BOW_WORD, CONCAT, RegionSpec, Vocabulary, build_vocab, encode, region_count,
@@ -370,7 +369,7 @@ class TestBackward:
         template, model = small_model()
         doc = prepare_document(model.views, ["w0", "w1", "w2"])
         _, cache = forward(model, doc, train=True, rng=None)
-        grads = backward(model, cache, np.zeros(model.n_classes))
+        grads = backward(model, cache, np.zeros(model.n_classes), zero_grads(model))
         assert not any(g.any() for g in grads.as_list())
 
     def test_single_region_collapses_to_one_layer_net(self):
@@ -383,7 +382,7 @@ class TestBackward:
         hidden = np.maximum(sparse_affine(model.base.W.T, model.base.b, x), 0.0)
         assert np.allclose(logits, model.top_W @ hidden + model.top_b)
         _, _, grad_logits = softmax_xent(logits, 1)
-        grads = backward(model, cache, grad_logits)
+        grads = backward(model, cache, grad_logits, zero_grads(model))
         dv = model.top_W.T @ grad_logits
         dz = np.where(hidden > 0, dv, 0.0)
         expect_dW = np.zeros_like(model.base.W)
@@ -412,7 +411,7 @@ class TestBackward:
         doc = prepare_document(model.views, ["w0", "w1", "w2", "w3"])
         logits, cache = forward(model, doc, train=True, rng=np.random.default_rng(15))
         _, _, grad_logits = softmax_xent(logits, 0)
-        grads = backward(model, cache, grad_logits)
+        grads = backward(model, cache, grad_logits, zero_grads(model))
         dropped = cache.dropout_scale == 0.0
         assert dropped.any()
         assert not grads.top_W[:, dropped].any()
@@ -433,7 +432,7 @@ class TestBackward:
             top_b=model.top_b,
         )
         with pytest.raises(ValueError):
-            backward(other, cache, np.zeros(3))
+            backward(other, cache, np.zeros(3), zero_grads(other))
 
 
 def scatter_case(seed, representation, n_docs=1, order="C", density=0.3):
@@ -546,7 +545,7 @@ class TestRectifyAfterPooling:
     def assert_bitwise(model, doc, seed=0):
         logits, cache = forward(model, doc, train=True, rng=np.random.default_rng(seed))
         _, _, grad_logits = softmax_xent(logits, doc.label)
-        grads = backward(model, cache, grad_logits)
+        grads = backward(model, cache, grad_logits, zero_grads(model))
         want_logits, want = rectify_then_pool(model, doc, train=True,
                                               rng=np.random.default_rng(seed))
         assert logits.tobytes() == want_logits.tobytes()
@@ -705,7 +704,7 @@ class TestFrozenTv:
         snapshots = [(tv.embedding.W.copy(), tv.embedding.b.copy()) for tv in model.tvs]
         logits, cache = forward(model, doc, train=True, rng=None)
         _, _, grad_logits = softmax_xent(logits, doc.label)
-        grads = backward(model, cache, grad_logits)
+        grads = backward(model, cache, grad_logits, zero_grads(model))
         assert isinstance(grads, ModelGrads)
         for tv, (w0, b0) in zip(model.tvs, snapshots):
             assert np.array_equal(tv.embedding.W, w0)
@@ -718,6 +717,6 @@ class TestFrozenTv:
         acc = zero_grads(model)
         backward(model, cache, grad_logits, out=acc)
         backward(model, cache, grad_logits, out=acc)
-        single = backward(model, cache, grad_logits)
+        single = backward(model, cache, grad_logits, zero_grads(model))
         for twice, once in zip(acc.as_list(), single.as_list()):
             assert np.allclose(twice, 2 * once)

@@ -8,7 +8,7 @@ import pytest
 
 import swcnn
 from helpers import (
-    compact_scatter_reference, dense_momentum_step, dense_train, rel_err,
+    compact_scatter_reference, dense_momentum_step, dense_train, markov_corpus, rel_err,
     trigger_bigram_dataset,
 )
 from swcnn.errors import DataError, NumericError
@@ -23,9 +23,11 @@ from swcnn.train import (
     init_model,
     lr_at_epoch,
     select_model,
+    sgd_epochs,
     sgd_momentum_step,
     train,
 )
+from swcnn.tv import TvTrainConfig
 
 
 class TestHoldoutSplit:
@@ -181,6 +183,128 @@ class TestLazyMomentum:
         w = make(np.zeros((6, 8)))
         with pytest.raises(ValueError, match="rows .* are not contiguous"):
             LazyMomentum(w, 0.9, 3)
+
+
+class TestSgdEpochs:
+    CONFIGS = [
+        pytest.param(TrainConfig(epochs=3, decay_epoch=3, batch_size=4), id="train"),
+        pytest.param(TvTrainConfig(epochs=3, batch_size=4), id="tv"),
+    ]
+
+    @staticmethod
+    def record(batches, loss=0.0):
+        def step_batch(velocity, epoch, batch):
+            batches.append((epoch, batch.copy()))
+            return loss
+        return step_batch
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_each_epoch_covers_every_example_once_in_short_last_batches(self, config):
+        batches = []
+        yielded = list(sgd_epochs([np.zeros((3, 2))], 10, config, np.random.default_rng(1),
+                                  self.record(batches, loss=2.5), "loss"))
+        assert yielded == [(1, 0.75), (2, 0.75), (3, 0.75)]  # 3 batches of 2.5 over 10
+        assert [epoch for epoch, _ in batches] == [1] * 3 + [2] * 3 + [3] * 3
+        assert [len(batch) for _, batch in batches] == [4, 4, 2] * 3
+        for epoch in (1, 2, 3):
+            seen = np.concatenate([batch for e, batch in batches if e == epoch])
+            assert sorted(seen.tolist()) == list(range(10))
+
+    def test_one_permutation_per_epoch(self):
+        rng = np.random.default_rng(7)
+        batches = []
+        for _ in sgd_epochs([np.zeros(3)], 10, TvTrainConfig(epochs=3, batch_size=4), rng,
+                            self.record(batches), "tv loss"):
+            pass
+        fresh = np.random.default_rng(7)
+        orders = [fresh.permutation(10) for _ in range(3)]
+        assert rng.bit_generator.state == fresh.bit_generator.state
+        for epoch, order in enumerate(orders, start=1):
+            got = np.concatenate([batch for e, batch in batches if e == epoch])
+            assert np.array_equal(got, order)
+
+    def test_weights_are_current_at_each_yield(self):
+        # example i pulls row i of W towards target[i]; rows 20..29 are
+        # never touched and the batch rows change from batch to batch, so
+        # most rows are behind until the epoch end brings them up to date
+        rng = np.random.default_rng(3)
+        target = rng.normal(size=(30, 2))
+        W, b = rng.normal(size=(30, 2)), rng.normal(size=2)
+        W_ref, b_ref = W.copy(), b.copy()
+        v_ref = [np.zeros_like(W), np.zeros_like(b)]
+        config = TrainConfig(epochs=4, decay_epoch=4, batch_size=6, momentum=0.9)
+        lr = 0.1
+
+        def step_batch(velocity, epoch, batch):
+            lazy_W, lazy_b = velocity
+            rows = np.sort(batch)
+            lazy_W.touch(rows)
+            lazy_b.touch(np.arange(2))
+            diff = W[rows] - target[rows] + b
+            lazy_W.grad[...] = diff
+            lazy_b.grad[...] = diff.sum(axis=0)
+            sgd_momentum_step([W, b], [lazy_W.grad, lazy_b.grad], velocity, lr)
+            return float(np.sum(diff * diff))
+
+        def reference_epoch(order):
+            total = 0.0
+            for first in range(0, len(order), config.batch_size):
+                rows = np.sort(order[first : first + config.batch_size])
+                diff = W_ref[rows] - target[rows] + b_ref
+                dW = np.zeros_like(W_ref)
+                dW[rows] = diff
+                dense_momentum_step([W_ref, b_ref], [dW, diff.sum(axis=0)], v_ref, lr, 0.9)
+                total += float(np.sum(diff * diff))
+            return total / len(order)
+
+        ref_rng = np.random.default_rng(11)
+        for epoch, loss in sgd_epochs([W, b], 20, config, np.random.default_rng(11),
+                                      step_batch, "loss"):
+            want_loss = reference_epoch(ref_rng.permutation(20))
+            assert rel_err(W, W_ref) <= 1e-12
+            assert rel_err(b, b_ref) <= 1e-12
+            assert abs(loss - want_loss) <= 1e-12 * want_loss
+
+    @pytest.mark.parametrize("what", ["loss", "tv loss"])
+    def test_nan_at_the_last_batch_names_its_epoch_and_number(self, what):
+        def step_batch(velocity, epoch, batch):
+            calls.append(epoch)
+            return float("nan") if len(calls) == 6 else 1.0
+
+        calls = []
+        with pytest.raises(NumericError, match=rf"^non-finite {what} at epoch 2, batch 3$"):
+            for _ in sgd_epochs([np.zeros(2)], 10, TrainConfig(epochs=3, decay_epoch=3,
+                                batch_size=4), np.random.default_rng(0), step_batch, what):
+                pass
+        assert len(calls) == 6
+
+    def test_a_running_total_that_overflows_raises(self):
+        # every batch's loss is finite; their sum is not
+        with pytest.raises(NumericError, match=r"^non-finite loss at epoch 1, batch 2$"):
+            for _ in sgd_epochs([np.zeros(2)], 10, TvTrainConfig(epochs=2, batch_size=4),
+                                np.random.default_rng(0), self.record([], loss=1e308), "loss"):
+                pass
+
+    def test_train_and_train_tv_run_through_the_driver(self, monkeypatch):
+        import swcnn.tv as tv
+        from swcnn.textpipe import BOW_WORD, RegionSpec, build_vocab
+
+        calls = []
+
+        def counting(*args):
+            calls.append(args[-1])
+            return sgd_epochs(*args)
+
+        monkeypatch.setattr("swcnn.train.sgd_epochs", counting)
+        monkeypatch.setattr(tv, "sgd_epochs", counting)
+        data = tiny_task(30)
+        train(tiny_template(data), TrainConfig(epochs=2, decay_epoch=2, batch_size=10), data)
+        assert calls == ["loss"]
+        corpus = markov_corpus(6, doc_len=12, n_states=10)
+        vocab = build_vocab(corpus, "word", 100)
+        tv.train_tv(corpus, RegionSpec(BOW_WORD, 3, len(vocab)), vocab, vocab, 4,
+                    TvTrainConfig(epochs=2, negatives=3))
+        assert calls == ["loss", "tv loss"]
 
 
 class TestLrSchedule:
