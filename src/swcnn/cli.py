@@ -15,6 +15,7 @@ import ctypes
 import os
 import signal
 import sys
+from contextlib import contextmanager
 
 from swcnn import config as cfgmod
 from swcnn.config import RunConfig, apply_setting, parse_config, validate_config
@@ -124,14 +125,6 @@ def _output(path):
     return path
 
 
-def _samples(path, records, n_classes):
-    """Tokenized samples of the records read from ``path``; labels run 1..n_classes."""
-    for number, record in enumerate(records, start=1):
-        if record.label > n_classes:
-            raise DataError(f"{path}: record {number}: label {record.label} outside 1..{n_classes}")
-    return to_samples(records)
-
-
 def _load_word_vocab(path):
     vocab = load_vocab(path)
     if vocab.kind != WORD:
@@ -186,11 +179,12 @@ def cmd_tv_train(args, cfg: RunConfig) -> int:
 
 
 def _training_inputs(args, cfg: RunConfig):
+    """(train set, validation set, template): the one holdout split of train and select."""
     _output(_need(args.output, "--output path"))
     _output(args.metrics)
     records = load_csv(_need(args.input, "--input CSV"))
     n_classes = cfg.n_classes or n_classes_of(records)
-    samples = _samples(args.input, records, n_classes)
+    samples = to_samples(args.input, records, n_classes)
     word_vocab = _load_word_vocab(_need(args.word_vocab, "--word-vocab"))
     tvs = tuple(load_embedding(p) for p in args.tv)
     template = ModelTemplate(
@@ -207,7 +201,8 @@ def _training_inputs(args, cfg: RunConfig):
         raise UsageError(
             f"holdout {n_holdout} leaves no training records: {args.input} has {len(samples)}"
         )
-    return samples, template, n_holdout
+    train_set, val_set = holdout_split(samples, n_holdout, cfg.seed)
+    return train_set, val_set, template
 
 
 def _write_lines(path, lines) -> None:
@@ -236,8 +231,7 @@ def _save_trained(args, model, lines) -> int:
 
 
 def cmd_train(args, cfg: RunConfig) -> int:
-    samples, template, n_holdout = _training_inputs(args, cfg)
-    train_set, val_set = holdout_split(samples, n_holdout, cfg.seed)
+    train_set, val_set, template = _training_inputs(args, cfg)
     if not val_set:
         print("note: empty validation holdout, reporting training loss only")
     model, metrics = train(template, cfgmod.train_config(cfg), train_set, val_set)
@@ -245,12 +239,12 @@ def cmd_train(args, cfg: RunConfig) -> int:
 
 
 def cmd_select(args, cfg: RunConfig) -> int:
-    samples, template, n_holdout = _training_inputs(args, cfg)
-    best_model, report = select_model(
-        cfgmod.selection_grid(cfg), template, cfgmod.train_config(cfg), samples, n_holdout
-    )
-    if not report.used_validation:
+    train_set, val_set, template = _training_inputs(args, cfg)
+    if not val_set:
         print("note: empty validation holdout, selecting on training loss")
+    best_model, report = select_model(
+        cfgmod.selection_grid(cfg), template, cfgmod.train_config(cfg), train_set, val_set
+    )
     lines = []
     for pt in report.points:
         point = (f"point region_size={pt.region_size} pooling_k={pt.pooling_k} "
@@ -287,15 +281,22 @@ def _heap_temporaries() -> None:
     mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
 
 
-def cmd_eval(args, cfg: RunConfig) -> int:
-    _output(args.table)
+@contextmanager
+def _test_set(args):
+    """The --model container and the --input CSV's documents, prepared as read;
+    a non-finite weight they read in the ``with`` body is a DataError naming both files."""
     model = load_model(_need(args.model, "--model path"))
     records = load_csv(_need(args.input, "--input CSV"))
-    docs = prepare_labeled(model, _samples(args.input, records, model.n_classes))
     try:
-        report = evaluate(model, docs)
+        yield model, prepare_labeled(model, to_samples(args.input, records, model.n_classes))
     except NonFiniteWeights as exc:
         raise DataError(f"{args.model}: {args.input}: {exc}") from None
+
+
+def cmd_eval(args, cfg: RunConfig) -> int:
+    _output(args.table)
+    with _test_set(args) as (model, docs):
+        report = evaluate(model, docs)
     print(f"n_docs={report.n_docs}")
     print(f"n_errors={report.n_errors}")
     print(f"error_rate_percent={report.error_rate_percent:.4f}")
@@ -328,13 +329,8 @@ def cmd_predict(args, cfg: RunConfig) -> int:
 
 def cmd_bench(args, cfg: RunConfig) -> int:
     if args.model or args.input:
-        model = load_model(_need(args.model, "--model path"))
-        records = load_csv(_need(args.input, "--input CSV"))
-        docs = list(prepare_labeled(model, _samples(args.input, records, model.n_classes)))
-        try:
-            report = time_inference(model, docs, repetitions=3)
-        except NonFiniteWeights as exc:
-            raise DataError(f"{args.model}: {args.input}: {exc}") from None
+        with _test_set(args) as (model, docs):
+            report = time_inference(model, list(docs), repetitions=3)
         print(
             f"timing n_docs={report.n_docs} total_seconds={report.total_seconds:.6f} "
             f"docs_per_second={report.docs_per_second:.1f}"

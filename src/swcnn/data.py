@@ -4,8 +4,8 @@ The distributed corpora are CSV files: every field double-quoted with
 embedded quotes doubled, the first field a 1-based class index, the
 remaining fields text (title, body, ...) that may contain the literal
 two-character sequence backslash-n.  The loader concatenates the text
-fields with a single space; labels stay 1-based in records and are
-converted to 0-based at encoding time.
+fields with a single space; labels stay 1-based in records, and
+``to_samples`` checks them against the class count and makes them 0-based.
 
 Vocabulary files are plain text: a ``kind=`` header line, then one
 ``token<TAB>frequency`` line per id, in id order.  A vocabulary has at
@@ -86,8 +86,12 @@ def read_lines(path, what: str) -> list[str]:
         raise _utf8_error(path) from None
 
 
-def to_samples(records) -> list[tuple[list[str], int]]:
-    """Tokenized (tokens, 0-based label) pairs for training/evaluation."""
+def to_samples(path, records, n_classes: int) -> list[tuple[list[str], int]]:
+    """(tokens, 0-based label) pairs of the records read from ``path``; a
+    label above ``n_classes`` raises ``DataError`` naming the file and record."""
+    for number, record in enumerate(records, start=1):
+        if record.label > n_classes:
+            raise DataError(f"{path}: record {number}: label {record.label} outside 1..{n_classes}")
     return [(tokenize(r.text), r.label - 1) for r in records]
 
 

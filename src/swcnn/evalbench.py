@@ -173,9 +173,9 @@ def vocab_independence_bench(
     return times[v_large] / times[v_small]
 
 
-def _densify(view: PreparedView, n_regions: int) -> np.ndarray:
-    X = np.zeros((n_regions, view.input_dim))
-    rows = np.broadcast_to(np.arange(n_regions), view.table.shape)
+def _densify(view: PreparedView) -> np.ndarray:
+    X = np.zeros((view.table.shape[1], view.input_dim))
+    rows = np.broadcast_to(np.arange(len(X)), view.table.shape)
     hit = view.table >= 0
     np.add.at(X, (rows[hit], view.table[hit]), 1.0)
     return X
@@ -202,7 +202,7 @@ def dense_control_ratio(
     times = {}
     for v in (v_small, v_large):
         model, doc = _bench_setup(d, p, pattern, v, seed)
-        X = _densify(doc.views[0], doc.n_regions)
+        X = _densify(doc.views[0])
 
         def dense_forward():
             Z = np.einsum("rv,vd->rd", X, model.base.W) + model.base.b

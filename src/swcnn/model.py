@@ -106,14 +106,14 @@ class RegionEmbedding:
     def dim(self) -> int:
         return self.W.shape[1]
 
-    def features(self, view: PreparedView, n_regions: int, check: str = "") -> np.ndarray:
+    def features(self, view: PreparedView, check: str = "") -> np.ndarray:
         """relu(W x + b) for every region position of ``view``, as (R, dim).
 
         Given a view name to ``check``, a W x that is not finite raises
         ``NonFiniteWeights`` naming it; the check comes before the relu,
         which would turn a -inf into 0.
         """
-        H = embed_regions(self.W, view, n_regions)
+        H = embed_regions(self.W, view)
         if check:
             _require_finite(H, check)
         H += self.b
@@ -196,7 +196,6 @@ class PreparedView:
 @dataclass
 class PreparedDoc:
     label: int
-    n_regions: int
     views: tuple[PreparedView, ...]
 
 
@@ -239,13 +238,12 @@ def prepare_document(
     ``ShallowModel.views``; the first view's region size sets the number
     of region positions.
     """
-    n_regions = region_count(len(tokens), views[0][0].region_size)
-    starts = np.arange(n_regions)
+    starts = np.arange(region_count(len(tokens), views[0][0].region_size))
     prepared = tuple(
         _view_slots(encode(tokens, vocab), spec, starts, len(tokens))
         for spec, vocab in views
     )
-    return PreparedDoc(label=label, n_regions=n_regions, views=prepared)
+    return PreparedDoc(label=label, views=prepared)
 
 
 def prepare_labeled(model: ShallowModel, samples: Iterable) -> Iterator[PreparedDoc]:
@@ -261,11 +259,11 @@ def prepare_labeled(model: ShallowModel, samples: Iterable) -> Iterator[Prepared
         yield prepare_document(views, tokens, label)
 
 
-def embed_regions(W: np.ndarray, view: PreparedView, n_regions: int) -> np.ndarray:
+def embed_regions(W: np.ndarray, view: PreparedView) -> np.ndarray:
     """Accumulate W x for every region position of one view, as (R, d)."""
     if len(W) != view.input_dim:
         raise ValueError(f"view input dim {view.input_dim} does not match W")
-    Z = np.zeros((n_regions, W.shape[1]))
+    Z = np.zeros((view.table.shape[1], W.shape[1]))
     for cols in view.table:
         # fancy indexing, not take: take copies a mapped W that is not 8-byte aligned
         g = W[cols]
@@ -329,12 +327,12 @@ def forward(model: ShallowModel, doc: PreparedDoc, train: bool = False, rng=None
     """
     if len(doc.views) != 1 + len(model.tvs):
         raise ValueError("document views do not match the model")
-    Z = embed_regions(model.base.W, doc.views[0], doc.n_regions)
+    Z = embed_regions(model.base.W, doc.views[0])
     if not train:
         _require_finite(Z, "the base view")
     tv_outputs = []
     for i, (tv, view) in enumerate(zip(model.tvs, doc.views[1:]), start=1):
-        hidden = tv.embedding.features(view, doc.n_regions, check="" if train else f"tv view {i}")
+        hidden = tv.embedding.features(view, check="" if train else f"tv view {i}")
         tv_outputs.append(hidden)
         Z += hidden @ tv.fusion.T
     Z += model.base.b
@@ -395,7 +393,7 @@ def backward(model: ShallowModel, cache: ForwardCache, grad_logits: np.ndarray, 
     if cache.dropout_scale is not None:
         dv = dv * cache.dropout_scale
     valid = cache.pool_rows >= 0
-    dZ = np.zeros((cache.prep.n_regions, model.base.dim))
+    dZ = np.zeros((cache.prep.views[0].table.shape[1], model.base.dim))
     # units cover disjoint spans, so no (row, col) repeats; += turns -0.0 into +0.0
     dZ[cache.pool_rows[valid], valid.nonzero()[1]] += dv.reshape(valid.shape)[valid]
     model.base.add_grad(dZ, cache.prep.views[0], out.base_W, out.base_b, out.base_W_pos)

@@ -81,11 +81,11 @@ class Vocabulary:
         return len(self.entries)
 
 
-def iter_ngrams(tokens: Sequence[str], max_n: int = 3) -> Iterable[str]:
-    """All contiguous 1..max_n-grams of a token sequence, space-joined."""
+def iter_ngrams(tokens: Sequence[str]) -> Iterable[str]:
+    """All contiguous 1..3-grams of a token sequence, space-joined."""
     n_tokens = len(tokens)
     for i in range(n_tokens):
-        for n in range(1, max_n + 1):
+        for n in (1, 2, 3):
             if i + n > n_tokens:
                 break
             yield " ".join(tokens[i : i + n])

@@ -423,26 +423,25 @@ class GridPoint:
 class SelectionReport:
     points: list[GridPoint] = field(default_factory=list)
     chosen: GridPoint | None = None
-    used_validation: bool = True
 
 
 def select_model(
     grid: SelectionGrid,
     template: ModelTemplate,
     config: TrainConfig,
-    data: Sequence,
-    n_holdout: int,
+    train_set: Sequence,
+    val_set: Sequence,
 ):
     """Train one model per grid point and keep the validation winner.
 
-    Ties break toward smaller region size, then smaller pooling k, then
-    smaller learning rate.  With an empty holdout the final training loss
-    substitutes for validation error (reported as such).  A point whose
-    training diverges is reported with its reason and never chosen; if
-    every point diverges, ``NumericError`` is raised.
+    Every point trains on ``train_set`` and is scored on ``val_set``, the
+    split ``train`` takes.  Ties break toward smaller region size, then
+    smaller pooling k, then smaller learning rate.  With an empty
+    ``val_set`` the final training loss substitutes for validation error.
+    A point whose training diverges is reported with its reason and never
+    chosen; if every point diverges, ``NumericError`` is raised.
     """
-    train_set, val_set = holdout_split(data, n_holdout, config.seed)
-    report = SelectionReport(used_validation=bool(val_set))
+    report = SelectionReport()
     best = None
     best_model = None
     for region_size in grid.region_sizes:

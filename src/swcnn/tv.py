@@ -33,7 +33,7 @@ from swcnn.textpipe import (
 from swcnn.train import sgd_epochs, sgd_momentum_step, slot_columns
 
 # benchmark/tracer.py still wraps these two names, so they must resolve;
-# nothing calls them.  ROADMAP item 1 deletes this line.
+# nothing calls them.  ROADMAP item 2 deletes this line.
 region_vector = sparse_affine = None
 
 
@@ -183,7 +183,7 @@ def train_tv(
         grads = [lazy.grad for lazy in velocity]
         dW, db, dhead_W, dhead_b = grads
         head_pos = lazy_head[0].position
-        H = embedding.features(view, len(batch))
+        H = embedding.features(view)
         dH = np.empty_like(H)
         batch_loss = 0.0
         for row, idx in enumerate(batch):

@@ -333,10 +333,10 @@ def rectify_then_pool(model, doc, train=False, rng=None):
     the pooled gradient is routed back one pooling unit at a time.
     Returns (logits, ModelGrads) for the softmax loss on ``doc.label``.
     """
-    Z = embed_regions(model.base.W, doc.views[0], doc.n_regions)
+    Z = embed_regions(model.base.W, doc.views[0])
     tv_outputs = []
     for tv, view in zip(model.tvs, doc.views[1:]):
-        hidden = embed_regions(tv.embedding.W, view, doc.n_regions)
+        hidden = embed_regions(tv.embedding.W, view)
         hidden += tv.embedding.b
         np.maximum(hidden, 0.0, out=hidden)
         tv_outputs.append(hidden)
@@ -362,7 +362,7 @@ def rectify_then_pool(model, doc, train=False, rng=None):
     if dropout_scale is not None:
         dv = dv * dropout_scale
     dpool = dv.reshape(k, d)
-    dH = np.zeros((doc.n_regions, d))
+    dH = np.zeros_like(Z)
     col_range = np.arange(d)
     for u in range(k):
         rows = pool_rows[u]

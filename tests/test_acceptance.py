@@ -95,8 +95,7 @@ def test_03_sparse_dense_equivalence(capsys):
         n_regions = region_count(len(ids), p)
         W = np.ascontiguousarray(rng.normal(size=(d, spec.input_dim)).T)
         b = rng.normal(size=d)
-        sweep = embed_regions(W, _view_slots(ids, spec, np.arange(n_regions), len(ids)),
-                              n_regions) + b
+        sweep = embed_regions(W, _view_slots(ids, spec, np.arange(n_regions), len(ids))) + b
         X = np.zeros((n_regions, spec.input_dim))
         for pos in range(n_regions):
             x = region_vector(ids, pos, spec)

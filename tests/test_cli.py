@@ -328,6 +328,33 @@ class TestPipeline:
         assert "every grid point diverged" in capsys.readouterr().err
         assert not model_path.exists()
 
+    @pytest.mark.parametrize("holdout", [6, 0])
+    def test_select_over_one_point_writes_what_train_writes(self, task_files, capsys, holdout):
+        # both commands train on the same seeded split of the same CSV
+        tmp_path, train_csv, _, config = task_files
+        vocab_path = tmp_path / "w.vocab"
+        run(["vocab", "--config", config, "--input", train_csv, "--output", vocab_path])
+        common = ["--config", config, "--input", train_csv, "--word-vocab", vocab_path,
+                  "--set", f"holdout={holdout}"]
+        capsys.readouterr()
+        assert run(["select", *common, "--output", tmp_path / "selected.swcn",
+                    "--set", "profile=sentiment", "--set", "grid_region_sizes=3",
+                    "--set", "grid_initial_lrs=0.1"]) == 0
+        select_out = capsys.readouterr().out
+        assert run(["train", *common, "--output", tmp_path / "trained.swcn",
+                    "--set", "region_size=3", "--set", "pooling_k=1",
+                    "--set", "initial_lr=0.1"]) == 0
+        train_out = capsys.readouterr().out
+        assert (tmp_path / "selected.swcn").read_bytes() == (tmp_path / "trained.swcn").read_bytes()
+        notes = [line for out in (select_out, train_out)
+                 for line in out.splitlines() if line.startswith("note:")]
+        assert notes == ([] if holdout else [
+            "note: empty validation holdout, selecting on training loss",
+            "note: empty validation holdout, reporting training loss only",
+        ])
+        # each note comes first, before the lines it qualifies
+        assert holdout or (select_out.startswith("note:") and train_out.startswith("note:"))
+
     def test_train_is_reproducible_byte_for_byte(self, task_files):
         tmp_path, train_csv, _, config = task_files
         vocab_path = tmp_path / "w.vocab"

@@ -38,7 +38,7 @@ class TestLoadCsv:
         path.write_text('"2","line one\\nline two"\n', encoding="utf-8")
         records = load_csv(path)
         assert "\\n" in records[0].text
-        tokens, label = to_samples(records)[0]
+        tokens, label = to_samples(path, records, 2)[0]
         assert label == 1
         assert tokens == ["line", "one", "line", "two"]
 
@@ -132,8 +132,8 @@ def test_corrupt_csv_is_records_or_a_data_error(tmp_path, offset, byte):
     write_corrupted(path, VALID_CSV, offset, byte)
     try:
         records = load_csv(path)
-        samples = to_samples(records)
         n_classes = n_classes_of(records)
+        samples = to_samples(path, records, n_classes)
     except DataError:
         return
     assert all(isinstance(r, DatasetRecord) and r.label >= 1 for r in records)

@@ -571,7 +571,7 @@ class TestSelectModel:
         template = tiny_template(data)
         grid = SelectionGrid(region_sizes=(3,), pooling_ks=(1,), initial_lrs=(0.05,))
         config = TrainConfig(initial_lr=0.0, epochs=1, decay_epoch=1, seed=0)
-        model, report = select_model(grid, template, config, data, n_holdout=10)
+        model, report = select_model(grid, template, config, *holdout_split(data, 10, config.seed))
         assert model is not None
         assert len(report.points) == 1
         assert report.chosen == report.points[0]
@@ -583,7 +583,7 @@ class TestSelectModel:
         # lr=0 makes every grid point identical, so scores tie exactly
         grid = SelectionGrid(region_sizes=(5, 3), pooling_ks=(2, 1), initial_lrs=(0.0,))
         config = TrainConfig(initial_lr=0.0, epochs=1, decay_epoch=1, seed=0)
-        _, report = select_model(grid, template, config, data, n_holdout=10)
+        _, report = select_model(grid, template, config, *holdout_split(data, 10, config.seed))
         assert report.chosen.region_size == 3
         assert report.chosen.pooling_k == 1
 
@@ -592,7 +592,7 @@ class TestSelectModel:
         template = tiny_template(data)
         grid = SelectionGrid(region_sizes=(2, 3), pooling_ks=(1,), initial_lrs=(0.01, 0.05))
         config = TrainConfig(initial_lr=0.0, epochs=1, decay_epoch=1, seed=0)
-        _, report = select_model(grid, template, config, data, n_holdout=10)
+        _, report = select_model(grid, template, config, *holdout_split(data, 10, config.seed))
         assert len(report.points) == 4
         assert all(isinstance(p, GridPoint) for p in report.points)
         assert all(p.val_error is not None for p in report.points)
@@ -603,7 +603,7 @@ class TestSelectModel:
         # 1e200 sorts first among the scores of a diverged run, were it kept
         grid = SelectionGrid(region_sizes=(3,), pooling_ks=(1,), initial_lrs=(1e200, 0.05))
         config = TrainConfig(epochs=2, decay_epoch=1, seed=0, batch_size=20)
-        model, report = select_model(grid, template, config, data, n_holdout=10)
+        model, report = select_model(grid, template, config, *holdout_split(data, 10, config.seed))
         diverged, trained = report.points
         assert diverged.initial_lr == 1e200
         assert diverged.diverged.startswith("non-finite loss at epoch 1, batch ")
@@ -617,7 +617,7 @@ class TestSelectModel:
         grid = SelectionGrid(region_sizes=(3,), pooling_ks=(1,), initial_lrs=(1e200, 1e300))
         config = TrainConfig(epochs=2, decay_epoch=1, seed=0, batch_size=20)
         with pytest.raises(NumericError, match="every grid point diverged"):
-            select_model(grid, template, config, data, n_holdout=10)
+            select_model(grid, template, config, *holdout_split(data, 10, config.seed))
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -633,7 +633,7 @@ class TestSelectModel:
         template = ModelTemplate(base_vocab=vocab, n_classes=2, embed_dim=48, pooling_k=1)
         grid = SelectionGrid(region_sizes=(3, 5), pooling_ks=(1,), initial_lrs=(0.1,))
         config = TrainConfig(initial_lr=0.1, epochs=10, decay_epoch=8, seed=3)
-        _, report = select_model(grid, template, config, data, n_holdout=120)
+        _, report = select_model(grid, template, config, *holdout_split(data, 120, config.seed))
         by_size = {p.region_size: p.val_error for p in report.points}
         assert by_size[5] < by_size[3]
         assert report.chosen.region_size == 5
