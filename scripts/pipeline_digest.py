@@ -7,13 +7,17 @@ corpus, one child process per command:
     vocab (word, ngram123)
     tv-train (bow-word, bow-ngram123)
     train --tv --tv --metrics at pooling_k=2
-    eval --table, predict on the test texts, a 4-point select
+    eval --table, predict on the test texts, a 4-point select,
+    params with two tv views
 
 and prints one line ``<sha256>  <name>`` per command's standard output and
 per file the pipeline writes.  Every ``seconds=`` value is stripped from
 the standard outputs and the metrics file first, and the work directory
 from the standard outputs, so two trees that train, answer and serialize
-identically print identical lines.
+identically print identical lines.  Then ``params`` runs once per rejected
+setting in ``REJECTED``, through a config file and through ``--set``; each
+run prints one line ``<sha256>  <name>.rejected`` of its exit code and its
+standard error, with the work directory stripped.
 
 Usage:
 
@@ -129,8 +133,34 @@ def pipeline(paths: dict, caps: tuple[int, int], work: Path):
         ("select", ["select", *conf, "--set", "profile=topic", "--set", "grid_region_sizes=3",
                     "--set", "grid_initial_lrs=0.1,0.05", "--input", paths["train.csv"],
                     "--word-vocab", out["word.vocab"], "--output", out["selected.swcn"]], None),
+        ("params", ["params", *conf, "--set", "tv_specs=bow:5,ngram:9"], None),
     ]
     return commands, out
+
+
+# one setting per message form of the settings reader, each of which params rejects
+REJECTED = {
+    "bad-integer": "seed=many",
+    "bad-number": "initial_lr=fast",
+    "not-finite": "initial_lr=nan",
+    "bad-bool": "small_data=maybe",
+    "bad-integers": "grid_region_sizes=3,x",
+    "bad-numbers": "grid_initial_lrs=0.1,y",
+    "unknown-key": "mystery=1",
+    "no-equals": "seed",
+    "below-least": "embed_dim=0",
+    "unknown-profile": "profile=news",
+    "bad-tv-spec": "tv_specs=bow:5,cnn:3",
+}
+
+
+def rejected_runs(work: Path):
+    """(name, argv) of each rejected setting, read from a config file and from --set."""
+    for name, setting in REJECTED.items():
+        conf = work / f"rejected-{name}.conf"
+        conf.write_text(f"n_classes=2\n{setting}\n", encoding="utf-8")
+        yield f"params-{name}-file", ["params", "--config", conf]
+        yield f"params-{name}-set", ["params", "--set", "n_classes=2", "--set", setting]
 
 
 def digest(data: bytes, strip: bool) -> str:
@@ -160,10 +190,14 @@ def main(argv=None) -> int:
         else:
             paths, caps = workload_inputs(args.workload, args.seed, work)
         commands, outputs = pipeline(paths, caps, work)
+
+        def swcnn(cmd, stdin=None):
+            with open(stdin or os.devnull, "rb") as source:
+                return subprocess.run([sys.executable, "-m", "swcnn", *map(str, cmd)],
+                                      stdin=source, capture_output=True, env=env)
+
         for name, cmd, stdin in commands:
-            with open(stdin, "rb") if stdin else open(os.devnull, "rb") as source:
-                child = subprocess.run([sys.executable, "-m", "swcnn", *map(str, cmd)],
-                                       stdin=source, capture_output=True, env=env)
+            child = swcnn(cmd, stdin)
             if child.returncode != 0:
                 sys.stderr.write(child.stderr.decode("utf-8", "replace"))
                 print(f"error: {name} exited {child.returncode}", file=sys.stderr)
@@ -171,6 +205,10 @@ def main(argv=None) -> int:
             print(f"{stdout_digest(child.stdout, work)}  {name}.stdout")
         for name, path in outputs.items():
             print(f"{digest(path.read_bytes(), strip=name == 'metrics.txt')}  {name}")
+        for name, cmd in rejected_runs(work):
+            child = swcnn(cmd)
+            record = b"exit=%d\n" % child.returncode + child.stderr
+            print(f"{stdout_digest(record, work)}  {name}.rejected")
     return 0
 
 

@@ -18,7 +18,7 @@ import sys
 from contextlib import contextmanager
 
 from swcnn import config as cfgmod
-from swcnn.config import RunConfig, apply_setting, parse_config, validate_config
+from swcnn.config import RunConfig, load_config
 from swcnn.data import atomic_write, load_csv, load_vocab, n_classes_of, save_vocab, to_samples
 from swcnn.errors import DataError, NonFiniteWeights, NumericError, UsageError
 from swcnn.evalbench import (
@@ -44,8 +44,9 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="swcnn", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text):
+    def add(name, handler, help_text):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
         p.add_argument("--config", help="key=value config file")
         p.add_argument(
             "--set",
@@ -56,13 +57,13 @@ def _build_parser() -> _Parser:
         )
         return p
 
-    p = add("vocab", "build a capped frequency-ranked vocabulary from a CSV")
+    p = add("vocab", cmd_vocab, "build a capped frequency-ranked vocabulary from a CSV")
     p.add_argument("--input", help="training CSV")
     p.add_argument("--output", help="vocabulary file to write")
     p.add_argument("--kind", choices=[WORD, NGRAM123], default=WORD)
     p.add_argument("--cap", type=int, help="vocabulary size cap")
 
-    p = add("tv-train", "train a two-view region embedding")
+    p = add("tv-train", cmd_tv_train, "train a two-view region embedding")
     p.add_argument("--input", help="training CSV (labels are ignored)")
     p.add_argument("--word-vocab", dest="word_vocab", help="word vocabulary file")
     p.add_argument(
@@ -72,8 +73,11 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("--output", help="embedding container to write")
 
-    for name in ("train", "select"):
-        p = add(name, "train one model" if name == "train" else "grid-search region size, pooling and learning rate")
+    for name, handler, help_text in (
+        ("train", cmd_train, "train one model"),
+        ("select", cmd_select, "grid-search region size, pooling and learning rate"),
+    ):
+        p = add(name, handler, help_text)
         p.add_argument("--input", help="training CSV")
         p.add_argument("--word-vocab", dest="word_vocab", help="word vocabulary file")
         p.add_argument(
@@ -85,31 +89,20 @@ def _build_parser() -> _Parser:
         p.add_argument("--output", help="model container to write")
         p.add_argument("--metrics", help="metrics file to write")
 
-    p = add("eval", "error rate of a trained model on a labeled CSV")
+    p = add("eval", cmd_eval, "error rate of a trained model on a labeled CSV")
     p.add_argument("--model", help="model container")
     p.add_argument("--input", help="test CSV")
     p.add_argument("--table", help="optional confusion-table TSV to write")
 
-    p = add("predict", "read one document per line on stdin, print class indices")
+    p = add("predict", cmd_predict, "read one document per line on stdin, print class indices")
     p.add_argument("--model", help="model container")
 
-    p = add("bench", "inference timing and the vocabulary-independence measurement")
+    p = add("bench", cmd_bench, "inference timing and the vocabulary-independence measurement")
     p.add_argument("--model", help="model container (timing)")
     p.add_argument("--input", help="test CSV (timing)")
 
-    add("params", "parameter count for the configured architecture")
+    add("params", cmd_params, "parameter count for the configured architecture")
     return parser
-
-
-def _load_config(args) -> RunConfig:
-    cfg = parse_config(args.config) if args.config else RunConfig()
-    for item in args.set:
-        key, sep, value = item.partition("=")
-        if not sep:
-            raise UsageError(f"--set expects KEY=VALUE, got {item!r}")
-        apply_setting(cfg, key.strip(), value)
-    validate_config(cfg)
-    return cfg
 
 
 def _need(value, what):
@@ -371,27 +364,18 @@ def cmd_params(args, cfg: RunConfig) -> int:
     return 0
 
 
-_COMMANDS = {
-    "vocab": cmd_vocab,
-    "tv-train": cmd_tv_train,
-    "train": cmd_train,
-    "select": cmd_select,
-    "eval": cmd_eval,
-    "predict": cmd_predict,
-    "bench": cmd_bench,
-    "params": cmd_params,
-}
-
-
 def main(argv=None) -> int:
     _heap_temporaries()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = _load_config(args)
-        return _COMMANDS[args.command](args, cfg)
+        return args.handler(args, load_config(args.config, args.set))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # numpy's message names the shape it could not allocate
+        print(f"error: {exc or 'out of memory'}", file=sys.stderr)
         return 1
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)

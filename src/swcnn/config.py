@@ -1,10 +1,10 @@
 """Run configuration: one key=value file drives every CLI stage.
 
 Lines are ``key=value``; blank lines and lines starting with ``#`` are
-ignored.  Unknown keys are rejected, and numbers must be finite.  No key
-names a file: every file a stage reads or writes is named by its CLI
-flag.  Command-line ``--set key=value`` overrides take precedence over
-the file.  The ``profile`` key encodes the pooling rule (sentiment tasks
+ignored.  Unknown keys are rejected; a value is read as its key's
+default's type, and numbers must be finite.  No key names a file: every
+file a stage reads or writes is named by its CLI flag.  Command-line
+``--set key=value`` overrides take precedence over the file.  The ``profile`` key encodes the pooling rule (sentiment tasks
 fix k=1, topic tasks search {1, 10}); ``small_data=true`` switches the
 epoch schedule from 30/24 to 100/80 unless ``epochs``/``decay_epoch``
 are set explicitly (0 means "use the profile default").
@@ -70,74 +70,72 @@ class RunConfig:
     bench_repetitions: int = 100
 
 
-_FIELDS = {f.name: f for f in fields(RunConfig)}
+# the least value of each bounded key, in the order they are checked
+_LEAST = {"seed": 0, "n_classes": 0, "holdout": -1}  # holdout -1 is automatic
+_LEAST |= dict.fromkeys(("embed_dim", "pooling_k", "tv_dim", "word_vocab_cap",
+                         "ngram_vocab_cap", "bench_d", "bench_p", "bench_repetitions"), 1)
+# each bench vocabulary must hold the bench pattern's distinct codes
+_LEAST |= dict.fromkeys(("bench_v_small", "bench_v_large"), BENCH_CODES)
+
+# a key's type is the type of its default; a tuple's items have its first item's type
+_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
+_NOUNS = {int: ("an integer", "integers"), float: ("a number", "numbers")}
 
 
-def _coerce(field, raw: str):
-    # field types arrive as strings under `from __future__ import annotations`
-    name = field.name
+def _coerce(name: str, raw: str):
+    default = _DEFAULTS[name]
     text = raw.strip()
-    hint = field.type
-    if hint in ("int",):
-        try:
-            return int(text)
-        except ValueError:
-            raise UsageError(f"config key {name} expects an integer, got {raw!r}") from None
-    if hint in ("float",):
-        try:
-            value = float(text)
-        except ValueError:
-            raise UsageError(f"config key {name} expects a number, got {raw!r}") from None
-        _require_finite(name, raw, [value])
-        return value
-    if hint in ("bool",):
+    if isinstance(default, bool):
         low = text.lower()
         if low in ("1", "true", "yes", "on"):
             return True
         if low in ("0", "false", "no", "off"):
             return False
         raise UsageError(f"config key {name} expects true/false, got {raw!r}")
-    if hint.startswith("tuple[int"):
-        try:
-            return tuple(int(part) for part in text.split(",") if part.strip())
-        except ValueError:
-            raise UsageError(f"config key {name} expects comma-separated integers") from None
-    if hint.startswith("tuple[float"):
-        try:
-            values = tuple(float(part) for part in text.split(",") if part.strip())
-        except ValueError:
-            raise UsageError(f"config key {name} expects comma-separated numbers") from None
-        _require_finite(name, raw, values)
-        return values
-    return text
-
-
-def _require_finite(name: str, raw: str, values) -> None:
+    if isinstance(default, str):
+        return text
+    many = isinstance(default, tuple)
+    kind = type(default[0] if many else default)
+    parts = [part for part in text.split(",") if part.strip()] if many else [text]
+    try:
+        values = tuple(map(kind, parts))
+    except ValueError:
+        one, several = _NOUNS[kind]
+        expected = f"comma-separated {several}" if many else f"{one}, got {raw!r}"
+        raise UsageError(f"config key {name} expects {expected}") from None
     # a NaN or infinite rate trains to completion and writes weights that
     # load_model then rejects
-    if not all(map(math.isfinite, values)):
+    if kind is float and not all(map(math.isfinite, values)):
         raise UsageError(f"invalid configuration: {name} must be finite, got {raw!r}")
+    return values if many else values[0]
 
 
-def apply_setting(cfg: RunConfig, key: str, raw: str) -> None:
-    if key not in _FIELDS:
+def _apply(cfg: RunConfig, item: str, malformed: str) -> None:
+    """Set the key a ``key=value`` item names; ``malformed`` is the error without ``=``."""
+    key, sep, raw = item.partition("=")
+    if not sep:
+        raise UsageError(malformed)
+    key = key.strip()
+    if key not in _DEFAULTS:
         raise UsageError(f"unknown config key {key!r}")
-    setattr(cfg, key, _coerce(_FIELDS[key], raw))
+    setattr(cfg, key, _coerce(key, raw))
 
 
-def parse_config(path) -> RunConfig:
+def load_config(path, settings) -> RunConfig:
+    """The defaults, then the lines of the file at ``path`` (if any), then each
+    ``--set`` item of ``settings``, validated."""
     cfg = RunConfig()
-    for lineno, line in enumerate(read_lines(path, "config"), start=1):
+    for lineno, line in enumerate(read_lines(path, "config") if path else (), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise UsageError(f"{path}: line {lineno}: expected key=value")
         try:
-            apply_setting(cfg, key.strip(), value)
+            _apply(cfg, line, "expected key=value")
         except UsageError as exc:
             raise UsageError(f"{path}: line {lineno}: {exc}") from None
+    for item in settings:
+        _apply(cfg, item, f"--set expects KEY=VALUE, got {item!r}")
+    validate_config(cfg)
     return cfg
 
 
@@ -154,19 +152,9 @@ def validate_config(cfg: RunConfig) -> None:
         raise UsageError(
             f"tv_representation must be {BOW_WORD} or {BOW_NGRAM}, got {cfg.tv_representation!r}"
         )
-    for key in ("seed", "n_classes"):
-        if getattr(cfg, key) < 0:
-            raise UsageError(f"invalid configuration: {key} must be >= 0")
-    if cfg.holdout < -1:  # -1 is the automatic holdout
-        raise UsageError("invalid configuration: holdout must be >= -1")
-    for key in ("embed_dim", "pooling_k", "tv_dim", "word_vocab_cap", "ngram_vocab_cap",
-                "bench_d", "bench_p", "bench_repetitions"):
-        if getattr(cfg, key) < 1:
-            raise UsageError(f"invalid configuration: {key} must be >= 1")
-    for key in ("bench_v_small", "bench_v_large"):
-        if getattr(cfg, key) < BENCH_CODES:
-            raise UsageError(f"invalid configuration: {key} must be >= {BENCH_CODES}, "
-                             "the bench pattern's distinct codes")
+    for key, least in _LEAST.items():
+        if getattr(cfg, key) < least:
+            raise UsageError(f"invalid configuration: {key} must be >= {least}")
     try:
         train_config(cfg)
         tv_config(cfg)

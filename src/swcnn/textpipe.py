@@ -81,14 +81,12 @@ class Vocabulary:
         return len(self.entries)
 
 
-def iter_ngrams(tokens: Sequence[str]) -> Iterable[str]:
-    """All contiguous 1..3-grams of a token sequence, space-joined."""
-    n_tokens = len(tokens)
-    for i in range(n_tokens):
-        for n in (1, 2, 3):
-            if i + n > n_tokens:
-                break
-            yield " ".join(tokens[i : i + n])
+def _ngram_keys(tokens: Sequence[str]) -> tuple[Sequence[str], list[str], list[str]]:
+    """A document's 1-, 2- and 3-gram keys, space-joined; item i of each
+    list is the gram starting at token i."""
+    pairs = [a + " " + b for a, b in zip(tokens, tokens[1:])]
+    triples = [pair + " " + c for pair, c in zip(pairs, tokens[2:])]
+    return tokens, pairs, triples
 
 
 def build_vocab(corpus: Iterable[Sequence[str]], kind: str, cap: int) -> Vocabulary:
@@ -106,7 +104,8 @@ def build_vocab(corpus: Iterable[Sequence[str]], kind: str, cap: int) -> Vocabul
             counts.update(tokens)
     elif kind == NGRAM123:
         for tokens in corpus:
-            counts.update(iter_ngrams(tokens))
+            for grams in _ngram_keys(tokens):
+                counts.update(grams)
     else:
         raise ValueError(f"unknown vocabulary kind {kind!r}")
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:cap]
@@ -122,15 +121,11 @@ def encode(tokens: Sequence[str], vocab: Vocabulary) -> np.ndarray:
     where the gram is absent from the vocabulary or runs past the end.
     """
     get = vocab.index.get
-    ones = [get(tok, OOV) for tok in tokens]
     if vocab.kind == WORD:
-        return np.array(ones, dtype=np.int64)
-    pairs = [a + " " + b for a, b in zip(tokens, tokens[1:])]
-    triples = [pair + " " + c for pair, c in zip(pairs, tokens[2:])]
+        return np.array([get(tok, OOV) for tok in tokens], dtype=np.int64)
     ids = np.full((len(tokens), 3), OOV, dtype=np.int64)
-    ids[:, 0] = ones
-    ids[: len(pairs), 1] = [get(pair, OOV) for pair in pairs]
-    ids[: len(triples), 2] = [get(triple, OOV) for triple in triples]
+    for n, grams in enumerate(_ngram_keys(tokens)):
+        ids[: len(grams), n] = [get(gram, OOV) for gram in grams]
     return ids
 
 

@@ -21,7 +21,7 @@ from helpers import (
 )
 from swcnn import config as cfgmod
 from swcnn.cli import main
-from swcnn.config import RunConfig, apply_setting, parse_config, validate_config
+from swcnn.config import RunConfig, load_config
 from swcnn.errors import DataError, UsageError
 from swcnn.data import save_vocab
 from swcnn.model import RegionEmbedding, ShallowModel
@@ -75,7 +75,7 @@ class TestConfig:
     def test_parse_and_defaults(self, tmp_path):
         path = tmp_path / "c.conf"
         path.write_text("seed=9\ngrid_initial_lrs=0.5,0.25\n# comment\n\n", encoding="utf-8")
-        cfg = parse_config(path)
+        cfg = load_config(path, [])
         assert cfg.seed == 9
         assert cfg.grid_initial_lrs == (0.5, 0.25)
         assert cfg.epochs == 0 and cfg.word_vocab_cap == 30_000
@@ -84,23 +84,20 @@ class TestConfig:
         path = tmp_path / "c.conf"
         path.write_text("not_a_key=1\n", encoding="utf-8")
         with pytest.raises(UsageError, match="not_a_key"):
-            parse_config(path)
+            load_config(path, [])
 
     def test_invalid_utf8_names_file_and_line(self, tmp_path):
         path = tmp_path / "c.conf"
         path.write_bytes(b"seed=9\n# caf\xe9\n")
         with pytest.raises(DataError, match=r"c\.conf: line 2: not valid UTF-8"):
-            parse_config(path)
+            load_config(path, [])
 
     def test_type_errors_carry_key_name(self):
-        cfg = RunConfig()
         with pytest.raises(UsageError, match="seed"):
-            apply_setting(cfg, "seed", "many")
+            load_config(None, ["seed=many"])
 
     def test_bool_coercion(self):
-        cfg = RunConfig()
-        apply_setting(cfg, "small_data", "true")
-        assert cfg.small_data is True
+        assert load_config(None, ["small_data=true"]).small_data is True
 
     def test_small_data_profile_switches_schedule(self):
         from swcnn.config import resolved_decay_epoch, resolved_epochs
@@ -119,6 +116,17 @@ class TestConfig:
         assert selection_grid(cfg).pooling_ks == (1, 10)
         cfg.profile = "sentiment"
         assert selection_grid(cfg).pooling_ks == (1,)
+
+    @pytest.mark.parametrize("field", dataclasses.fields(RunConfig), ids=lambda f: f.name)
+    def test_every_key_reads_back_its_default_text(self, tmp_path, field):
+        default = field.default
+        text = ",".join(map(str, default)) if isinstance(default, tuple) else str(default)
+        item = f"{field.name}={text}"
+        path = tmp_path / "c.conf"
+        path.write_text(item + "\n", encoding="utf-8")
+        for cfg in (load_config(None, [item]), load_config(path, [])):
+            # repr tells 3 from 3.0 and True from 1
+            assert repr(getattr(cfg, field.name)) == repr(default)
 
     def test_readme_lists_every_config_key(self):
         text = README.read_text(encoding="utf-8")
@@ -163,8 +171,7 @@ def test_corrupt_config_is_valid_or_a_usage_or_data_error(tmp_path, offset, byte
     path = tmp_path / "c.conf"
     write_corrupted(path, VALID_CONFIG, offset, byte)
     try:
-        cfg = parse_config(path)
-        validate_config(cfg)
+        cfg = load_config(path, [])
     except (UsageError, DataError):
         return
     cfgmod.train_config(cfg)
@@ -173,9 +180,9 @@ def test_corrupt_config_is_valid_or_a_usage_or_data_error(tmp_path, offset, byte
     np.random.default_rng(cfg.seed)
     assert cfg.n_classes >= 0
     for f in dataclasses.fields(RunConfig):
-        value = getattr(cfg, f.name)
-        if f.type in ("float", "tuple[float, ...]"):
-            assert all(map(math.isfinite, np.atleast_1d(value)))
+        default = f.default[0] if isinstance(f.default, tuple) else f.default
+        if isinstance(default, float):
+            assert all(map(math.isfinite, np.atleast_1d(getattr(cfg, f.name))))
 
 
 class TestParams:
@@ -670,6 +677,25 @@ class TestExitCodes:
         assert "error: holdout 5 leaves no training records" in captured.err
         assert "two.csv has 2" in captured.err and "Traceback" not in captured.err
         assert not (tmp_path / "m.swcn").exists()
+
+    @pytest.mark.parametrize("command,key", [
+        ("train", "embed_dim"), ("tv-train", "tv_dim"), ("bench", "bench_d"),
+    ])
+    def test_allocation_that_cannot_succeed_is_one(self, task_files, capsys, command, key):
+        # at 10**15 columns the first weight matrix fails to allocate at once
+        tmp_path, train_csv, _, config = task_files
+        vocab_path = tmp_path / "w.vocab"
+        assert run(["vocab", "--input", train_csv, "--output", vocab_path]) == 0
+        capsys.readouterr()
+        argv = [command, "--set", f"{key}={10**15}"]
+        if command != "bench":
+            argv += ["--config", config, "--input", train_csv, "--word-vocab", vocab_path,
+                     "--output", tmp_path / "out.swcn"]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: Unable to allocate")
+        assert captured.err.count("\n") == 1 and "1000000000000000)" in captured.err
+        assert not (tmp_path / "out.swcn").exists()
 
     @pytest.mark.parametrize("cap", [0, -1])
     def test_vocab_cap_below_one_is_one(self, task_files, capsys, cap):

@@ -5,11 +5,16 @@ import sys
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "pipeline_digest.py"
+sys.path.insert(0, str(SCRIPT.parent))
+
+from pipeline_digest import REJECTED  # noqa: E402
+
 NAMES = [
     "vocab-word.stdout", "vocab-ngram123.stdout", "tv-train-bow-word.stdout",
     "tv-train-bow-ngram123.stdout", "train.stdout", "eval.stdout", "predict.stdout",
-    "select.stdout", "word.vocab", "ngram.vocab", "tv-word.swcn", "tv-ngram.swcn",
-    "model.swcn", "metrics.txt", "table.tsv", "selected.swcn",
+    "select.stdout", "params.stdout", "word.vocab", "ngram.vocab", "tv-word.swcn",
+    "tv-ngram.swcn", "model.swcn", "metrics.txt", "table.tsv", "selected.swcn",
+    *(f"params-{name}-{via}.rejected" for name in REJECTED for via in ("file", "set")),
 ]
 
 

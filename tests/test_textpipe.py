@@ -15,7 +15,6 @@ from swcnn.textpipe import (
     Vocabulary,
     build_vocab,
     encode,
-    iter_ngrams,
     region_count,
     tokenize,
 )
@@ -73,8 +72,8 @@ class TestBuildVocab:
         assert len(build_vocab([], WORD, 5)) == 0
 
     def test_ngrams_of_triple(self):
-        grams = list(iter_ngrams(["a", "b", "c"]))
-        assert grams == ["a", "a b", "a b c", "b", "b c", "c"]
+        vocab = build_vocab([["a", "b", "c"]], NGRAM123, 10)
+        assert [gram for gram, _ in vocab.entries] == ["a", "a b", "a b c", "b", "b c", "c"]
 
     @given(corpora, st.integers(min_value=1, max_value=12))
     def test_frequencies_ranked_and_bijective(self, corpus, cap):
