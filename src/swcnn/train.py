@@ -13,8 +13,9 @@ trainable tensor steps through its own ``LazyMomentum``.  The base weight
 W is touched one row per word slot the batch reads; the other tensors
 are small and touched in full, so they take the dense step every time.
 A run's memory follows the same rows: W's gradient holds only the
-batch's rows, and W's velocity is committed as rows are first touched,
-so training holds W plus the rows it reads, not three W's.
+batch's rows, and W's velocity only the rows ever touched, packed in the
+order of their first touch, so training holds W plus the bytes of the
+rows it reads, not three W's.
 """
 
 from __future__ import annotations
@@ -154,10 +155,15 @@ class LazyMomentum:
 
     The gradient is compact: ``grad`` is shaped like ``w`` except that it
     holds only the step's touched rows, in sorted order, and row r of
-    ``w`` has its gradient at ``grad[position[r]]``.  Its buffer and the
-    velocity are allocated once, at the weight's size, but commit memory a
-    page at a time as rows are first written, so a run's memory follows
-    the rows it touches, not the weight's size.
+    ``w`` has its gradient at ``grad[position[r]]``.  The velocity is
+    packed too: the first touch of row r gives it the next free velocity
+    row, its slot, which it keeps, so the velocities of the rows ever
+    touched fill a dense prefix of the buffer, in first-touch order.  Both
+    buffers are allocated once, at the weight's size, but commit memory a
+    page at a time as it is first written: the velocity commits the rows
+    ever touched times a row's bytes, rounded up to a page, and the
+    gradient the most rows one step touched, so a run's memory follows the
+    rows it touches, not the weight's size.
 
     Per step: ``touch(rows)`` before anything reads those rows, which
     makes ``grad`` their zeroed gradient; then ``sgd_momentum_step`` with
@@ -176,8 +182,11 @@ class LazyMomentum:
         self.w, self.momentum = w, momentum
         self._w = w.reshape(len(w), -1)
         n_rows = len(self._w)
-        self._v = _paged_zeros(self._w.shape)
+        self._v = _paged_zeros(self._w.shape)  # row slot[r]: the velocity of row r
         self._g = _paged_zeros(self._w.shape)  # row i: the gradient of row _rows[i]
+        # -1 until row r is first touched; then its velocity row, for good
+        self._slot = np.full(n_rows, -1, dtype=np.intp)
+        self._n_slots = 0
         # n_rows, past the end of any step's gradient, marks a row not touched
         self.position = np.full(n_rows, n_rows, dtype=np.intp)
         # the step each row is current at; 0 for a row never stepped, whose
@@ -206,15 +215,19 @@ class LazyMomentum:
             chunk = rows[part]
             k = self._t - self._last[chunk]
             chunk, k = chunk[k > 0], k[k > 0]
-            v = self._v[chunk]
+            slots = self._slot[chunk]
+            v = self._v[slots]
             self._w[chunk] += self._drift[k, None] * v
             v *= self._decay[k, None]
-            self._v[chunk] = v
+            self._v[slots] = v
             self._last[chunk] = self._t
 
     def touch(self, rows: np.ndarray) -> None:
         """Make the sorted distinct ``rows`` current and the next step's rows."""
         self.position[self._rows] = len(self.position)
+        new = rows[self._slot[rows] < 0]
+        self._slot[new] = np.arange(self._n_slots, self._n_slots + len(new))
+        self._n_slots += len(new)
         self._catch_up(rows)
         self._rows = rows
         self.position[rows] = np.arange(len(rows))
@@ -224,10 +237,11 @@ class LazyMomentum:
         """v <- momentum*v - lr*g; w <- w + v on the touched rows."""
         for part in self._chunks(len(self._rows)):
             chunk = self._rows[part]
-            v = self._v[chunk]
+            slots = self._slot[chunk]
+            v = self._v[slots]
             v *= self.momentum
             v -= lr * self._g[part]
-            self._v[chunk] = v
+            self._v[slots] = v
             self._w[chunk] += v
         self._t += 1
         self._last[self._rows] = self._t
@@ -244,7 +258,9 @@ def _paged_zeros(shape) -> np.ndarray:
     written into an ``np.zeros`` buffer can commit 2 MB.  This maps
     anonymous memory, which the kernel zero-fills page by page, and asks
     for no huge pages where the platform has the hint; the hint applies to
-    this mapping only.
+    this mapping only.  Python's anonymous map is shared memory
+    (``MAP_SHARED``), so ``/proc`` counts its pages as ``RssShmem``, not
+    ``RssAnon``.
     """
     nbytes = 8 * math.prod(shape)
     if nbytes == 0:

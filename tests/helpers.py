@@ -1,12 +1,17 @@
 """Shared builders for synthetic corpora, tiny models and gradient checks,
 and the per-region reference the slot-incidence sweep is tested against."""
 
+import os
 import struct
+import subprocess
+import tempfile
 from collections import Counter
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
+import swcnn
 from swcnn.evalbench import evaluate
 from swcnn.model import (
     ModelGrads, RegionEmbedding, backward, embed_regions, forward, max_pool,
@@ -433,6 +438,71 @@ def dense_momentum_step(params, grads, velocity, lr, momentum):
         w += v
 
 
+class RowIndexedMomentum:
+    """``LazyMomentum`` before its slot table, the reference for the packed
+    velocity: row r's velocity is row r of a buffer the weight's size.
+    Every step and catch-up adds the same addends in the same order, so
+    the weights must agree bit for bit."""
+
+    CHUNK = 256
+
+    def __init__(self, w, momentum, n_steps):
+        self.w, self.momentum = w, momentum
+        self._w = w.reshape(len(w), -1)
+        n_rows = len(self._w)
+        self._v = np.zeros(self._w.shape)
+        self._g = np.zeros(self._w.shape)
+        self.position = np.full(n_rows, n_rows, dtype=np.intp)
+        self._last = np.zeros(n_rows, dtype=np.int64)
+        self._rows = np.empty(0, dtype=np.int64)
+        self._t = 0
+        self.grad = self._compact_grad()
+        powers = np.cumprod(np.full(n_steps, float(momentum)))
+        self._decay = np.concatenate([[1.0], powers])
+        self._drift = np.concatenate([[0.0], np.cumsum(powers)])
+
+    def _compact_grad(self):
+        rows = self._g[: len(self._rows)]
+        rows[...] = 0.0
+        return rows.reshape(rows.shape[:1] + self.w.shape[1:])
+
+    def _chunks(self, n):
+        for lo in range(0, n, self.CHUNK):
+            yield slice(lo, min(lo + self.CHUNK, n))
+
+    def _catch_up(self, rows):
+        for part in self._chunks(len(rows)):
+            chunk = rows[part]
+            k = self._t - self._last[chunk]
+            chunk, k = chunk[k > 0], k[k > 0]
+            v = self._v[chunk]
+            self._w[chunk] += self._drift[k, None] * v
+            v *= self._decay[k, None]
+            self._v[chunk] = v
+            self._last[chunk] = self._t
+
+    def touch(self, rows):
+        self.position[self._rows] = len(self.position)
+        self._catch_up(rows)
+        self._rows = rows
+        self.position[rows] = np.arange(len(rows))
+        self.grad = self._compact_grad()
+
+    def step(self, lr):
+        for part in self._chunks(len(self._rows)):
+            chunk = self._rows[part]
+            v = self._v[chunk]
+            v *= self.momentum
+            v -= lr * self._g[part]
+            self._v[chunk] = v
+            self._w[chunk] += v
+        self._t += 1
+        self._last[self._rows] = self._t
+
+    def flush(self):
+        self._catch_up(np.flatnonzero((self._last > 0) & (self._last < self._t)))
+
+
 def dense_train(template, config, train_data, val_data=()):
     """The reference for ``train``: every step zeroes, scales and steps
     every parameter in full, with the same draws in the same order.
@@ -480,3 +550,22 @@ def rel_err(got, want):
     """Largest absolute difference relative to the largest magnitude of ``want``."""
     got, want = np.asarray(got), np.asarray(want)
     return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+def child_env():
+    """This process's environment with ``swcnn`` importable."""
+    return dict(os.environ, PYTHONPATH=str(Path(swcnn.__file__).resolve().parents[1]))
+
+
+def child_peak_rss_bytes(args):
+    """Run ``args`` as a child process, with no input and its output
+    discarded, and return its peak RSS in bytes, read with ``os.wait4``.
+    A child that does not exit 0 fails the caller with its standard error."""
+    with tempfile.TemporaryFile() as err:
+        child = subprocess.Popen(args, env=child_env(), stdin=subprocess.DEVNULL,
+                                 stdout=subprocess.DEVNULL, stderr=err)
+        _, status, usage = os.wait4(child.pid, 0)
+        child.returncode = os.waitstatus_to_exitcode(status)
+        err.seek(0)
+        assert child.returncode == 0, err.read().decode(errors="replace")
+    return usage.ru_maxrss * 1024  # KB on Linux

@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 import swcnn
 from helpers import (
-    trigger_bigram_dataset, v1_embedding_bytes, v1_model_bytes, word_vocab, write_corrupted,
-    write_csv,
+    child_env, child_peak_rss_bytes, trigger_bigram_dataset, v1_embedding_bytes, v1_model_bytes,
+    word_vocab, write_corrupted, write_csv,
 )
 from swcnn import config as cfgmod
 from swcnn.cli import main
@@ -477,10 +477,6 @@ class TestPipeline:
         assert child.returncode == 0
 
 
-def child_env():
-    return dict(os.environ, PYTHONPATH=str(Path(swcnn.__file__).resolve().parents[1]))
-
-
 def test_import_leaves_statistics_out():
     """Every command imports ``swcnn.cli``; ``statistics``, with the
     ``decimal`` and ``fractions`` it imports, is not among what that costs."""
@@ -509,14 +505,8 @@ def test_cold_start_leaves_W_unread(tmp_path):
     def peak_rss(dim):
         path = tmp_path / f"d{dim}.swcn"
         blank_model(path, 10_000, dim)
-        child = subprocess.Popen(
-            [sys.executable, "-m", "swcnn", "predict", "--model", str(path)],
-            env=child_env(), stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL)
-        _, status, usage = os.wait4(child.pid, 0)
-        child.returncode = os.waitstatus_to_exitcode(status)
-        assert child.returncode == 0
-        return usage.ru_maxrss * 1024  # KB on Linux
+        return child_peak_rss_bytes(
+            [sys.executable, "-m", "swcnn", "predict", "--model", str(path)])
 
     W_bytes = 1_000 * 10_000 * 8
     extra = peak_rss(1_000) - peak_rss(1)

@@ -1,15 +1,14 @@
-import os
-import subprocess
+import gc
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-import swcnn
 from helpers import (
-    compact_scatter_reference, dense_momentum_step, dense_train, markov_corpus, rel_err,
-    trigger_bigram_dataset,
+    RowIndexedMomentum, child_peak_rss_bytes, compact_scatter_reference, dense_momentum_step,
+    dense_train, markov_corpus, rel_err, trigger_bigram_dataset,
 )
 from swcnn.errors import DataError, NumericError
 from swcnn.train import (
@@ -174,6 +173,47 @@ class TestLazyMomentum:
         with pytest.raises(ValueError):
             sgd_momentum_step([w], [lazy.grad.copy()], [lazy], lr=0.1)
 
+    @given(st.data(), st.sampled_from([0.0, 0.9, 1.0]), st.sampled_from([(), (3,)]),
+           st.integers(0, 1), st.sampled_from([1, 3, 256]))
+    @settings(max_examples=150, deadline=None)
+    def test_packed_velocity_is_the_row_indexed_one_bitwise(self, data, momentum, row_shape,
+                                                            skip, chunk):
+        # rows touched at random, none, once, or again after gaps: the slot
+        # table changes where a velocity lives, not one addend or its order
+        n_rows = data.draw(st.integers(1, 40), label="n_rows")
+        touches = data.draw(st.lists(st.sets(st.integers(0, n_rows - 1)), max_size=12),
+                            label="touches")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        base = rng.normal(size=(n_rows * (skip + 1), *row_shape))
+        base_ref = base.copy()
+        w, w_ref = base[:: skip + 1], base_ref[:: skip + 1]
+        lazy = LazyMomentum(w, momentum, len(touches))
+        ref = RowIndexedMomentum(w_ref, momentum, len(touches))
+        lazy.CHUNK = ref.CHUNK = chunk
+        slot = np.full(n_rows, -1)
+        for step, touched in enumerate(touches):
+            rows = np.array(sorted(touched), dtype=np.int64)
+            lazy.touch(rows)
+            ref.touch(rows)
+            # a new row takes the next free slot, in the order touch gets
+            # the rows; a row's slot never changes
+            new = rows[slot[rows] < 0]
+            n_given = int(np.sum(slot >= 0))
+            slot[new] = np.arange(n_given, n_given + len(new))
+            assert np.array_equal(lazy._slot, slot)
+            assert w.tobytes() == w_ref.tobytes()
+            lazy.grad[...] = ref.grad[...] = rng.normal(size=(len(rows), *row_shape))
+            lr = 0.3 if step < 6 else 0.03
+            sgd_momentum_step([w], [lazy.grad], [lazy], lr)
+            ref.step(lr)
+            assert w.tobytes() == w_ref.tobytes()
+        lazy.flush()
+        ref.flush()
+        assert w.tobytes() == w_ref.tobytes()
+        # the slots given are 0..n-1, one per row ever touched
+        touched_ever = set().union(*touches)
+        assert sorted(lazy._slot[lazy._slot >= 0]) == list(range(len(touched_ever)))
+
     @pytest.mark.parametrize("make", [
         pytest.param(lambda a: a.T, id="transposed"),
         pytest.param(lambda a: a[:, ::2], id="strided-slice"),
@@ -284,6 +324,28 @@ class TestSgdEpochs:
             for _ in sgd_epochs([np.zeros(2)], 10, TvTrainConfig(epochs=2, batch_size=4),
                                 np.random.default_rng(0), self.record([], loss=1e308), "loss"):
                 pass
+
+    def test_no_velocity_outlives_train_or_train_tv(self):
+        # the CLI saves what they return, held here as the CLI holds it: a
+        # velocity still alive then would put the save's peak on top of it
+        import swcnn.tv as tv
+        from swcnn.textpipe import BOW_WORD, RegionSpec, build_vocab
+
+        def new_velocities():
+            gc.collect()
+            return [o for o in gc.get_objects()
+                    if isinstance(o, LazyMomentum) and not any(o is b for b in before)]
+
+        before = [o for o in gc.get_objects() if isinstance(o, LazyMomentum)]
+        data = tiny_task(30)
+        model, _ = train(tiny_template(data), TrainConfig(epochs=2, decay_epoch=2,
+                                                          batch_size=10), data)
+        assert new_velocities() == []
+        corpus = markov_corpus(6, doc_len=12, n_states=10)
+        vocab = build_vocab(corpus, "word", 100)
+        embedding, _ = tv.train_tv(corpus, RegionSpec(BOW_WORD, 3, len(vocab)), vocab, vocab,
+                                   4, TvTrainConfig(epochs=2, negatives=3))
+        assert new_velocities() == []
 
     def test_train_and_train_tv_run_through_the_driver(self, monkeypatch):
         import swcnn.tv as tv
@@ -654,16 +716,11 @@ def peak_rss_bytes_of_train(tmp_path, data_csv, vocab_size):
     vocab = tmp_path / f"w{vocab_size}.vocab"
     vocab.write_text("kind=word\n" + "".join(f"s{j}\t1\n" for j in range(vocab_size)),
                      encoding="utf-8")
-    env = dict(os.environ, PYTHONPATH=str(Path(swcnn.__file__).resolve().parents[1]))
-    child = subprocess.Popen(
+    return child_peak_rss_bytes(
         [sys.executable, "-m", "swcnn", "train", "--input", str(data_csv),
          "--word-vocab", str(vocab), "--output", str(tmp_path / f"m{vocab_size}.swcn"),
          "--set", "embed_dim=32", "--set", "epochs=3", "--set", "decay_epoch=3",
-         "--set", "holdout=0"],
-        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-    _, status, usage = os.wait4(child.pid, 0)
-    assert os.waitstatus_to_exitcode(status) == 0
-    return usage.ru_maxrss * 1024  # KB on Linux
+         "--set", "holdout=0"])
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KB on Linux")
@@ -681,3 +738,32 @@ def test_train_memory_follows_the_touched_columns(tmp_path):
                     for size in (1_000, 100_000))
     W_bytes = 32 * 3 * 100_000 * 8  # embed_dim x concat input dim, float64: 76.8 MB
     assert large - small < 2 * W_bytes, f"{(large - small) / 1e6:.1f} MB over the 1K run"
+
+
+# a (24000, 500) weight, every page resident before training starts, then
+# four steps on 6,000 of its 4,000-byte rows: every 4th row, or the first
+VELOCITY_CHILD = """
+import sys
+import numpy as np
+from swcnn.train import LazyMomentum
+w = np.full((24_000, 500), 0.5)
+rows = np.arange(0, 24_000, 4) if sys.argv[1] == "spread" else np.arange(6_000)
+lazy = LazyMomentum(w, 0.9, 4)
+for _ in range(4):
+    lazy.touch(rows)
+    lazy.grad[...] = 1.0
+    lazy.step(0.1)
+lazy.flush()
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KB on Linux")
+def test_velocity_commits_the_touched_rows_wherever_they_lie():
+    """Row-indexed, 6,000 isolated rows of 4,000 bytes span about two 4 KB
+    pages each, and 6,000 adjacent ones about one: the peaks would differ
+    by about 6,000 pages.  Packed in first-touch order, both velocities
+    fill the same 24 MB."""
+    spread, first = (child_peak_rss_bytes([sys.executable, "-c", VELOCITY_CHILD, rows])
+                     for rows in ("spread", "first"))
+    assert abs(spread - first) < 6_000 * 4096 / 4, (
+        f"{(spread - first) / 1e6:.1f} MB between the spread and the adjacent rows")
