@@ -256,7 +256,7 @@ def cmd_select(args, cfg: RunConfig) -> int:
 
 
 def _heap_temporaries() -> None:
-    """Have glibc serve allocations up to 32 MB from its heap, not from mmap.
+    """Have glibc serve allocations up to 32 MB from its heap, not as fresh mappings.
 
     Answering documents one by one allocates R x d temporaries for each,
     and training and tv training allocate them per document or per batch.

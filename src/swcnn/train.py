@@ -14,14 +14,13 @@ W is touched one row per word slot the batch reads; the other tensors
 are small and touched in full, so they take the dense step every time.
 A run's memory follows the same rows: W's gradient holds only the
 batch's rows, and W's velocity only the rows ever touched, packed in the
-order of their first touch, so training holds W plus the bytes of the
-rows it reads, not three W's.
+order of their first touch.  Both are ``np.zeros`` buffers, whose memory
+is committed as it is first written, so training holds W plus the bytes
+of the rows it reads, not three W's.
 """
 
 from __future__ import annotations
 
-import math
-import mmap
 import time
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -159,11 +158,13 @@ class LazyMomentum:
     packed too: the first touch of row r gives it the next free velocity
     row, its slot, which it keeps, so the velocities of the rows ever
     touched fill a dense prefix of the buffer, in first-touch order.  Both
-    buffers are allocated once, at the weight's size, but commit memory a
-    page at a time as it is first written: the velocity commits the rows
-    ever touched times a row's bytes, rounded up to a page, and the
-    gradient the most rows one step touched, so a run's memory follows the
-    rows it touches, not the weight's size.
+    buffers are ``np.zeros`` arrays at the weight's size, allocated once.
+    Such memory is zero-filled as it is first written, a page at a time,
+    and numpy asks for 2 MB huge pages on buffers of 4 MB or more.  Being
+    written only as dense prefixes, the velocity commits the rows ever
+    touched times a row's bytes and the gradient the most rows one step
+    touched, each rounded up to at most one partly used huge page, so a
+    run's memory follows the rows it touches, not the weight's size.
 
     Per step: ``touch(rows)`` before anything reads those rows, which
     makes ``grad`` their zeroed gradient; then ``sgd_momentum_step`` with
@@ -182,8 +183,8 @@ class LazyMomentum:
         self.w, self.momentum = w, momentum
         self._w = w.reshape(len(w), -1)
         n_rows = len(self._w)
-        self._v = _paged_zeros(self._w.shape)  # row slot[r]: the velocity of row r
-        self._g = _paged_zeros(self._w.shape)  # row i: the gradient of row _rows[i]
+        self._v = np.zeros(self._w.shape)  # row slot[r]: the velocity of row r
+        self._g = np.zeros(self._w.shape)  # row i: the gradient of row _rows[i]
         # -1 until row r is first touched; then its velocity row, for good
         self._slot = np.full(n_rows, -1, dtype=np.intp)
         self._n_slots = 0
@@ -249,26 +250,6 @@ class LazyMomentum:
     def flush(self) -> None:
         """Bring every row ever stepped up to date."""
         self._catch_up(np.flatnonzero((self._last > 0) & (self._last < self._t)))
-
-
-def _paged_zeros(shape) -> np.ndarray:
-    """A float64 array of zeros that commits memory 4 KB at a time, on first write.
-
-    numpy asks for transparent huge pages on large buffers, so one row
-    written into an ``np.zeros`` buffer can commit 2 MB.  This maps
-    anonymous memory, which the kernel zero-fills page by page, and asks
-    for no huge pages where the platform has the hint; the hint applies to
-    this mapping only.  Python's anonymous map is shared memory
-    (``MAP_SHARED``), so ``/proc`` counts its pages as ``RssShmem``, not
-    ``RssAnon``.
-    """
-    nbytes = 8 * math.prod(shape)
-    if nbytes == 0:
-        return np.zeros(shape)
-    buf = mmap.mmap(-1, nbytes)
-    if hasattr(mmap, "MADV_NOHUGEPAGE"):
-        buf.madvise(mmap.MADV_NOHUGEPAGE)
-    return np.frombuffer(buf, dtype=np.float64).reshape(shape)
 
 
 def sgd_momentum_step(params, grads, velocity, lr: float) -> None:
