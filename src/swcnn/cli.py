@@ -159,9 +159,7 @@ def cmd_tv_train(args, cfg: RunConfig) -> int:
             f"of kind {spec.vocab_kind}, found kind={input_vocab.kind}"
         )
     try:
-        embedding, losses = train_tv(
-            corpus, spec, input_vocab, word_vocab, cfg.tv_dim, cfgmod.tv_config(cfg)
-        )
+        embedding, losses = train_tv(corpus, spec, input_vocab, word_vocab, cfg)
     except DataError as exc:
         raise DataError(f"{args.input}: {exc}") from exc
     save_embedding(embedding, out)
@@ -180,15 +178,7 @@ def _training_inputs(args, cfg: RunConfig):
     samples = to_samples(args.input, records, n_classes)
     word_vocab = _load_word_vocab(_need(args.word_vocab, "--word-vocab"))
     tvs = tuple(load_embedding(p) for p in args.tv)
-    template = ModelTemplate(
-        base_vocab=word_vocab,
-        n_classes=n_classes,
-        region_size=cfg.region_size,
-        representation=cfg.representation,
-        embed_dim=cfg.embed_dim,
-        pooling_k=cfg.pooling_k,
-        tv_embeddings=tvs,
-    )
+    template = ModelTemplate(base_vocab=word_vocab, n_classes=n_classes, tv_embeddings=tvs)
     n_holdout = cfg.holdout if cfg.holdout >= 0 else default_holdout(len(samples))
     if n_holdout >= len(samples):
         raise UsageError(
@@ -227,7 +217,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
     train_set, val_set, template = _training_inputs(args, cfg)
     if not val_set:
         print("note: empty validation holdout, reporting training loss only")
-    model, metrics = train(template, cfgmod.train_config(cfg), train_set, val_set)
+    model, metrics = train(template, cfg, train_set, val_set)
     return _save_trained(args, model, _metric_lines(metrics))
 
 
@@ -235,9 +225,7 @@ def cmd_select(args, cfg: RunConfig) -> int:
     train_set, val_set, template = _training_inputs(args, cfg)
     if not val_set:
         print("note: empty validation holdout, selecting on training loss")
-    best_model, report = select_model(
-        cfgmod.selection_grid(cfg), template, cfgmod.train_config(cfg), train_set, val_set
-    )
+    best_model, report = select_model(template, cfg, train_set, val_set)
     lines = []
     for pt in report.points:
         point = (f"point region_size={pt.region_size} pooling_k={pt.pooling_k} "

@@ -4,10 +4,16 @@ Lines are ``key=value``; blank lines and lines starting with ``#`` are
 ignored.  Unknown keys are rejected; a value is read as its key's
 default's type, and numbers must be finite.  No key names a file: every
 file a stage reads or writes is named by its CLI flag.  Command-line
-``--set key=value`` overrides take precedence over the file.  The ``profile`` key encodes the pooling rule (sentiment tasks
-fix k=1, topic tasks search {1, 10}); ``small_data=true`` switches the
-epoch schedule from 30/24 to 100/80 unless ``epochs``/``decay_epoch``
-are set explicitly (0 means "use the profile default").
+``--set key=value`` overrides take precedence over the file.
+
+``RunConfig`` is the one configuration type: ``init_model``, ``train``,
+``select_model`` and ``train_tv`` read it, and it checks every range as
+it is built (``validate_config``), by ``replace`` as well, so no stage
+receives a value out of range.  ``small_data=true`` switches the epoch
+schedule from 30/24 to 100/80 unless ``epochs``/``decay_epoch`` are set
+explicitly (0 means "use the profile default").  The ``profile`` key
+names the task; ``select_model`` reads its pooling rule (sentiment tasks
+fix k=1, topic tasks search {1, 10}).
 """
 
 from __future__ import annotations
@@ -19,14 +25,14 @@ from swcnn.data import read_lines
 from swcnn.errors import UsageError
 from swcnn.evalbench import BENCH_CODES
 from swcnn.textpipe import BOW_NGRAM, BOW_WORD, CONCAT, NGRAM123, WORD, RegionSpec
-from swcnn.train import SelectionGrid, TrainConfig
-from swcnn.tv import TvTrainConfig
 
 PROFILES = ("topic", "sentiment")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
+    """Every setting of a run; no instance holds a value out of its range."""
+
     seed: int = 1
     profile: str = "topic"
     small_data: bool = False
@@ -69,10 +75,19 @@ class RunConfig:
     bench_p: int = 3
     bench_repetitions: int = 100
 
+    def __post_init__(self):
+        validate_config(self)
 
-# the least value of each bounded key, in the order they are checked
+
+# the least value of each bounded key, in the order they are checked; a
+# tuple key's items are checked one by one
 _LEAST = {"seed": 0, "n_classes": 0, "holdout": -1}  # holdout -1 is automatic
-_LEAST |= dict.fromkeys(("embed_dim", "pooling_k", "tv_dim", "word_vocab_cap",
+# epochs 0 and decay_epoch 0 take the profile's schedule
+_LEAST |= dict.fromkeys(("epochs", "decay_epoch", "initial_lr", "momentum", "top_l2",
+                         "grid_initial_lrs", "tv_lr"), 0)
+_LEAST |= dict.fromkeys(("embed_dim", "region_size", "pooling_k", "batch_size",
+                         "grid_region_sizes", "tv_dim", "tv_epochs", "tv_negatives",
+                         "tv_batch_size", "tv_region_size", "word_vocab_cap",
                          "ngram_vocab_cap", "bench_d", "bench_p", "bench_repetitions"), 1)
 # each bench vocabulary must hold the bench pattern's distinct codes
 _LEAST |= dict.fromkeys(("bench_v_small", "bench_v_large"), BENCH_CODES)
@@ -110,41 +125,39 @@ def _coerce(name: str, raw: str):
     return values if many else values[0]
 
 
-def _apply(cfg: RunConfig, item: str, malformed: str) -> None:
-    """Set the key a ``key=value`` item names; ``malformed`` is the error without ``=``."""
+def _item(item: str, malformed: str):
+    """The key and value of a ``key=value`` item; ``malformed`` is the error without ``=``."""
     key, sep, raw = item.partition("=")
     if not sep:
         raise UsageError(malformed)
     key = key.strip()
     if key not in _DEFAULTS:
         raise UsageError(f"unknown config key {key!r}")
-    setattr(cfg, key, _coerce(key, raw))
+    return key, _coerce(key, raw)
 
 
 def load_config(path, settings) -> RunConfig:
     """The defaults, then the lines of the file at ``path`` (if any), then each
-    ``--set`` item of ``settings``, validated."""
-    cfg = RunConfig()
+    ``--set`` item of ``settings``, built into one checked ``RunConfig``."""
+    values = {}
     for lineno, line in enumerate(read_lines(path, "config") if path else (), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         try:
-            _apply(cfg, line, "expected key=value")
+            values.update([_item(line, "expected key=value")])
         except UsageError as exc:
             raise UsageError(f"{path}: line {lineno}: {exc}") from None
     for item in settings:
-        _apply(cfg, item, f"--set expects KEY=VALUE, got {item!r}")
-    validate_config(cfg)
-    return cfg
+        values.update([_item(item, f"--set expects KEY=VALUE, got {item!r}")])
+    return RunConfig(**values)
 
 
 def validate_config(cfg: RunConfig) -> None:
-    """Reject a configuration that a stage would refuse, before any stage runs.
+    """Reject a configuration that a stage would refuse, naming the key.
 
-    The range rules live in the objects the stages build from the
-    configuration, so they are checked by building those objects here.
-    Vocabulary sizes are not known yet and do not enter the region specs.
+    ``RunConfig`` calls this whenever one is built.  Vocabulary sizes are
+    not known yet and do not enter the region specs.
     """
     if cfg.profile not in PROFILES:
         raise UsageError(f"profile must be one of {PROFILES}, got {cfg.profile!r}")
@@ -153,16 +166,24 @@ def validate_config(cfg: RunConfig) -> None:
             f"tv_representation must be {BOW_WORD} or {BOW_NGRAM}, got {cfg.tv_representation!r}"
         )
     for key, least in _LEAST.items():
-        if getattr(cfg, key) < least:
+        value = getattr(cfg, key)
+        if any(item < least for item in (value if isinstance(value, tuple) else (value,))):
             raise UsageError(f"invalid configuration: {key} must be >= {least}")
+    for key in ("grid_region_sizes", "grid_initial_lrs"):
+        if not getattr(cfg, key):
+            raise UsageError(f"invalid configuration: {key} must be non-empty")
+    for key in ("decay_factor", "init_std"):
+        if not getattr(cfg, key) > 0:
+            raise UsageError(f"invalid configuration: {key} must be > 0")
+    if not 0 <= cfg.dropout < 1:
+        raise UsageError("invalid configuration: dropout must be in [0, 1)")
+    epochs, decay_epoch = resolved_epochs(cfg), resolved_decay_epoch(cfg)
+    if not 1 <= decay_epoch <= epochs:
+        raise UsageError(f"invalid configuration: need 1 <= decay_epoch <= epochs, "
+                         f"got decay_epoch={decay_epoch} and epochs={epochs}")
     try:
-        train_config(cfg)
-        tv_config(cfg)
-        selection_grid(cfg)
-        RegionSpec(cfg.tv_representation, cfg.tv_region_size, vocab_size=1)
-        for region_size in (cfg.region_size, *cfg.grid_region_sizes):
-            base = RegionSpec(cfg.representation, region_size, vocab_size=1)
-    except ValueError as exc:
+        base = RegionSpec(cfg.representation, cfg.region_size, vocab_size=1)
+    except ValueError as exc:  # an unknown representation
         raise UsageError(f"invalid configuration: {exc}") from None
     if base.vocab_kind != WORD:
         raise UsageError(
@@ -177,42 +198,6 @@ def resolved_epochs(cfg: RunConfig) -> int:
 
 def resolved_decay_epoch(cfg: RunConfig) -> int:
     return cfg.decay_epoch or (80 if cfg.small_data else 24)
-
-
-def train_config(cfg: RunConfig) -> TrainConfig:
-    return TrainConfig(
-        initial_lr=cfg.initial_lr,
-        epochs=resolved_epochs(cfg),
-        decay_epoch=resolved_decay_epoch(cfg),
-        decay_factor=cfg.decay_factor,
-        momentum=cfg.momentum,
-        batch_size=cfg.batch_size,
-        init_std=cfg.init_std,
-        dropout=cfg.dropout,
-        top_l2=cfg.top_l2,
-        seed=cfg.seed,
-    )
-
-
-def selection_grid(cfg: RunConfig) -> SelectionGrid:
-    pooling_ks = (1,) if cfg.profile == "sentiment" else (1, 10)
-    return SelectionGrid(
-        region_sizes=cfg.grid_region_sizes,
-        pooling_ks=pooling_ks,
-        initial_lrs=cfg.grid_initial_lrs,
-    )
-
-
-def tv_config(cfg: RunConfig) -> TvTrainConfig:
-    return TvTrainConfig(
-        seed=cfg.seed,
-        epochs=cfg.tv_epochs,
-        lr=cfg.tv_lr,
-        negatives=cfg.tv_negatives,
-        momentum=cfg.momentum,
-        batch_size=cfg.tv_batch_size,
-        init_std=cfg.init_std,
-    )
 
 
 def capped_spec(cfg: RunConfig, representation: str, region_size: int) -> RegionSpec:

@@ -111,7 +111,7 @@ def time_inference(
     )
 
 
-def make_bench_pattern(length: int = 400, distinct: int = BENCH_CODES, seed: int = 0) -> list[int]:
+def make_bench_pattern(length: int = 400, distinct: int = BENCH_CODES, *, seed: int) -> list[int]:
     """Token-code pattern for the independence bench.
 
     A bounded set of distinct codes keeps the touched rows of W (the
@@ -136,7 +136,8 @@ def _bench_setup(d: int, p: int, pattern, vocab_size: int, seed: int):
     base = RegionEmbedding.initial(spec, vocab, d, 0.01, rng)
     top_W = rng.normal(0.0, 0.01, size=(2, d))
     top_b = rng.normal(0.0, 0.01, size=2)
-    model = ShallowModel(base=base, tvs=(), pooling_k=1, top_W=top_W, top_b=top_b)
+    model = ShallowModel(base=base, tvs=(), pooling_k=1, top_W=top_W, top_b=top_b,
+                         dropout_rate=0.0)
     return model, prepare_document(model.views, tokens)
 
 

@@ -148,7 +148,7 @@ class ShallowModel:
     pooling_k: int
     top_W: np.ndarray
     top_b: np.ndarray
-    dropout_rate: float = 0.5
+    dropout_rate: float
 
     def __post_init__(self):
         self.tvs = tuple(self.tvs)

@@ -27,6 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
+from swcnn.config import RunConfig, resolved_decay_epoch, resolved_epochs
 from swcnn.errors import DataError, NonFiniteWeights, NumericError
 from swcnn.evalbench import evaluate
 from swcnn.kernels import softmax_xent
@@ -40,85 +41,38 @@ from swcnn.model import (
     prepare_document,  # noqa: F401  (traced by benchmark/tracer.py)
     prepare_labeled,
 )
-from swcnn.textpipe import CONCAT, RegionSpec, Vocabulary
-
-
-@dataclass
-class TrainConfig:
-    initial_lr: float = 0.1
-    epochs: int = 30
-    decay_epoch: int = 24
-    decay_factor: float = 0.1
-    momentum: float = 0.9
-    batch_size: int = 100
-    init_std: float = 0.01
-    dropout: float = 0.5
-    top_l2: float = 0.0001
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 1 <= self.decay_epoch <= self.epochs:
-            raise ValueError("need 1 <= decay_epoch <= epochs")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.initial_lr < 0 or self.momentum < 0 or self.top_l2 < 0:
-            raise ValueError("rates must be non-negative")
-        if self.decay_factor <= 0 or self.init_std <= 0:
-            raise ValueError("decay_factor and init_std must be > 0")
-        if not 0 <= self.dropout < 1:
-            raise ValueError("dropout must be in [0, 1)")
-
-
-@dataclass
-class SelectionGrid:
-    region_sizes: tuple[int, ...] = (3, 5)
-    pooling_ks: tuple[int, ...] = (1, 10)
-    initial_lrs: tuple[float, ...] = (0.25, 0.1, 0.05, 0.01)
-
-    def __post_init__(self):
-        if not (self.region_sizes and self.pooling_ks and self.initial_lrs):
-            raise ValueError("selection grid must be non-empty")
+from swcnn.textpipe import RegionSpec, Vocabulary
 
 
 @dataclass
 class ModelTemplate:
-    """Architecture of a model before its trainable weights exist."""
+    """What a model needs beyond its ``RunConfig``: the word vocabulary,
+    the resolved class count and the loaded tv embeddings."""
 
     base_vocab: Vocabulary
     n_classes: int
-    region_size: int = 3
-    representation: str = CONCAT
-    embed_dim: int = 500
-    pooling_k: int = 1
     tv_embeddings: tuple[RegionEmbedding, ...] = ()
 
-    @property
-    def base_spec(self) -> RegionSpec:
-        return RegionSpec(
-            representation=self.representation,
-            region_size=self.region_size,
-            vocab_size=len(self.base_vocab),
-        )
 
-
-def init_model(template: ModelTemplate, config: TrainConfig, rng) -> ShallowModel:
+def init_model(template: ModelTemplate, cfg: RunConfig, rng) -> ShallowModel:
     """Fresh model with every trainable tensor drawn Gaussian(0, init_std^2)."""
-    std = config.init_std
-    d = template.embed_dim
-    base = RegionEmbedding.initial(template.base_spec, template.base_vocab, d, std, rng)
+    std = cfg.init_std
+    d = cfg.embed_dim
+    spec = RegionSpec(cfg.representation, cfg.region_size, vocab_size=len(template.base_vocab))
+    base = RegionEmbedding.initial(spec, template.base_vocab, d, std, rng)
     tvs = tuple(
         TvEmbedding(embedding=emb, fusion=rng.normal(0.0, std, size=(d, emb.dim)))
         for emb in template.tv_embeddings
     )
-    top_W = rng.normal(0.0, std, size=(template.n_classes, d * template.pooling_k))
+    top_W = rng.normal(0.0, std, size=(template.n_classes, d * cfg.pooling_k))
     top_b = rng.normal(0.0, std, size=template.n_classes)
     return ShallowModel(
         base=base,
         tvs=tvs,
-        pooling_k=template.pooling_k,
+        pooling_k=cfg.pooling_k,
         top_W=top_W,
         top_b=top_b,
-        dropout_rate=config.dropout,
+        dropout_rate=cfg.dropout,
     )
 
 
@@ -267,12 +221,15 @@ def sgd_momentum_step(params, grads, velocity, lr: float) -> None:
         v.step(lr)
 
 
-def sgd_epochs(params, n: int, config, rng, step_batch, what: str):
+def sgd_epochs(params, n: int, epochs: int, batch_size: int, momentum: float, rng,
+               step_batch, what: str):
     """Mini-batch SGD with momentum over ``n`` examples; yields (epoch, mean loss).
 
-    ``config`` is a ``TrainConfig`` or a ``TvTrainConfig``.  Each tensor in
-    ``params`` steps through its own ``LazyMomentum``.  Each epoch draws
-    one ``rng.permutation(n)`` and cuts it into batches, numbered from 1.
+    ``train`` passes its resolved ``epochs`` and its ``batch_size``,
+    ``train_tv`` its ``tv_epochs`` and ``tv_batch_size``; both pass the
+    config's ``momentum``.  Each tensor in ``params`` steps through its
+    own ``LazyMomentum``.  Each epoch draws one ``rng.permutation(n)`` and
+    cuts it into batches of ``batch_size``, numbered from 1.
     ``step_batch(velocity, epoch, batch)`` touches the rows the batch
     reads, fills each ``grad``, calls ``sgd_momentum_step`` and returns
     the batch's summed loss.  A running total that is not finite after a
@@ -283,13 +240,13 @@ def sgd_epochs(params, n: int, config, rng, step_batch, what: str):
     Callers hold their own ``np.errstate``: on a generator, the decorator
     would exit before the first batch.
     """
-    n_steps = config.epochs * -(-n // config.batch_size)
-    velocity = [LazyMomentum(p, config.momentum, n_steps) for p in params]
-    for epoch in range(1, config.epochs + 1):
+    n_steps = epochs * -(-n // batch_size)
+    velocity = [LazyMomentum(p, momentum, n_steps) for p in params]
+    for epoch in range(1, epochs + 1):
         order = rng.permutation(n)
         loss_sum = 0.0
-        for number, first in enumerate(range(0, n, config.batch_size), start=1):
-            loss_sum += step_batch(velocity, epoch, order[first : first + config.batch_size])
+        for number, first in enumerate(range(0, n, batch_size), start=1):
+            loss_sum += step_batch(velocity, epoch, order[first : first + batch_size])
             if not np.isfinite(loss_sum):
                 raise NumericError(f"non-finite {what} at epoch {epoch}, batch {number}")
         for lazy in velocity:
@@ -303,13 +260,14 @@ def slot_columns(views) -> np.ndarray:
     return cols[np.searchsorted(cols, 0):]  # past the holes' -1
 
 
-def lr_at_epoch(config: TrainConfig, epoch: int) -> float:
-    """initial_lr through decay_epoch, then once multiplied by decay_factor."""
-    if not 1 <= epoch <= config.epochs:
-        raise ValueError(f"epoch {epoch} outside [1, {config.epochs}]")
-    if epoch <= config.decay_epoch:
-        return config.initial_lr
-    return config.initial_lr * config.decay_factor
+def lr_at_epoch(cfg: RunConfig, epoch: int) -> float:
+    """initial_lr through the resolved decay epoch, then once multiplied by decay_factor."""
+    epochs = resolved_epochs(cfg)
+    if not 1 <= epoch <= epochs:
+        raise ValueError(f"epoch {epoch} outside [1, {epochs}]")
+    if epoch <= resolved_decay_epoch(cfg):
+        return cfg.initial_lr
+    return cfg.initial_lr * cfg.decay_factor
 
 
 @dataclass
@@ -334,7 +292,7 @@ def _error_percent(model, prepared_docs, epoch: int) -> float:
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def train(
     template: ModelTemplate,
-    config: TrainConfig,
+    cfg: RunConfig,
     train_data: Sequence,
     val_data: Sequence = (),
 ):
@@ -355,8 +313,8 @@ def train(
     """
     if len(train_data) == 0:
         raise DataError("empty training set")
-    rng = np.random.default_rng(config.seed)
-    model = init_model(template, config, rng)
+    rng = np.random.default_rng(cfg.seed)
+    model = init_model(template, cfg, rng)
     train_docs = list(prepare_labeled(model, train_data))
     val_docs = list(prepare_labeled(model, val_data))
     params = model.trainable_params()
@@ -378,21 +336,23 @@ def train(
             batch_xent += loss
             # scaled here, the gradients accumulate as the batch mean
             backward(model, cache, grad_logits / len(batch), grads)
-        grads.top_W += 2.0 * config.top_l2 * model.top_W
-        batch_objective = batch_xent / len(batch) + config.top_l2 * float(
+        grads.top_W += 2.0 * cfg.top_l2 * model.top_W
+        batch_objective = batch_xent / len(batch) + cfg.top_l2 * float(
             np.sum(model.top_W * model.top_W)
         )
-        sgd_momentum_step(params, grads.as_list(), velocity, lr_at_epoch(config, epoch))
+        sgd_momentum_step(params, grads.as_list(), velocity, lr_at_epoch(cfg, epoch))
         return batch_objective * len(batch)
 
     metrics: list[EpochMetrics] = []
     started = time.perf_counter()
-    for epoch, train_loss in sgd_epochs(params, len(train_docs), config, rng, step_batch, "loss"):
+    epochs = sgd_epochs(params, len(train_docs), resolved_epochs(cfg), cfg.batch_size,
+                        cfg.momentum, rng, step_batch, "loss")
+    for epoch, train_loss in epochs:
         val_error = _error_percent(model, val_docs, epoch) if val_docs else None
         metrics.append(
             EpochMetrics(
                 epoch=epoch,
-                lr=lr_at_epoch(config, epoch),
+                lr=lr_at_epoch(cfg, epoch),
                 train_loss=train_loss,
                 val_error=val_error,
                 seconds=time.perf_counter() - started,
@@ -422,15 +382,14 @@ class SelectionReport:
     chosen: GridPoint | None = None
 
 
-def select_model(
-    grid: SelectionGrid,
-    template: ModelTemplate,
-    config: TrainConfig,
-    train_set: Sequence,
-    val_set: Sequence,
-):
+def select_model(template: ModelTemplate, cfg: RunConfig, train_set: Sequence,
+                 val_set: Sequence):
     """Train one model per grid point and keep the validation winner.
 
+    The grid is ``cfg.grid_region_sizes`` by the profile's pooling ks by
+    ``cfg.grid_initial_lrs``: a sentiment task fixes k=1, a topic task
+    searches k in {1, 10}.  Each point trains on ``cfg`` with its region
+    size, pooling k and initial rate replaced.
     Every point trains on ``train_set`` and is scored on ``val_set``, the
     split ``train`` takes.  Ties break toward smaller region size, then
     smaller pooling k, then smaller learning rate.  With an empty
@@ -441,15 +400,14 @@ def select_model(
     report = SelectionReport()
     best = None
     best_model = None
-    for region_size in grid.region_sizes:
-        for pooling_k in grid.pooling_ks:
-            for lr in grid.initial_lrs:
-                point_template = replace(
-                    template, region_size=region_size, pooling_k=pooling_k
-                )
-                point_config = replace(config, initial_lr=lr)
+    pooling_ks = (1,) if cfg.profile == "sentiment" else (1, 10)
+    for region_size in cfg.grid_region_sizes:
+        for pooling_k in pooling_ks:
+            for lr in cfg.grid_initial_lrs:
+                point_cfg = replace(cfg, region_size=region_size, pooling_k=pooling_k,
+                                    initial_lr=lr)
                 try:
-                    model, metrics = train(point_template, point_config, train_set, val_set)
+                    model, metrics = train(template, point_cfg, train_set, val_set)
                 except NumericError as exc:
                     report.points.append(GridPoint(region_size, pooling_k, lr, None,
                                                    float("nan"), diverged=str(exc)))

@@ -21,6 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
+from swcnn.config import RunConfig
 from swcnn.errors import DataError
 from swcnn.model import RegionEmbedding, _view_slots
 from swcnn.textpipe import (
@@ -94,23 +95,6 @@ def square_loss(pred: np.ndarray, target: np.ndarray):
     return float(np.dot(diff, diff)), 2.0 * diff
 
 
-@dataclass
-class TvTrainConfig:
-    seed: int = 0
-    epochs: int = 10
-    lr: float = 0.1
-    negatives: int = 50
-    momentum: float = 0.9
-    batch_size: int = 100
-    init_std: float = 0.01
-
-    def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1 or self.negatives < 1:
-            raise ValueError("epochs, batch_size and negatives must be >= 1")
-        if self.lr < 0 or self.momentum < 0 or self.init_std <= 0:
-            raise ValueError("invalid training rates")
-
-
 # as in ``train``: a diverging run ends in NumericError, with no numpy warnings
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def train_tv(
@@ -118,14 +102,16 @@ def train_tv(
     spec: RegionSpec,
     tv_vocab: Vocabulary,
     word_vocab: Vocabulary,
-    d_tv: int,
-    config: TvTrainConfig,
+    cfg: RunConfig,
 ):
-    """Fit a two-view region embedding on an unlabeled token corpus.
+    """Fit a ``cfg.tv_dim``-dimensional two-view region embedding on an
+    unlabeled token corpus.
 
-    Returns (embedding, per-epoch mean losses).  Initialization and the
+    Returns (embedding, per-epoch mean losses).  ``cfg`` gives the tv
+    keys (``tv_epochs``, ``tv_lr``, ``tv_negatives``, ``tv_batch_size``)
+    and the shared ``momentum`` and ``init_std``.  Initialization and the
     negative samples are drawn from a single generator seeded with
-    ``config.seed``, so a fixed seed reproduces the embedding bitwise.
+    ``cfg.seed``, so a fixed seed reproduces the embedding bitwise.
     Draw order: W, b, prediction weights, prediction bias, then per-region
     negative sets in corpus order, then per-epoch shuffles.  A mini-batch
     gathers W x and scatters dW in one sweep; the head loops over regions.
@@ -137,13 +123,13 @@ def train_tv(
     """
     if len(corpus) == 0:
         raise DataError("tv training needs a non-empty corpus")
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(cfg.seed)
     n_words = len(word_vocab)
     # checks the input vocabulary against the spec; training updates W, b in place
-    embedding = RegionEmbedding.initial(spec, tv_vocab, d_tv, config.init_std, rng)
+    embedding = RegionEmbedding.initial(spec, tv_vocab, cfg.tv_dim, cfg.init_std, rng)
     W, b = embedding.W, embedding.b
-    head_W = rng.normal(0.0, config.init_std, size=(n_words, d_tv))
-    head_b = rng.normal(0.0, config.init_std, size=n_words)
+    head_W = rng.normal(0.0, cfg.init_std, size=(n_words, cfg.tv_dim))
+    head_b = rng.normal(0.0, cfg.init_std, size=n_words)
 
     # The corpus as one flat id array; example i is the region at offset
     # starts[i] of a document ending at ends[i], predicting outputs[i]:
@@ -155,7 +141,7 @@ def train_tv(
         pieces.append(input_ids)
         target_ids = input_ids if tv_vocab is word_vocab else encode(tokens, word_vocab)
         for ex in make_tv_examples(target_ids, spec):
-            negatives = sample_negatives(ex.target, n_words, config.negatives, rng)
+            negatives = sample_negatives(ex.target, n_words, cfg.tv_negatives, rng)
             starts.append(offset + ex.pos)
             ends.append(offset + len(tokens))
             outputs.append(np.concatenate([ex.target, negatives]))
@@ -201,8 +187,9 @@ def train_tv(
             dhead_b[at] += dpred
             dH[row] = head.T @ dpred
         embedding.add_grad(np.where(H > 0.0, dH, 0.0), view, dW, db, lazy_W.position)
-        sgd_momentum_step(params, grads, velocity, config.lr)
+        sgd_momentum_step(params, grads, velocity, cfg.tv_lr)
         return batch_loss
 
-    epochs = sgd_epochs(params, len(outputs), config, rng, step_batch, "tv loss")
+    epochs = sgd_epochs(params, len(outputs), cfg.tv_epochs, cfg.tv_batch_size, cfg.momentum,
+                        rng, step_batch, "tv loss")
     return embedding, [loss for _, loss in epochs]

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 import swcnn
+from swcnn.config import RunConfig, resolved_epochs
 from swcnn.evalbench import evaluate
 from swcnn.model import (
     ModelGrads, RegionEmbedding, backward, embed_regions, forward, max_pool,
@@ -19,7 +20,7 @@ from swcnn.model import (
 )
 from swcnn.kernels import softmax_xent
 from swcnn.textpipe import BOW_NGRAM, BOW_WORD, CONCAT, OOV, RegionSpec, Vocabulary, region_count
-from swcnn.train import ModelTemplate, TrainConfig, init_model, lr_at_epoch, slot_columns
+from swcnn.train import ModelTemplate, init_model, lr_at_epoch, slot_columns
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,15 +196,9 @@ def random_tiny_instance(seed, with_tvs, dropout=0.0):
                     b=rng.normal(0, 0.5, d_tv),
                 )
             )
-    template = ModelTemplate(
-        base_vocab=vocab,
-        n_classes=n_classes,
-        region_size=region_size,
-        embed_dim=dim,
-        pooling_k=pooling_k,
-        tv_embeddings=tuple(tvs),
-    )
-    config = TrainConfig(init_std=0.5, dropout=dropout, epochs=1, decay_epoch=1)
+    template = ModelTemplate(base_vocab=vocab, n_classes=n_classes, tv_embeddings=tuple(tvs))
+    config = RunConfig(region_size=region_size, embed_dim=dim, pooling_k=pooling_k,
+                       init_std=0.5, dropout=dropout)
     model = init_model(template, config, rng)
     tokens = [
         f"w{int(rng.integers(n_words))}" if rng.random() < 0.85 else "oovtok"
@@ -518,7 +513,7 @@ def dense_train(template, config, train_data, val_data=()):
     grads = zero_grads(model)
     n = len(train_docs)
     losses, val_errors = [], []
-    for epoch in range(1, config.epochs + 1):
+    for epoch in range(1, resolved_epochs(config) + 1):
         lr = lr_at_epoch(config, epoch)
         order = rng.permutation(n)
         objective_sum = 0.0

@@ -17,6 +17,7 @@ from helpers import (
     trigger_bigram_dataset,
 )
 from swcnn.cli import main
+from swcnn.config import RunConfig
 from swcnn.evalbench import (
     dense_control_ratio,
     evaluate,
@@ -29,8 +30,8 @@ from swcnn.textpipe import (
     BOW_NGRAM, BOW_WORD, CONCAT, NGRAM123, OOV, WORD, RegionSpec, build_vocab, encode,
     region_count,
 )
-from swcnn.train import ModelTemplate, TrainConfig, holdout_split, train
-from swcnn.tv import TvTrainConfig, train_tv
+from swcnn.train import ModelTemplate, holdout_split, train
+from swcnn.tv import train_tv
 
 
 def verdict(name, ok, detail=""):
@@ -133,11 +134,9 @@ def test_05_desk_scale_learning(capsys):
     train_data = trigger_bigram_dataset(2000, doc_len=50, vocab_size=30, seed=1)
     test_data = trigger_bigram_dataset(1000, doc_len=50, vocab_size=30, seed=2)
     vocab = build_vocab([tokens for tokens, _ in train_data], "word", 30_000)
-    template = ModelTemplate(
-        base_vocab=vocab, n_classes=2, region_size=3, representation=CONCAT,
-        embed_dim=500, pooling_k=1,
-    )
-    config = TrainConfig(initial_lr=0.1, epochs=30, decay_epoch=24, seed=7)
+    template = ModelTemplate(base_vocab=vocab, n_classes=2)
+    config = RunConfig(region_size=3, representation=CONCAT, embed_dim=500, pooling_k=1,
+                       initial_lr=0.1, epochs=30, decay_epoch=24, seed=7)
     train_set, val_set = holdout_split(train_data, 200, config.seed)
     model, metrics = train(template, config, train_set, val_set)
     accuracy = 100.0 - evaluate(model, prepare_labeled(model, test_data)).error_rate_percent
@@ -151,8 +150,8 @@ def test_06_tv_pipeline(capsys):
     corpus = markov_corpus(300, doc_len=30, n_states=40, seed=3)
     vocab = build_vocab(corpus, "word", 30_000)
     _, losses = train_tv(
-        corpus, RegionSpec(BOW_WORD, 5, len(vocab)), vocab, vocab, 30,
-        TvTrainConfig(seed=5, epochs=5, lr=0.05, negatives=20),
+        corpus, RegionSpec(BOW_WORD, 5, len(vocab)), vocab, vocab,
+        RunConfig(seed=5, tv_dim=30, tv_epochs=5, tv_lr=0.05, tv_negatives=20),
     )
     loss_drops = losses[4] < losses[0]
 
@@ -162,21 +161,17 @@ def test_06_tv_pipeline(capsys):
     task_vocab = build_vocab([tokens for tokens, _ in train_data], "word", 30_000)
     tv_emb, _ = train_tv(
         [tokens for tokens, _ in train_data],
-        RegionSpec(BOW_WORD, 5, len(task_vocab)), task_vocab, task_vocab, 50,
-        TvTrainConfig(seed=5, epochs=4, lr=0.05, negatives=20),
+        RegionSpec(BOW_WORD, 5, len(task_vocab)), task_vocab, task_vocab,
+        RunConfig(seed=5, tv_dim=50, tv_epochs=4, tv_lr=0.05, tv_negatives=20),
     )
     tv_w_before = tv_emb.W.copy()
     tv_b_before = tv_emb.b.copy()
-    config = TrainConfig(initial_lr=0.1, epochs=15, decay_epoch=12, seed=7)
+    config = RunConfig(region_size=3, embed_dim=100, pooling_k=1, initial_lr=0.1, epochs=15,
+                       decay_epoch=12, seed=7)
     train_set, val_set = holdout_split(train_data, 160, config.seed)
-    base_template = ModelTemplate(
-        base_vocab=task_vocab, n_classes=2, region_size=3, embed_dim=100, pooling_k=1,
-    )
+    base_template = ModelTemplate(base_vocab=task_vocab, n_classes=2)
     base_model, _ = train(base_template, config, train_set, val_set)
-    fused_template = ModelTemplate(
-        base_vocab=task_vocab, n_classes=2, region_size=3, embed_dim=100,
-        pooling_k=1, tv_embeddings=(tv_emb,),
-    )
+    fused_template = ModelTemplate(base_vocab=task_vocab, n_classes=2, tv_embeddings=(tv_emb,))
     fused_model, _ = train(fused_template, config, train_set, val_set)
     frozen = np.array_equal(fused_model.tvs[0].embedding.W, tv_w_before) and np.array_equal(
         fused_model.tvs[0].embedding.b, tv_b_before
@@ -196,10 +191,9 @@ def test_07_determinism_and_serialization(capsys, tmp_path):
     """Same seed, same bits; containers reproduce logits exactly."""
     data = trigger_bigram_dataset(150, doc_len=15, vocab_size=12, seed=4)
     vocab = build_vocab([tokens for tokens, _ in data], "word", 30_000)
-    template = ModelTemplate(
-        base_vocab=vocab, n_classes=2, region_size=3, embed_dim=32, pooling_k=2,
-    )
-    config = TrainConfig(initial_lr=0.1, epochs=3, decay_epoch=2, seed=13)
+    template = ModelTemplate(base_vocab=vocab, n_classes=2)
+    config = RunConfig(region_size=3, embed_dim=32, pooling_k=2, initial_lr=0.1, epochs=3,
+                       decay_epoch=2, seed=13)
     one, _ = train(template, config, data)
     two, _ = train(template, config, data)
     bitwise = all(

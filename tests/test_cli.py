@@ -27,7 +27,7 @@ from swcnn.data import save_vocab
 from swcnn.model import RegionEmbedding, ShallowModel
 from swcnn.serialize import load_embedding, save_model
 from swcnn.textpipe import BOW_WORD, RegionSpec
-from swcnn.train import ModelTemplate, TrainConfig, init_model
+from swcnn.train import ModelTemplate, init_model
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 # former config keys that named files; a file is named by its CLI flag only
@@ -104,18 +104,45 @@ class TestConfig:
 
         cfg = RunConfig()
         assert (resolved_epochs(cfg), resolved_decay_epoch(cfg)) == (30, 24)
-        cfg.small_data = True
+        cfg = dataclasses.replace(cfg, small_data=True)
         assert (resolved_epochs(cfg), resolved_decay_epoch(cfg)) == (100, 80)
-        cfg.epochs = 12
+        cfg = dataclasses.replace(cfg, epochs=12, decay_epoch=10)
         assert resolved_epochs(cfg) == 12
 
-    def test_sentiment_profile_fixes_k(self):
-        from swcnn.config import selection_grid
+    def test_sentiment_profile_fixes_k(self, monkeypatch):
+        import swcnn.train as trainmod
 
+        trained = []
+
+        def fake_train(template, cfg, train_set, val_set):
+            trained.append(cfg.pooling_k)
+            return object(), [trainmod.EpochMetrics(1, cfg.initial_lr, 1.0, 50.0, 0.0)]
+
+        monkeypatch.setattr(trainmod, "train", fake_train)
+        for profile, pooling_ks in (("topic", [1, 10]), ("sentiment", [1])):
+            trained.clear()
+            cfg = RunConfig(profile=profile, grid_region_sizes=(3,), grid_initial_lrs=(0.1,))
+            trainmod.select_model(None, cfg, [], [])
+            assert trained == pooling_ks
+
+    @pytest.mark.parametrize("key", cfgmod._LEAST)
+    def test_run_config_enforces_each_least_value(self, key):
+        least = cfgmod._LEAST[key]
+        if isinstance(getattr(RunConfig(), key), tuple):
+            # each item is checked, not only the first
+            at, below = (least,), (least, least - 1)
+        else:
+            at, below = least, least - 1
+        assert getattr(RunConfig(**{key: at}), key) == at
+        with pytest.raises(UsageError, match=rf"^invalid configuration: {key} must be >= {least}$"):
+            RunConfig(**{key: below})
+
+    def test_a_built_config_cannot_leave_its_ranges(self):
         cfg = RunConfig()
-        assert selection_grid(cfg).pooling_ks == (1, 10)
-        cfg.profile = "sentiment"
-        assert selection_grid(cfg).pooling_ks == (1,)
+        with pytest.raises(UsageError, match="initial_lr must be >= 0"):
+            dataclasses.replace(cfg, initial_lr=-1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.initial_lr = -1
 
     @pytest.mark.parametrize("field", dataclasses.fields(RunConfig), ids=lambda f: f.name)
     def test_every_key_reads_back_its_default_text(self, tmp_path, field):
@@ -174,9 +201,10 @@ def test_corrupt_config_is_valid_or_a_usage_or_data_error(tmp_path, offset, byte
         cfg = load_config(path, [])
     except (UsageError, DataError):
         return
-    cfgmod.train_config(cfg)
-    cfgmod.tv_config(cfg)
-    cfgmod.selection_grid(cfg)
+    for region_size in cfg.grid_region_sizes:  # the grid points select_model builds
+        for lr in cfg.grid_initial_lrs:
+            dataclasses.replace(cfg, region_size=region_size, pooling_k=10, initial_lr=lr)
+    RegionSpec(cfg.tv_representation, cfg.tv_region_size, vocab_size=1)
     np.random.default_rng(cfg.seed)
     assert cfg.n_classes >= 0
     for f in dataclasses.fields(RunConfig):
@@ -495,7 +523,7 @@ def blank_model(path, n_words, dim):
     base = RegionEmbedding(spec=RegionSpec(BOW_WORD, 1, n_words), vocab=vocab,
                            W=np.zeros((n_words, dim)), b=np.zeros(dim))
     save_model(ShallowModel(base=base, tvs=(), pooling_k=1, top_W=np.zeros((2, dim)),
-                            top_b=np.zeros(2)), path)
+                            top_b=np.zeros(2), dropout_rate=0.0), path)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KB on Linux")
@@ -603,6 +631,22 @@ class TestExitCodes:
         ("bench", ["bench_d=0"], "bench_d must be >= 1"),
         ("bench", ["bench_d=-3"], "bench_d must be >= 1"),
         ("train", ["holdout=-7"], "holdout must be >= -1"),  # -1 alone means automatic
+        ("tv-train", ["tv_epochs=0"], "tv_epochs must be >= 1"),
+        ("tv-train", ["tv_batch_size=0"], "tv_batch_size must be >= 1"),
+        ("tv-train", ["tv_negatives=0"], "tv_negatives must be >= 1"),
+        ("tv-train", ["tv_lr=-1"], "tv_lr must be >= 0"),
+        ("tv-train", ["tv_region_size=0"], "tv_region_size must be >= 1"),
+        ("train", ["initial_lr=-1"], "initial_lr must be >= 0"),
+        ("train", ["momentum=-1"], "momentum must be >= 0"),
+        ("train", ["top_l2=-1"], "top_l2 must be >= 0"),
+        ("train", ["decay_factor=0"], "decay_factor must be > 0"),
+        ("train", ["init_std=0"], "init_std must be > 0"),
+        # no config file: the decay epoch takes its default, 24
+        ("params", ["n_classes=2", "epochs=5"],
+         "need 1 <= decay_epoch <= epochs, got decay_epoch=24 and epochs=5"),
+        ("select", ["grid_initial_lrs=0.05,-0.1"], "grid_initial_lrs must be >= 0"),
+        ("select", ["grid_region_sizes=3,0"], "grid_region_sizes must be >= 1"),
+        ("select", ["grid_initial_lrs="], "grid_initial_lrs must be non-empty"),
     ])
     def test_invalid_config_value_is_one(self, task_files, capsys, command, settings, message):
         tmp_path, train_csv, _, config = task_files
@@ -617,10 +661,21 @@ class TestExitCodes:
         assert captured.err.startswith("error: invalid configuration") and message in captured.err
         assert "Traceback" not in captured.err and captured.out == ""
 
+    def test_negative_grid_rate_is_one_not_a_traceback(self, task_files, capsys):
+        # the grid's rates were once checked only as select built each point
+        tmp_path, train_csv, _, config = task_files
+        assert run(["vocab", "--input", train_csv, "--output", tmp_path / "w.vocab"]) == 0
+        capsys.readouterr()
+        assert run(["select", "--config", config, "--input", train_csv,
+                    "--word-vocab", tmp_path / "w.vocab", "--output", tmp_path / "m.swcn",
+                    "--set", "grid_initial_lrs=-0.1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: invalid configuration: grid_initial_lrs must be >= 0\n"
+        assert captured.out == "" and not (tmp_path / "m.swcn").exists()
+
     def test_oversized_container_field_is_two(self, tmp_path, capsys, monkeypatch):
-        template = ModelTemplate(base_vocab=word_vocab(4), n_classes=2, region_size=1,
-                                 embed_dim=3, pooling_k=1)
-        model = init_model(template, TrainConfig(epochs=1, decay_epoch=1),
+        template = ModelTemplate(base_vocab=word_vocab(4), n_classes=2)
+        model = init_model(template, RunConfig(region_size=1, embed_dim=3, pooling_k=1),
                            np.random.default_rng(0))
         path = tmp_path / "huge.swcn"
         save_model(model, path)
@@ -788,10 +843,9 @@ class TestExitCodes:
         write_csv(tmp_path / "three.csv", [(1, "w0 w1"), (3, "w2 w3"), (2, "w1")])
         vocab = tmp_path / "w.vocab"
         save_vocab(word_vocab(4), vocab)
-        template = ModelTemplate(base_vocab=word_vocab(4), n_classes=2, region_size=1,
-                                 embed_dim=3, pooling_k=1)
+        template = ModelTemplate(base_vocab=word_vocab(4), n_classes=2)
         model = tmp_path / "m.swcn"
-        save_model(init_model(template, TrainConfig(epochs=1, decay_epoch=1),
+        save_model(init_model(template, RunConfig(region_size=1, embed_dim=3, pooling_k=1),
                               np.random.default_rng(0)), model)
         flags = {
             "vocab": ["--output", tmp_path / "new.vocab"],
@@ -862,9 +916,8 @@ class TestExitCodes:
         assert "bad.csv: line 1" in capsys.readouterr().err
 
     def test_non_finite_model_is_two(self, tmp_path, capsys, monkeypatch):
-        template = ModelTemplate(base_vocab=word_vocab(4), n_classes=2, region_size=1,
-                                 embed_dim=3, pooling_k=1)
-        model = init_model(template, TrainConfig(epochs=1, decay_epoch=1),
+        template = ModelTemplate(base_vocab=word_vocab(4), n_classes=2)
+        model = init_model(template, RunConfig(region_size=1, embed_dim=3, pooling_k=1),
                            np.random.default_rng(0))
         model.top_W[0, 0] = np.nan
         path = tmp_path / "nan.swcn"
@@ -882,9 +935,8 @@ class TestExitCodes:
         tv = RegionEmbedding(spec=RegionSpec(BOW_WORD, 2, 4), vocab=vocab,
                              W=np.random.default_rng(1).normal(size=(2, 4)).T.copy(),
                              b=np.zeros(2))
-        template = ModelTemplate(base_vocab=vocab, n_classes=2, region_size=1,
-                                 embed_dim=3, pooling_k=1, tv_embeddings=(tv,))
-        model = init_model(template, TrainConfig(epochs=1, decay_epoch=1),
+        template = ModelTemplate(base_vocab=vocab, n_classes=2, tv_embeddings=(tv,))
+        model = init_model(template, RunConfig(region_size=1, embed_dim=3, pooling_k=1),
                            np.random.default_rng(0))
         paths = tmp_path / "clean.swcn", tmp_path / "nan.swcn"
         for path in paths:  # the value is set once the clean container is written

@@ -4,6 +4,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import word_vocab, write_corrupted, write_csv
+from swcnn.config import RunConfig
 from swcnn.data import (
     DatasetRecord, atomic_write, load_csv, load_vocab, n_classes_of, save_vocab, to_samples,
 )
@@ -11,7 +12,7 @@ from swcnn.errors import DataError, UsageError
 from swcnn.model import RegionEmbedding
 from swcnn.serialize import load_model, save_model
 from swcnn.textpipe import BOW_NGRAM, BOW_WORD, NGRAM123, RegionSpec, build_vocab
-from swcnn.train import ModelTemplate, TrainConfig, init_model
+from swcnn.train import ModelTemplate, init_model
 
 # one cut (byte < 0) or one overwritten byte of a valid file, at any offset
 corruptions = given(st.integers(min_value=0), st.integers(min_value=-1, max_value=255))
@@ -208,9 +209,8 @@ def save_in_a_model(vocab, path):
     spec = RegionSpec(representation, 2, len(vocab))
     tv = RegionEmbedding(spec=spec, vocab=vocab, W=np.zeros((len(vocab), 2)),
                          b=np.zeros(2))
-    template = ModelTemplate(base_vocab=word_vocab(3), n_classes=2, region_size=1,
-                             embed_dim=2, pooling_k=1, tv_embeddings=(tv,))
-    save_model(init_model(template, TrainConfig(epochs=1, decay_epoch=1),
+    template = ModelTemplate(base_vocab=word_vocab(3), n_classes=2, tv_embeddings=(tv,))
+    save_model(init_model(template, RunConfig(region_size=1, embed_dim=2, pooling_k=1),
                           np.random.default_rng(0)), path)
     return load_model(path).tvs[0].embedding.vocab
 

@@ -6,6 +6,7 @@ import pytest
 
 import swcnn.evalbench
 from helpers import word_vocab
+from swcnn.config import RunConfig
 from swcnn.errors import DataError
 from swcnn.evalbench import (
     _bench_setup,
@@ -17,14 +18,14 @@ from swcnn.evalbench import (
     vocab_independence_bench,
 )
 from swcnn.model import prepare_labeled
-from swcnn.train import ModelTemplate, TrainConfig, init_model
+from swcnn.train import ModelTemplate, init_model
 
 
 def constant_model(n_classes, favored, n_words=10):
     """Zero features: always predicts `favored`."""
-    template = ModelTemplate(base_vocab=word_vocab(n_words), n_classes=n_classes,
-                             region_size=2, embed_dim=4, pooling_k=1)
-    model = init_model(template, TrainConfig(epochs=1, decay_epoch=1), np.random.default_rng(0))
+    template = ModelTemplate(base_vocab=word_vocab(n_words), n_classes=n_classes)
+    model = init_model(template, RunConfig(region_size=2, embed_dim=4, pooling_k=1),
+                       np.random.default_rng(0))
     model.base.W[...] = 0.0
     model.base.b[...] = 0.0
     model.top_b[...] = 0.0
@@ -76,9 +77,8 @@ class TestEvaluate:
 class TestTimeInference:
     def make_model_and_docs(self, n_docs, doc_len=120):
         rng = np.random.default_rng(0)
-        template = ModelTemplate(base_vocab=word_vocab(40), n_classes=2,
-                                 region_size=3, embed_dim=64, pooling_k=1)
-        model = init_model(template, TrainConfig(epochs=1, decay_epoch=1), rng)
+        template = ModelTemplate(base_vocab=word_vocab(40), n_classes=2)
+        model = init_model(template, RunConfig(region_size=3, embed_dim=64, pooling_k=1), rng)
         samples = [([f"w{int(rng.integers(40))}" for _ in range(doc_len)], 0)
                    for _ in range(n_docs)]
         return model, list(prepare_labeled(model, samples))

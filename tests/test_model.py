@@ -7,6 +7,7 @@ from helpers import (
     _region_vector_unchecked, fd_max_rel_error, random_tiny_instance, rectify_then_pool,
     region_vector, scatter_reference, slots_reference, sparse_affine, word_vocab, zero_grads,
 )
+from swcnn.config import RunConfig
 from swcnn.errors import NonFiniteWeights
 from swcnn.kernels import softmax_xent
 from swcnn.model import (
@@ -31,21 +32,16 @@ from swcnn.textpipe import (
     BOW_NGRAM, BOW_WORD, CONCAT, RegionSpec, Vocabulary, build_vocab, encode, region_count,
 )
 from swcnn.train import slot_columns
-from swcnn.train import ModelTemplate, TrainConfig, init_model
+from swcnn.train import ModelTemplate, init_model
 
 
 def small_model(seed=0, n_words=12, region_size=3, dim=6, n_classes=3, pooling_k=2,
                 tvs=(), dropout=0.0):
     rng = np.random.default_rng(seed)
-    template = ModelTemplate(
-        base_vocab=word_vocab(n_words),
-        n_classes=n_classes,
-        region_size=region_size,
-        embed_dim=dim,
-        pooling_k=pooling_k,
-        tv_embeddings=tuple(tvs),
-    )
-    config = TrainConfig(init_std=0.5, dropout=dropout, epochs=1, decay_epoch=1)
+    template = ModelTemplate(base_vocab=word_vocab(n_words), n_classes=n_classes,
+                             tv_embeddings=tuple(tvs))
+    config = RunConfig(region_size=region_size, embed_dim=dim, pooling_k=pooling_k,
+                       init_std=0.5, dropout=dropout)
     return template, init_model(template, config, rng)
 
 
@@ -137,10 +133,9 @@ class TestForward:
             W=np.ascontiguousarray(rng.normal(0, 0.5, (4, spec.input_dim)).T),
             b=rng.normal(0, 0.5, 4))
         vocab = word_vocab(6)
-        template = ModelTemplate(base_vocab=vocab, n_classes=2, region_size=2,
-                                 embed_dim=5, pooling_k=1, tv_embeddings=(tv,))
-        model = init_model(template, TrainConfig(init_std=0.5, dropout=0.0, epochs=1, decay_epoch=1),
-                           np.random.default_rng(4))
+        template = ModelTemplate(base_vocab=vocab, n_classes=2, tv_embeddings=(tv,))
+        config = RunConfig(region_size=2, embed_dim=5, pooling_k=1, init_std=0.5, dropout=0.0)
+        model = init_model(template, config, np.random.default_rng(4))
         doc = prepare_document(model.views, corpus[0])
         logits, _ = forward(model, doc)
         assert np.allclose(logits, naive_logits(model, corpus[0]), atol=1e-12)
@@ -276,9 +271,9 @@ def test_prepared_bytes_per_token_are_bounded():
     grams = build_vocab(corpus, "ngram123", 5_000)
     tv = RegionEmbedding.initial(RegionSpec(BOW_NGRAM, 5, len(grams)), grams, 4, 0.1,
                                  np.random.default_rng(0))
-    template = ModelTemplate(base_vocab=words, n_classes=2, region_size=3, embed_dim=4,
-                             pooling_k=10, tv_embeddings=(tv,))
-    model = init_model(template, TrainConfig(epochs=1, decay_epoch=1), np.random.default_rng(1))
+    template = ModelTemplate(base_vocab=words, n_classes=2, tv_embeddings=(tv,))
+    model = init_model(template, RunConfig(region_size=3, embed_dim=4, pooling_k=10),
+                       np.random.default_rng(1))
     samples = [(tokens, 0) for tokens in corpus]
     tracemalloc.start()
     try:
@@ -399,9 +394,9 @@ class TestBackward:
         tv = RegionEmbedding(spec=spec, vocab=vocab,
                              W=np.ascontiguousarray(rng.normal(0, 0.5, (4, 20)).T),
                              b=rng.normal(0, 0.5, 4))
-        template = ModelTemplate(base_vocab=vocab, n_classes=3, region_size=3,
-                                 embed_dim=6, pooling_k=1, tv_embeddings=(tv,))
-        model = init_model(template, TrainConfig(init_std=0.5, dropout=0.0, epochs=1, decay_epoch=1), rng)
+        template = ModelTemplate(base_vocab=vocab, n_classes=3, tv_embeddings=(tv,))
+        config = RunConfig(region_size=3, embed_dim=6, pooling_k=1, init_std=0.5, dropout=0.0)
+        model = init_model(template, config, rng)
         tokens = [f"w{int(rng.integers(20))}" for _ in range(10)]
         doc = prepare_document(model.views, tokens, 2)
         assert fd_max_rel_error(model, doc) < 1e-4
@@ -430,6 +425,7 @@ class TestBackward:
             pooling_k=model.pooling_k,
             top_W=model.top_W,
             top_b=model.top_b,
+            dropout_rate=model.dropout_rate,
         )
         with pytest.raises(ValueError):
             backward(other, cache, np.zeros(3), zero_grads(other))
@@ -664,7 +660,7 @@ class TestCountParameters:
                                           W=np.zeros((v, d_tv)), b=np.zeros(d_tv)),
                 fusion=np.zeros((500, d_tv))))
         model = ShallowModel(base=base, tvs=tuple(tvs), pooling_k=1,
-                             top_W=np.zeros((5, 500)), top_b=np.zeros(5))
+                             top_W=np.zeros((5, 500)), top_b=np.zeros(5), dropout_rate=0.0)
         count = count_parameters(model)
         assert count == expect
         assert round(count / 1e6) == millions

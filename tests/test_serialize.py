@@ -10,6 +10,7 @@ from helpers import (
     v1_embedding_bytes, v1_model_bytes, v2_embedding_bytes, v2_model_bytes, word_vocab,
     write_corrupted,
 )
+from swcnn.config import RunConfig
 from swcnn.errors import DataError, NonFiniteWeights
 from swcnn.model import RegionEmbedding, ShallowModel, forward, prepare_document
 from swcnn.serialize import (
@@ -21,7 +22,7 @@ from swcnn.serialize import (
     save_model,
 )
 from swcnn.textpipe import BOW_NGRAM, BOW_WORD, RegionSpec, Vocabulary
-from swcnn.train import ModelTemplate, TrainConfig, init_model
+from swcnn.train import ModelTemplate, init_model
 
 
 @pytest.fixture
@@ -40,9 +41,9 @@ def fused_model():
             spec=spec, vocab=v,
             W=np.ascontiguousarray(rng.normal(size=(4, spec.input_dim)).T),
             b=rng.normal(size=4)))
-    template = ModelTemplate(base_vocab=vocab, n_classes=3, region_size=3,
-                             embed_dim=7, pooling_k=2, tv_embeddings=tuple(tvs))
-    model = init_model(template, TrainConfig(init_std=0.3, epochs=1, decay_epoch=1), rng)
+    template = ModelTemplate(base_vocab=vocab, n_classes=3, tv_embeddings=tuple(tvs))
+    config = RunConfig(region_size=3, embed_dim=7, pooling_k=2, init_std=0.3)
+    model = init_model(template, config, rng)
     return template, model
 
 
@@ -279,9 +280,8 @@ def model_over(vocab, tv_vocab, rep=BOW_WORD):
     tv = RegionEmbedding(spec=spec, vocab=tv_vocab,
                          W=np.ascontiguousarray(rng.normal(size=(3, spec.input_dim)).T),
                          b=rng.normal(size=3))
-    template = ModelTemplate(base_vocab=vocab, n_classes=2, region_size=2, embed_dim=4,
-                             pooling_k=1, tv_embeddings=(tv,))
-    return init_model(template, TrainConfig(epochs=1, decay_epoch=1), rng)
+    template = ModelTemplate(base_vocab=vocab, n_classes=2, tv_embeddings=(tv,))
+    return init_model(template, RunConfig(region_size=2, embed_dim=4, pooling_k=1), rng)
 
 
 class TestSharedVocabulary:
@@ -372,7 +372,7 @@ def test_oversized_size_field_is_truncation(tmp_path, kind, field):
         load = load_embedding
     else:
         model = ShallowModel(base=emb, tvs=(), pooling_k=1,
-                             top_W=np.zeros((2, 2)), top_b=np.zeros(2))
+                             top_W=np.zeros((2, 2)), top_b=np.zeros(2), dropout_rate=0.0)
         save_model(model, path)
         _oversize(path, 25, vocab, field)
         load = load_model
@@ -534,9 +534,9 @@ def test_inference_on_a_mapped_W_copies_no_W(tmp_path):
 
     n_words, d = 4000, 100
     vocab = Vocabulary(kind="word", entries=tuple((f"w{i}", n_words - i) for i in range(n_words)))
-    template = ModelTemplate(base_vocab=vocab, n_classes=2, region_size=3, embed_dim=d,
-                             pooling_k=2)
-    model = init_model(template, TrainConfig(epochs=1, decay_epoch=1), np.random.default_rng(2))
+    template = ModelTemplate(base_vocab=vocab, n_classes=2)
+    model = init_model(template, RunConfig(region_size=3, embed_dim=d, pooling_k=2),
+                       np.random.default_rng(2))
     path = tmp_path / "wide.swcn"
     save_model(model, path)
     W_bytes = model.base.W.nbytes

@@ -10,13 +10,12 @@ from helpers import (
     RowIndexedMomentum, child_peak_rss_bytes, compact_scatter_reference, dense_momentum_step,
     dense_train, markov_corpus, rel_err, trigger_bigram_dataset,
 )
-from swcnn.errors import DataError, NumericError
+from swcnn.config import RunConfig, resolved_epochs
+from swcnn.errors import DataError, NumericError, UsageError
 from swcnn.train import (
     GridPoint,
     LazyMomentum,
     ModelTemplate,
-    SelectionGrid,
-    TrainConfig,
     default_holdout,
     holdout_split,
     init_model,
@@ -26,7 +25,6 @@ from swcnn.train import (
     sgd_momentum_step,
     train,
 )
-from swcnn.tv import TvTrainConfig
 
 
 class TestHoldoutSplit:
@@ -225,10 +223,17 @@ class TestLazyMomentum:
             LazyMomentum(w, 0.9, 3)
 
 
+TRAIN_CONFIG = RunConfig(epochs=3, decay_epoch=3, batch_size=4)
+TV_CONFIG = RunConfig(tv_epochs=3, tv_batch_size=4)
+
+
 class TestSgdEpochs:
-    CONFIGS = [
-        pytest.param(TrainConfig(epochs=3, decay_epoch=3, batch_size=4), id="train"),
-        pytest.param(TvTrainConfig(epochs=3, batch_size=4), id="tv"),
+    # (epochs, batch_size, momentum) as train and train_tv read them from their configs
+    SCHEDULES = [
+        pytest.param((resolved_epochs(TRAIN_CONFIG), TRAIN_CONFIG.batch_size,
+                      TRAIN_CONFIG.momentum), id="train"),
+        pytest.param((TV_CONFIG.tv_epochs, TV_CONFIG.tv_batch_size, TV_CONFIG.momentum),
+                     id="tv"),
     ]
 
     @staticmethod
@@ -238,10 +243,10 @@ class TestSgdEpochs:
             return loss
         return step_batch
 
-    @pytest.mark.parametrize("config", CONFIGS)
-    def test_each_epoch_covers_every_example_once_in_short_last_batches(self, config):
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_each_epoch_covers_every_example_once_in_short_last_batches(self, schedule):
         batches = []
-        yielded = list(sgd_epochs([np.zeros((3, 2))], 10, config, np.random.default_rng(1),
+        yielded = list(sgd_epochs([np.zeros((3, 2))], 10, *schedule, np.random.default_rng(1),
                                   self.record(batches, loss=2.5), "loss"))
         assert yielded == [(1, 0.75), (2, 0.75), (3, 0.75)]  # 3 batches of 2.5 over 10
         assert [epoch for epoch, _ in batches] == [1] * 3 + [2] * 3 + [3] * 3
@@ -253,8 +258,7 @@ class TestSgdEpochs:
     def test_one_permutation_per_epoch(self):
         rng = np.random.default_rng(7)
         batches = []
-        for _ in sgd_epochs([np.zeros(3)], 10, TvTrainConfig(epochs=3, batch_size=4), rng,
-                            self.record(batches), "tv loss"):
+        for _ in sgd_epochs([np.zeros(3)], 10, 3, 4, 0.9, rng, self.record(batches), "tv loss"):
             pass
         fresh = np.random.default_rng(7)
         orders = [fresh.permutation(10) for _ in range(3)]
@@ -272,8 +276,7 @@ class TestSgdEpochs:
         W, b = rng.normal(size=(30, 2)), rng.normal(size=2)
         W_ref, b_ref = W.copy(), b.copy()
         v_ref = [np.zeros_like(W), np.zeros_like(b)]
-        config = TrainConfig(epochs=4, decay_epoch=4, batch_size=6, momentum=0.9)
-        lr = 0.1
+        epochs, batch_size, lr = 4, 6, 0.1
 
         def step_batch(velocity, epoch, batch):
             lazy_W, lazy_b = velocity
@@ -288,8 +291,8 @@ class TestSgdEpochs:
 
         def reference_epoch(order):
             total = 0.0
-            for first in range(0, len(order), config.batch_size):
-                rows = np.sort(order[first : first + config.batch_size])
+            for first in range(0, len(order), batch_size):
+                rows = np.sort(order[first : first + batch_size])
                 diff = W_ref[rows] - target[rows] + b_ref
                 dW = np.zeros_like(W_ref)
                 dW[rows] = diff
@@ -298,8 +301,8 @@ class TestSgdEpochs:
             return total / len(order)
 
         ref_rng = np.random.default_rng(11)
-        for epoch, loss in sgd_epochs([W, b], 20, config, np.random.default_rng(11),
-                                      step_batch, "loss"):
+        for epoch, loss in sgd_epochs([W, b], 20, epochs, batch_size, 0.9,
+                                      np.random.default_rng(11), step_batch, "loss"):
             want_loss = reference_epoch(ref_rng.permutation(20))
             assert rel_err(W, W_ref) <= 1e-12
             assert rel_err(b, b_ref) <= 1e-12
@@ -313,16 +316,16 @@ class TestSgdEpochs:
 
         calls = []
         with pytest.raises(NumericError, match=rf"^non-finite {what} at epoch 2, batch 3$"):
-            for _ in sgd_epochs([np.zeros(2)], 10, TrainConfig(epochs=3, decay_epoch=3,
-                                batch_size=4), np.random.default_rng(0), step_batch, what):
+            for _ in sgd_epochs([np.zeros(2)], 10, 3, 4, 0.9, np.random.default_rng(0),
+                                step_batch, what):
                 pass
         assert len(calls) == 6
 
     def test_a_running_total_that_overflows_raises(self):
         # every batch's loss is finite; their sum is not
         with pytest.raises(NumericError, match=r"^non-finite loss at epoch 1, batch 2$"):
-            for _ in sgd_epochs([np.zeros(2)], 10, TvTrainConfig(epochs=2, batch_size=4),
-                                np.random.default_rng(0), self.record([], loss=1e308), "loss"):
+            for _ in sgd_epochs([np.zeros(2)], 10, 2, 4, 0.9, np.random.default_rng(0),
+                                self.record([], loss=1e308), "loss"):
                 pass
 
     def test_no_velocity_outlives_train_or_train_tv(self):
@@ -338,13 +341,13 @@ class TestSgdEpochs:
 
         before = [o for o in gc.get_objects() if isinstance(o, LazyMomentum)]
         data = tiny_task(30)
-        model, _ = train(tiny_template(data), TrainConfig(epochs=2, decay_epoch=2,
-                                                          batch_size=10), data)
+        model, _ = train(tiny_template(data), tiny_config(epochs=2, decay_epoch=2, batch_size=10),
+                         data)
         assert new_velocities() == []
         corpus = markov_corpus(6, doc_len=12, n_states=10)
         vocab = build_vocab(corpus, "word", 100)
         embedding, _ = tv.train_tv(corpus, RegionSpec(BOW_WORD, 3, len(vocab)), vocab, vocab,
-                                   4, TvTrainConfig(epochs=2, negatives=3))
+                                   RunConfig(seed=0, tv_dim=4, tv_epochs=2, tv_negatives=3))
         assert new_velocities() == []
 
     def test_train_and_train_tv_run_through_the_driver(self, monkeypatch):
@@ -360,59 +363,63 @@ class TestSgdEpochs:
         monkeypatch.setattr("swcnn.train.sgd_epochs", counting)
         monkeypatch.setattr(tv, "sgd_epochs", counting)
         data = tiny_task(30)
-        train(tiny_template(data), TrainConfig(epochs=2, decay_epoch=2, batch_size=10), data)
+        train(tiny_template(data), tiny_config(epochs=2, decay_epoch=2, batch_size=10), data)
         assert calls == ["loss"]
         corpus = markov_corpus(6, doc_len=12, n_states=10)
         vocab = build_vocab(corpus, "word", 100)
-        tv.train_tv(corpus, RegionSpec(BOW_WORD, 3, len(vocab)), vocab, vocab, 4,
-                    TvTrainConfig(epochs=2, negatives=3))
+        tv.train_tv(corpus, RegionSpec(BOW_WORD, 3, len(vocab)), vocab, vocab,
+                    RunConfig(seed=0, tv_dim=4, tv_epochs=2, tv_negatives=3))
         assert calls == ["loss", "tv loss"]
 
 
 class TestLrSchedule:
     def test_decay_applies_after_the_decay_epoch(self):
-        config = TrainConfig(initial_lr=0.2, epochs=30, decay_epoch=24)
+        config = RunConfig(initial_lr=0.2, epochs=30, decay_epoch=24)
         assert lr_at_epoch(config, 24) == 0.2
         assert lr_at_epoch(config, 25) == pytest.approx(0.02)
 
     def test_small_data_schedule(self):
-        config = TrainConfig(initial_lr=0.2, epochs=100, decay_epoch=80)
+        config = RunConfig(initial_lr=0.2, small_data=True)  # 100 epochs, decay after 80
         assert lr_at_epoch(config, 80) == 0.2
         assert lr_at_epoch(config, 81) == pytest.approx(0.02)
 
     def test_exactly_one_decrease(self):
-        config = TrainConfig(initial_lr=0.5, epochs=30, decay_epoch=24)
+        config = RunConfig(initial_lr=0.5, epochs=30, decay_epoch=24)
         rates = [lr_at_epoch(config, e) for e in range(1, 31)]
         drops = sum(1 for a, b in zip(rates, rates[1:]) if b < a)
         assert drops == 1
         assert not any(b > a for a, b in zip(rates, rates[1:]))
 
     def test_epoch_bounds(self):
-        config = TrainConfig(epochs=10, decay_epoch=8)
+        config = RunConfig(epochs=10, decay_epoch=8)
         with pytest.raises(ValueError):
             lr_at_epoch(config, 0)
         with pytest.raises(ValueError):
             lr_at_epoch(config, 11)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            TrainConfig(epochs=10, decay_epoch=11)
-        with pytest.raises(ValueError):
-            TrainConfig(dropout=1.0)
+        with pytest.raises(UsageError, match="got decay_epoch=11 and epochs=10"):
+            RunConfig(epochs=10, decay_epoch=11)
+        with pytest.raises(UsageError, match="dropout"):
+            RunConfig(dropout=1.0)
 
 
 def tiny_task(n=60, seed=0):
     return trigger_bigram_dataset(n, doc_len=12, vocab_size=10, seed=seed)
 
 
-def tiny_template(data, pooling_k=1, region_size=3):
+def tiny_template(data):
     from swcnn.textpipe import build_vocab
 
     vocab = build_vocab([t for t, _ in data], "word", 1000)
-    return ModelTemplate(
-        base_vocab=vocab, n_classes=2, region_size=region_size,
-        embed_dim=8, pooling_k=pooling_k,
-    )
+    return ModelTemplate(base_vocab=vocab, n_classes=2)
+
+
+def tiny_config(**keys):
+    """The tiny task's 8-dimensional model at region size 3 and k=1, then ``keys``.
+
+    The seed is 0 unless ``keys`` name one."""
+    return RunConfig(**{"embed_dim": 8, "seed": 0, **keys})
 
 
 def test_init_model_draw_order():
@@ -424,9 +431,8 @@ def test_init_model_draw_order():
     vocab = tiny_template(data).base_vocab
     tv = RegionEmbedding(spec=RegionSpec(BOW_WORD, 2, len(vocab)), vocab=vocab,
                          W=np.zeros((len(vocab), 3)), b=np.zeros(3))
-    template = ModelTemplate(base_vocab=vocab, n_classes=2, region_size=3, embed_dim=8,
-                             pooling_k=2, tv_embeddings=(tv,))
-    config = TrainConfig(epochs=1, decay_epoch=1, init_std=0.05)
+    template = ModelTemplate(base_vocab=vocab, n_classes=2, tv_embeddings=(tv,))
+    config = tiny_config(pooling_k=2, init_std=0.05)
     rng = np.random.default_rng(5)
     want = [rng.normal(0.0, 0.05, size=shape)
             for shape in [(8, 3 * len(vocab)), 8, (8, 3), (2, 16), 2]]
@@ -441,7 +447,7 @@ class TestTrain:
     def test_zero_lr_keeps_initialization_bitwise(self):
         data = tiny_task()
         template = tiny_template(data)
-        config = TrainConfig(initial_lr=0.0, epochs=2, decay_epoch=1, seed=9)
+        config = tiny_config(initial_lr=0.0, epochs=2, decay_epoch=1, seed=9)
         model, _ = train(template, config, data)
         reference = init_model(template, config, np.random.default_rng(9))
         for got, expect in zip(model.trainable_params(), reference.trainable_params()):
@@ -450,7 +456,7 @@ class TestTrain:
     def test_fixed_seed_reproduces_everything(self):
         data = tiny_task()
         template = tiny_template(data)
-        config = TrainConfig(initial_lr=0.1, epochs=3, decay_epoch=2, seed=4)
+        config = tiny_config(initial_lr=0.1, epochs=3, decay_epoch=2, seed=4)
         tr, val = holdout_split(data, 10, config.seed)
         m1, metrics1 = train(template, config, tr, val)
         m2, metrics2 = train(template, config, tr, val)
@@ -463,7 +469,7 @@ class TestTrain:
     def test_metrics_shape_and_finiteness(self):
         data = tiny_task()
         template = tiny_template(data)
-        config = TrainConfig(initial_lr=0.05, epochs=4, decay_epoch=3, seed=1)
+        config = tiny_config(initial_lr=0.05, epochs=4, decay_epoch=3, seed=1)
         tr, val = holdout_split(data, 12, config.seed)
         _, metrics = train(template, config, tr, val)
         assert [m.epoch for m in metrics] == [1, 2, 3, 4]
@@ -478,8 +484,8 @@ class TestTrain:
         # one batch per epoch, no momentum carryover across configs
         base_cfg = dict(initial_lr=0.05, epochs=1, decay_epoch=1, seed=2,
                         batch_size=100, dropout=0.0)
-        with_l2, _ = train(template, TrainConfig(top_l2=0.1, **base_cfg), data)
-        without_l2, _ = train(template, TrainConfig(top_l2=0.0, **base_cfg), data)
+        with_l2, _ = train(template, tiny_config(top_l2=0.1, **base_cfg), data)
+        without_l2, _ = train(template, tiny_config(top_l2=0.0, **base_cfg), data)
         assert np.array_equal(with_l2.base.W, without_l2.base.W)
         assert np.array_equal(with_l2.base.b, without_l2.base.b)
         assert not np.array_equal(with_l2.top_W, without_l2.top_W)
@@ -497,7 +503,7 @@ class TestTrain:
 
         monkeypatch.setattr("swcnn.train.sgd_momentum_step", diverging_step)
         data = tiny_task(30)
-        config = TrainConfig(epochs=1, decay_epoch=1, seed=0, batch_size=100)
+        config = tiny_config(epochs=1, decay_epoch=1, seed=0, batch_size=100)
         with pytest.raises(NumericError, match=r"^validation after epoch 1: document 1: "
                                                r"non-finite value in the base view's"):
             train(tiny_template(data), config, data[:20], data[20:])
@@ -505,21 +511,21 @@ class TestTrain:
     def test_validationless_training_reports_none(self):
         data = tiny_task(30)
         template = tiny_template(data)
-        config = TrainConfig(initial_lr=0.05, epochs=1, decay_epoch=1, seed=0)
+        config = tiny_config(initial_lr=0.05, epochs=1, decay_epoch=1, seed=0)
         _, metrics = train(template, config, data, val_data=())
         assert metrics[0].val_error is None
 
     def test_label_outside_classes_rejected(self):
         data = tiny_task(30)
         template = tiny_template(data)
-        config = TrainConfig(epochs=1, decay_epoch=1, seed=0)
+        config = tiny_config(epochs=1, decay_epoch=1, seed=0)
         with pytest.raises(DataError, match=r"label 2 outside \[0, 2\)"):
             train(template, config, data, val_data=[(["w0"], 2)])
 
     def test_divergence_aborts_with_location(self):
         data = tiny_task(30)
         template = tiny_template(data)
-        config = TrainConfig(initial_lr=1e200, epochs=3, decay_epoch=2, seed=0, batch_size=10)
+        config = tiny_config(initial_lr=1e200, epochs=3, decay_epoch=2, seed=0, batch_size=10)
         with pytest.raises(NumericError, match=r"epoch \d+, batch \d+"):
             train(template, config, data)
 
@@ -528,7 +534,7 @@ class TestTrain:
         # the second batch's loss is the first non-finite one
         data = tiny_task(30)
         template = tiny_template(data)
-        config = TrainConfig(initial_lr=1e200, epochs=2, decay_epoch=2, seed=0, batch_size=15)
+        config = tiny_config(initial_lr=1e200, epochs=2, decay_epoch=2, seed=0, batch_size=15)
         with pytest.raises(NumericError, match=r"^non-finite loss at epoch 1, batch 2$"):
             train(template, config, data)
 
@@ -544,9 +550,8 @@ class TestTrain:
                              W=np.ascontiguousarray(rng.normal(size=(4, len(vocab))).T),
                              b=rng.normal(size=4))
         w_before, b_before = tv.W.copy(), tv.b.copy()
-        template = ModelTemplate(base_vocab=vocab, n_classes=2, region_size=3,
-                                 embed_dim=8, pooling_k=1, tv_embeddings=(tv,))
-        config = TrainConfig(initial_lr=0.1, epochs=2, decay_epoch=1, seed=5)
+        template = ModelTemplate(base_vocab=vocab, n_classes=2, tv_embeddings=(tv,))
+        config = tiny_config(initial_lr=0.1, epochs=2, decay_epoch=1, seed=5)
         model, _ = train(template, config, data)
         assert np.array_equal(model.tvs[0].embedding.W, w_before)
         assert np.array_equal(model.tvs[0].embedding.b, b_before)
@@ -566,9 +571,8 @@ def test_train_is_bitwise_equal_with_the_row_wise_scatter(monkeypatch):
     grams = build_vocab([t for t, _ in data], "ngram123", 1000)
     tv = RegionEmbedding.initial(RegionSpec(BOW_NGRAM, 3, len(grams)), grams, 4, 0.5,
                                  np.random.default_rng(2))
-    template = ModelTemplate(base_vocab=vocab, n_classes=2, region_size=3, embed_dim=8,
-                             pooling_k=3, tv_embeddings=(tv,))
-    config = TrainConfig(initial_lr=0.1, epochs=3, decay_epoch=2, batch_size=8,
+    template = ModelTemplate(base_vocab=vocab, n_classes=2, tv_embeddings=(tv,))
+    config = tiny_config(pooling_k=3, initial_lr=0.1, epochs=3, decay_epoch=2, batch_size=8,
                          dropout=0.5, seed=6)
     tr, val = holdout_split(data, 10, 1)
     model, metrics = train(template, config, tr, val)
@@ -607,13 +611,12 @@ class TestLazyTrainMatchesDense:
         tv = RegionEmbedding(spec=spec, vocab=vocab,
                              W=np.ascontiguousarray(rng.normal(size=(4, len(vocab))).T),
                              b=rng.normal(size=4))
-        template = ModelTemplate(base_vocab=vocab, n_classes=2, region_size=3,
-                                 representation=representation, embed_dim=8,
-                                 pooling_k=2, tv_embeddings=(tv,))
+        template = ModelTemplate(base_vocab=vocab, n_classes=2, tv_embeddings=(tv,))
         # 39 training documents in batches of 7: 6 steps per epoch, 36 in
         # all, the lr decaying after the third epoch
-        config = TrainConfig(initial_lr=0.1, epochs=6, decay_epoch=3, momentum=momentum,
-                             batch_size=7, dropout=0.5, seed=8)
+        config = tiny_config(representation=representation, pooling_k=2, initial_lr=0.1,
+                             epochs=6, decay_epoch=3, momentum=momentum, batch_size=7,
+                             dropout=0.5, seed=8)
         tr, val = holdout_split(data, 8, 1)
         assert any("once" in t for t, _ in tr) and [] in [t for t, _ in tr]
         ref, ref_losses, ref_errors = dense_train(template, config, tr, val)
@@ -631,9 +634,9 @@ class TestSelectModel:
     def test_singleton_grid(self):
         data = tiny_task(50)
         template = tiny_template(data)
-        grid = SelectionGrid(region_sizes=(3,), pooling_ks=(1,), initial_lrs=(0.05,))
-        config = TrainConfig(initial_lr=0.0, epochs=1, decay_epoch=1, seed=0)
-        model, report = select_model(grid, template, config, *holdout_split(data, 10, config.seed))
+        config = tiny_config(profile="sentiment", grid_region_sizes=(3,), grid_initial_lrs=(0.05,),
+                             initial_lr=0.0, epochs=1, decay_epoch=1)
+        model, report = select_model(template, config, *holdout_split(data, 10, config.seed))
         assert model is not None
         assert len(report.points) == 1
         assert report.chosen == report.points[0]
@@ -643,18 +646,18 @@ class TestSelectModel:
         data = tiny_task(50)
         template = tiny_template(data)
         # lr=0 makes every grid point identical, so scores tie exactly
-        grid = SelectionGrid(region_sizes=(5, 3), pooling_ks=(2, 1), initial_lrs=(0.0,))
-        config = TrainConfig(initial_lr=0.0, epochs=1, decay_epoch=1, seed=0)
-        _, report = select_model(grid, template, config, *holdout_split(data, 10, config.seed))
+        config = tiny_config(grid_region_sizes=(5, 3), grid_initial_lrs=(0.0,), epochs=1,
+                             decay_epoch=1)
+        _, report = select_model(template, config, *holdout_split(data, 10, config.seed))
         assert report.chosen.region_size == 3
         assert report.chosen.pooling_k == 1
 
     def test_report_lists_every_point(self):
         data = tiny_task(50)
         template = tiny_template(data)
-        grid = SelectionGrid(region_sizes=(2, 3), pooling_ks=(1,), initial_lrs=(0.01, 0.05))
-        config = TrainConfig(initial_lr=0.0, epochs=1, decay_epoch=1, seed=0)
-        _, report = select_model(grid, template, config, *holdout_split(data, 10, config.seed))
+        config = tiny_config(profile="sentiment", grid_region_sizes=(2, 3),
+                             grid_initial_lrs=(0.01, 0.05), epochs=1, decay_epoch=1)
+        _, report = select_model(template, config, *holdout_split(data, 10, config.seed))
         assert len(report.points) == 4
         assert all(isinstance(p, GridPoint) for p in report.points)
         assert all(p.val_error is not None for p in report.points)
@@ -663,9 +666,10 @@ class TestSelectModel:
         data = tiny_task(50)
         template = tiny_template(data)
         # 1e200 sorts first among the scores of a diverged run, were it kept
-        grid = SelectionGrid(region_sizes=(3,), pooling_ks=(1,), initial_lrs=(1e200, 0.05))
-        config = TrainConfig(epochs=2, decay_epoch=1, seed=0, batch_size=20)
-        model, report = select_model(grid, template, config, *holdout_split(data, 10, config.seed))
+        config = tiny_config(profile="sentiment", grid_region_sizes=(3,),
+                             grid_initial_lrs=(1e200, 0.05), epochs=2, decay_epoch=1,
+                             batch_size=20)
+        model, report = select_model(template, config, *holdout_split(data, 10, config.seed))
         diverged, trained = report.points
         assert diverged.initial_lr == 1e200
         assert diverged.diverged.startswith("non-finite loss at epoch 1, batch ")
@@ -676,14 +680,15 @@ class TestSelectModel:
     def test_every_point_diverged_raises(self):
         data = tiny_task(50)
         template = tiny_template(data)
-        grid = SelectionGrid(region_sizes=(3,), pooling_ks=(1,), initial_lrs=(1e200, 1e300))
-        config = TrainConfig(epochs=2, decay_epoch=1, seed=0, batch_size=20)
+        config = tiny_config(profile="sentiment", grid_region_sizes=(3,),
+                             grid_initial_lrs=(1e200, 1e300), epochs=2, decay_epoch=1,
+                             batch_size=20)
         with pytest.raises(NumericError, match="every grid point diverged"):
-            select_model(grid, template, config, *holdout_split(data, 10, config.seed))
+            select_model(template, config, *holdout_split(data, 10, config.seed))
 
     def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError):
-            SelectionGrid(region_sizes=())
+        with pytest.raises(UsageError, match="grid_region_sizes must be non-empty"):
+            RunConfig(grid_region_sizes=())
 
     def test_five_token_signal_selects_region_size_five(self):
         from helpers import pair_distance_dataset
@@ -692,10 +697,10 @@ class TestSelectModel:
         # trigger pair spans 5 tokens, so 3-token regions carry no signal
         data = pair_distance_dataset(900, seed=31)
         vocab = build_vocab([tokens for tokens, _ in data], "word", 30_000)
-        template = ModelTemplate(base_vocab=vocab, n_classes=2, embed_dim=48, pooling_k=1)
-        grid = SelectionGrid(region_sizes=(3, 5), pooling_ks=(1,), initial_lrs=(0.1,))
-        config = TrainConfig(initial_lr=0.1, epochs=10, decay_epoch=8, seed=3)
-        _, report = select_model(grid, template, config, *holdout_split(data, 120, config.seed))
+        template = ModelTemplate(base_vocab=vocab, n_classes=2)
+        config = RunConfig(profile="sentiment", embed_dim=48, grid_region_sizes=(3, 5),
+                           grid_initial_lrs=(0.1,), epochs=10, decay_epoch=8, seed=3)
+        _, report = select_model(template, config, *holdout_split(data, 120, config.seed))
         by_size = {p.region_size: p.val_error for p in report.points}
         assert by_size[5] < by_size[3]
         assert report.chosen.region_size == 5

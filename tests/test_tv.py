@@ -5,10 +5,10 @@ from helpers import (
     compact_scatter_reference, dense_momentum_step, markov_corpus, region_vector, rel_err,
     sparse_affine, word_vocab,
 )
+from swcnn.config import RunConfig
 from swcnn.errors import DataError, NumericError
 from swcnn.textpipe import BOW_NGRAM, BOW_WORD, OOV, RegionSpec, build_vocab, encode
 from swcnn.tv import (
-    TvTrainConfig,
     make_tv_examples,
     sample_negatives,
     square_loss,
@@ -125,8 +125,8 @@ class TestTrainTv:
     def test_zero_lr_returns_gaussian_init(self):
         vocab = self.vocab()
         spec = RegionSpec(BOW_WORD, 3, len(vocab))
-        config = TvTrainConfig(seed=5, epochs=2, lr=0.0, negatives=5)
-        emb, _ = train_tv(self.corpus, spec, vocab, vocab, 4, config)
+        config = RunConfig(seed=5, tv_dim=4, tv_epochs=2, tv_lr=0.0, tv_negatives=5)
+        emb, _ = train_tv(self.corpus, spec, vocab, vocab, config)
         rng = np.random.default_rng(5)
         expect_W = rng.normal(0.0, config.init_std, size=(4, spec.input_dim))
         expect_b = rng.normal(0.0, config.init_std, size=4)
@@ -136,9 +136,9 @@ class TestTrainTv:
     def test_fixed_seed_reproduces_bitwise(self):
         vocab = self.vocab()
         spec = RegionSpec(BOW_WORD, 3, len(vocab))
-        config = TvTrainConfig(seed=7, epochs=2, lr=0.05, negatives=5)
-        one, losses_one = train_tv(self.corpus, spec, vocab, vocab, 4, config)
-        two, losses_two = train_tv(self.corpus, spec, vocab, vocab, 4, config)
+        config = RunConfig(seed=7, tv_dim=4, tv_epochs=2, tv_lr=0.05, tv_negatives=5)
+        one, losses_one = train_tv(self.corpus, spec, vocab, vocab, config)
+        two, losses_two = train_tv(self.corpus, spec, vocab, vocab, config)
         assert np.array_equal(one.W, two.W)
         assert np.array_equal(one.b, two.b)
         assert losses_one == losses_two
@@ -146,22 +146,23 @@ class TestTrainTv:
     def test_loss_decreases_on_successor_structure(self):
         vocab = self.vocab()
         spec = RegionSpec(BOW_WORD, 3, len(vocab))
-        config = TvTrainConfig(seed=1, epochs=5, lr=0.05, negatives=8)
-        _, losses = train_tv(self.corpus, spec, vocab, vocab, 8, config)
+        config = RunConfig(seed=1, tv_dim=8, tv_epochs=5, tv_lr=0.05, tv_negatives=8)
+        _, losses = train_tv(self.corpus, spec, vocab, vocab, config)
         assert losses[4] < losses[0]
 
     def test_no_examples_raises(self):
         vocab = self.vocab()
         spec = RegionSpec(BOW_WORD, 12, len(vocab))
         with pytest.raises(DataError, match="no tv examples"):
-            train_tv([self.corpus[0]], spec, vocab, vocab, 4, TvTrainConfig(epochs=1))
+            train_tv([self.corpus[0]], spec, vocab, vocab,
+                     RunConfig(seed=0, tv_dim=4, tv_epochs=1))
 
     def test_divergence_aborts_with_location(self):
         vocab = self.vocab()
         spec = RegionSpec(BOW_WORD, 3, len(vocab))
-        config = TvTrainConfig(seed=0, epochs=2, lr=1e200, negatives=5)
+        config = RunConfig(seed=0, tv_dim=4, tv_epochs=2, tv_lr=1e200, tv_negatives=5)
         with pytest.raises(NumericError, match=r"epoch \d+, batch \d+"):
-            train_tv(self.corpus, spec, vocab, vocab, 4, config)
+            train_tv(self.corpus, spec, vocab, vocab, config)
 
     def test_divergence_numbers_batches_from_one(self):
         # two batches per epoch; the first step blows the weights up, so
@@ -169,19 +170,22 @@ class TestTrainTv:
         vocab = self.vocab()
         spec = RegionSpec(BOW_WORD, 3, len(vocab))
         n = sum(len(make_tv_examples(encode(t, vocab), spec)) for t in self.corpus)
-        config = TvTrainConfig(seed=0, epochs=2, lr=1e200, negatives=5, batch_size=-(-n // 2))
+        config = RunConfig(seed=0, tv_dim=4, tv_epochs=2, tv_lr=1e200, tv_negatives=5,
+                           tv_batch_size=-(-n // 2))
         with pytest.raises(NumericError, match=r"^non-finite tv loss at epoch 1, batch 2$"):
-            train_tv(self.corpus, spec, vocab, vocab, 4, config)
+            train_tv(self.corpus, spec, vocab, vocab, config)
 
     def test_empty_corpus_raises(self):
         vocab = self.vocab()
         with pytest.raises(DataError):
-            train_tv([], RegionSpec(BOW_WORD, 3, len(vocab)), vocab, vocab, 4, TvTrainConfig())
+            train_tv([], RegionSpec(BOW_WORD, 3, len(vocab)), vocab, vocab,
+                     RunConfig(seed=0, tv_dim=4))
 
 
-def per_region_train_tv(corpus, spec, tv_vocab, word_vocab, d_tv, config):
+def per_region_train_tv(corpus, spec, tv_vocab, word_vocab, config):
     """Reference for train_tv: one sparse region vector and one affine map
     per example, the same draw order, the same batches."""
+    d_tv = config.tv_dim
     rng = np.random.default_rng(config.seed)
     n_words = len(word_vocab)
     W = np.asfortranarray(rng.normal(0.0, config.init_std, size=(d_tv, spec.input_dim)))
@@ -193,7 +197,7 @@ def per_region_train_tv(corpus, spec, tv_vocab, word_vocab, d_tv, config):
         input_doc = encode(tokens, tv_vocab)
         target_doc = encode(tokens, word_vocab)
         for ex in make_tv_examples(target_doc, spec):
-            negatives = sample_negatives(ex.target, n_words, config.negatives, rng)
+            negatives = sample_negatives(ex.target, n_words, config.tv_negatives, rng)
             x = region_vector(input_doc, ex.pos, spec)
             examples.append((x, np.concatenate([ex.target, negatives]), len(ex.target)))
     params = [W, b, head_W, head_b]
@@ -201,11 +205,11 @@ def per_region_train_tv(corpus, spec, tv_vocab, word_vocab, d_tv, config):
     grads = [np.zeros_like(p) for p in params]
     dW, db, dhead_W, dhead_b = grads
     losses = []
-    for _ in range(config.epochs):
+    for _ in range(config.tv_epochs):
         order = rng.permutation(len(examples))
         loss_sum = 0.0
-        for first in range(0, len(examples), config.batch_size):
-            batch = order[first : first + config.batch_size]
+        for first in range(0, len(examples), config.tv_batch_size):
+            batch = order[first : first + config.tv_batch_size]
             for g in grads:
                 g[...] = 0.0
             for idx in batch:
@@ -223,7 +227,7 @@ def per_region_train_tv(corpus, spec, tv_vocab, word_vocab, d_tv, config):
                 db += dz
             for g in grads:
                 g *= 1.0 / len(batch)
-            dense_momentum_step(params, grads, velocity, config.lr, config.momentum)
+            dense_momentum_step(params, grads, velocity, config.tv_lr, config.momentum)
         losses.append(loss_sum / len(examples))
     return W, b, losses, len(examples)
 
@@ -241,16 +245,16 @@ class TestSharedSweepMatchesPerRegion:
         tv_vocab = word_vocab_ if representation == BOW_WORD else build_vocab(
             self.corpus[:20], "ngram123", 40)
         spec = RegionSpec(representation, p, len(tv_vocab))
-        config = TvTrainConfig(seed=11, epochs=4, lr=0.2, negatives=3, batch_size=7,
-                               init_std=0.3)
+        config = RunConfig(seed=11, tv_dim=5, tv_epochs=4, tv_lr=0.2, tv_negatives=3,
+                           tv_batch_size=7, init_std=0.3)
         W_ref, b_ref, losses_ref, n_examples = per_region_train_tv(
-            self.corpus, spec, tv_vocab, word_vocab_, 5, config)
-        assert n_examples % config.batch_size != 0
-        emb, losses = train_tv(self.corpus, spec, tv_vocab, word_vocab_, 5, config)
+            self.corpus, spec, tv_vocab, word_vocab_, config)
+        assert n_examples % config.tv_batch_size != 0
+        emb, losses = train_tv(self.corpus, spec, tv_vocab, word_vocab_, config)
         assert rel_err(emb.W.T, W_ref) <= 1e-12
         assert rel_err(emb.b, b_ref) <= 1e-12
         assert rel_err(losses, losses_ref) <= 1e-12
-        again, losses_again = train_tv(self.corpus, spec, tv_vocab, word_vocab_, 5, config)
+        again, losses_again = train_tv(self.corpus, spec, tv_vocab, word_vocab_, config)
         assert np.array_equal(again.W, emb.W) and np.array_equal(again.b, emb.b)
         assert losses_again == losses
 
@@ -264,10 +268,10 @@ def test_word_occurring_once_matches_per_region(momentum):
     vocab = build_vocab(corpus, "word", 1000)
     assert dict(vocab.entries)["once"] == 1
     spec = RegionSpec(BOW_WORD, 2, len(vocab))
-    config = TvTrainConfig(seed=3, epochs=4, lr=0.2, negatives=3, batch_size=9,
-                           init_std=0.3, momentum=momentum)
-    W_ref, b_ref, losses_ref, _ = per_region_train_tv(corpus, spec, vocab, vocab, 5, config)
-    emb, losses = train_tv(corpus, spec, vocab, vocab, 5, config)
+    config = RunConfig(seed=3, tv_dim=5, tv_epochs=4, tv_lr=0.2, tv_negatives=3,
+                       tv_batch_size=9, init_std=0.3, momentum=momentum)
+    W_ref, b_ref, losses_ref, _ = per_region_train_tv(corpus, spec, vocab, vocab, config)
+    emb, losses = train_tv(corpus, spec, vocab, vocab, config)
     assert rel_err(emb.W.T, W_ref) <= 1e-12
     assert rel_err(emb.b, b_ref) <= 1e-12
     assert rel_err(losses, losses_ref) <= 1e-12
@@ -284,10 +288,11 @@ def test_bitwise_equal_with_the_row_wise_scatter(representation, monkeypatch):
     word_vocab_ = build_vocab(corpus, "word", 8)
     tv_vocab = word_vocab_ if representation == BOW_WORD else build_vocab(corpus, "ngram123", 40)
     spec = RegionSpec(representation, 3, len(tv_vocab))
-    config = TvTrainConfig(seed=2, epochs=3, lr=0.2, negatives=3, batch_size=9, init_std=0.3)
-    emb, losses = train_tv(corpus, spec, tv_vocab, word_vocab_, 5, config)
+    config = RunConfig(seed=2, tv_dim=5, tv_epochs=3, tv_lr=0.2, tv_negatives=3,
+                       tv_batch_size=9, init_std=0.3)
+    emb, losses = train_tv(corpus, spec, tv_vocab, word_vocab_, config)
     monkeypatch.setattr(swcnn.model, "_scatter_embedding_grad", compact_scatter_reference)
-    ref, ref_losses = train_tv(corpus, spec, tv_vocab, word_vocab_, 5, config)
+    ref, ref_losses = train_tv(corpus, spec, tv_vocab, word_vocab_, config)
     assert emb.W.tobytes(order="A") == ref.W.tobytes(order="A")
     assert emb.b.tobytes() == ref.b.tobytes()
     assert losses == ref_losses
